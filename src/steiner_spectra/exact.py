@@ -1,8 +1,7 @@
 """Exact integer linear algebra: Bareiss determinants, circulants, characteristic polynomials.
 
-Everything here is arbitrary precision.  Large eliminations are routed
-through gmpy2's mpz type, which is substantially faster than CPython ints
-once entries grow past a few machine words.
+Everything here is arbitrary precision, except `char_poly_mod`, which
+works over F_p on int64 arrays.
 """
 
 from __future__ import annotations
@@ -11,17 +10,6 @@ import numbers
 
 import mpmath
 import numpy as np
-
-try:
-    from gmpy2 import mpz, divexact
-
-    _HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    mpz = int
-    _HAVE_GMPY2 = False
-
-# below this size plain ints beat the mpz conversion overhead
-_MPZ_THRESHOLD = 12
 
 
 class IntMatrix:
@@ -93,17 +81,9 @@ def det_exact(m: IntMatrix):
     if m.rows != m.cols:
         raise ValueError("determinant requires a square matrix")
     n = m.rows
-    big = _HAVE_GMPY2 and n >= _MPZ_THRESHOLD
-    if big:
-        a = [[mpz(v) for v in row] for row in m._data]
-        one = mpz(1)
-        div = divexact
-    else:
-        a = [list(row) for row in m._data]
-        one = 1
-        div = lambda x, y: x // y
+    a = [list(row) for row in m._data]
     sign = 1
-    prev = one
+    prev = 1
     for k in range(n - 1):
         if not a[k][k]:
             for i in range(k + 1, n):
@@ -120,11 +100,11 @@ def det_exact(m: IntMatrix):
             aik = ai[k]
             if aik:
                 ai[k + 1 :] = [
-                    div(pk * ai[j] - aik * ak[j], prev) for j in range(k + 1, n)
+                    (pk * ai[j] - aik * ak[j]) // prev for j in range(k + 1, n)
                 ]
-            elif prev != one:
-                ai[k + 1 :] = [div(pk * v, prev) for v in ai[k + 1 :]]
-            elif pk != one:
+            elif prev != 1:
+                ai[k + 1 :] = [pk * v // prev for v in ai[k + 1 :]]
+            elif pk != 1:
                 ai[k + 1 :] = [pk * v for v in ai[k + 1 :]]
         prev = pk
     return int(sign * a[n - 1][n - 1])
@@ -204,56 +184,77 @@ def _is_prime_trial(p: int) -> bool:
     return True
 
 
-def char_poly_mod(m: IntMatrix, p: int, max_size: int = 2000) -> tuple:
+# row ceiling of char_poly_mod: its int64 sums must stay below 2**63
+_MOD_MAX_ROWS = 2000
+
+
+def char_poly_mod(m: IntMatrix, p: int, max_size: int = _MOD_MAX_ROWS) -> tuple:
     """Ascending coefficients of det(lambda*I - m) modulo a prime p < 2**25.
 
-    Similarity reduction to Hessenberg form over F_p, then the leading-
-    principal-minor expansion recurrence.  Everything runs on int64 numpy
-    arrays; the 2**25 prime ceiling keeps every dot product below 2**63
-    for sizes up to `max_size`, which is why both limits are enforced.
+    Similarity reduction to upper Hessenberg form over F_p.  A diagonal
+    similarity then turns every nonzero subdiagonal entry into 1, and the
+    zero ones split the matrix into diagonal blocks whose charpolys
+    multiply.  Inside a block the leading-principal-minor recurrence
+    p_c = x p_{c-1} - sum_{i <= c} h[i, c] p_{i-1} is one vector-matrix
+    product per step.
+
+    Everything runs on int64 numpy arrays.  Every sum has at most
+    2000 < 2**11 terms, each below p**2 < 2**50, so it stays below 2**61:
+    that is why both the prime ceiling and the 2000-row ceiling on
+    `max_size` are enforced.
     """
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial requires a square matrix")
     n = m.rows
-    if n > max_size:
-        raise ValueError(f"matrix size {n} exceeds the modular charpoly cap of {max_size}")
+    cap = min(max_size, _MOD_MAX_ROWS)
+    if n > cap:
+        raise ValueError(f"matrix size {n} exceeds the modular charpoly cap of {cap}")
     if not 2 <= p < (1 << 25) or not _is_prime_trial(p):
         raise ValueError("modulus must be a prime below 2**25")
-    h = np.array([[int(v % p) for v in row] for row in m._data], dtype=np.int64)
+    h = (np.array(m._data, dtype=object) % p).astype(np.int64)
     for j in range(n - 2):
-        nz = np.nonzero(h[j + 1 :, j])[0]
+        nz = np.flatnonzero(h[j + 1 :, j])
         if nz.size == 0:
             continue
         piv = j + 1 + int(nz[0])
         if piv != j + 1:
             h[[j + 1, piv], :] = h[[piv, j + 1], :]
             h[:, [j + 1, piv]] = h[:, [piv, j + 1]]
-        inv = pow(int(h[j + 1, j]), p - 2, p)
-        factors = h[j + 2 :, j] * inv % p
+        factors = h[j + 2 :, j] * pow(int(h[j + 1, j]), p - 2, p) % p
         if factors.any():
-            # row eliminations below the subdiagonal plus the compensating
-            # column additions that keep the transform a similarity
-            h[j + 2 :, :] = (h[j + 2 :, :] - np.outer(factors, h[j + 1, :])) % p
+            # row eliminations below the subdiagonal (columns left of j + 1
+            # are zero there already, column j becomes zero) plus the
+            # compensating column additions that keep the transform a similarity
+            below = h[j + 2 :, j + 1 :]
+            below -= np.outer(factors, h[j + 1, j + 1 :])
+            below %= p
+            h[j + 2 :, j] = 0
             h[:, j + 1] = (h[:, j + 1] + h[:, j + 2 :] @ factors) % p
-    # p_m = (x - h[m-1,m-1]) p_{m-1} - sum_i h[i-1,m-1] (prod subdiag) p_{i-1}
-    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
-    polys[0, 0] = 1
-    for m_i in range(1, n + 1):
-        pm = np.zeros(n + 1, dtype=np.int64)
-        pm[1 : m_i + 1] = polys[m_i - 1, :m_i]
-        diag = int(h[m_i - 1, m_i - 1])
-        if diag:
-            pm[:m_i] = (pm[:m_i] - diag * polys[m_i - 1, :m_i]) % p
-        run = 1
-        for i in range(m_i - 1, 0, -1):
-            run = run * int(h[i, i - 1]) % p
-            if not run:
-                break
-            w = int(h[i - 1, m_i - 1]) * run % p
-            if w:
-                pm[:i] = (pm[:i] - w * polys[i - 1, :i]) % p
-        polys[m_i] = pm
-    return tuple(int(c) for c in polys[n])
+    # D^-1 h D with d_i = h[i, i-1] d_{i-1}, restarting at 1 on each zero
+    # subdiagonal entry, which is also where a new diagonal block starts
+    d = [1] * n
+    starts = [0]
+    for i in range(1, n):
+        sub = int(h[i, i - 1])
+        if sub:
+            d[i] = d[i - 1] * sub % p
+        else:
+            starts.append(i)
+    d_inv = [pow(x, p - 2, p) for x in d]
+    h *= np.array(d, dtype=np.int64)
+    h %= p
+    h *= np.array(d_inv, dtype=np.int64)[:, None]
+    h %= p
+    charpoly = np.ones(1, dtype=np.int64)
+    for s, e in zip(starts, starts[1:] + [n]):
+        size = e - s
+        polys = np.zeros((size + 1, size + 1), dtype=np.int64)
+        polys[0, 0] = 1
+        for c in range(1, size + 1):
+            polys[c, 1 : c + 1] = polys[c - 1, :c]
+            polys[c, :c] = (polys[c, :c] - h[s : s + c, s + c - 1] @ polys[:c, :c]) % p
+        charpoly = np.convolve(charpoly, polys[size]) % p
+    return tuple(int(c) for c in charpoly)
 
 
 def circulant_det_oracle(first_row, dps: int = 60) -> int:

@@ -2,9 +2,19 @@
 
 Contracting an order-k dimension-n symmetric hypermatrix with a variable
 vector k-1 times yields n homogeneous forms of degree k-1; their resultant
-is the symmetric hyperdeterminant.  The Macaulay construction computes it
-as det(M)/det(M') at the critical degree, with an integer change of
-variables as fallback when the minor M' degenerates.
+is the symmetric hyperdeterminant.  Macaulay's formula gives it as
+det(M)/det(M') at the critical degree, where M' is the minor on the
+non-reduced rows; for every Steiner tree case at n = 3, 4 that minor is
+singular and the ratio is 0/0.  Perturbing each form F_i by t*x_i^d
+(Canny's generalized characteristic polynomial) adds t to the diagonal
+of both matrices, and
+
+    det(tI + M) = C(t) * det(tI + M')   in Z[t],
+
+with C(0) the resultant.  Both determinants are monic in t, so the
+identity survives reduction modulo any prime: one pair of charpolys mod p
+gives the resultant mod p, and Chinese remaindering past a norm bound
+gives the integer.  That is the one route, singular minor or not.
 
 Dispatch: k = 2 is an ordinary determinant, n = 2 uses the banded
 Sylvester formula, and everything else within the desk-scale cap
@@ -13,19 +23,10 @@ Sylvester formula, and everything else within the desk-scale cap
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .exact import (
-    IntMatrix,
-    _is_prime_trial,
-    char_poly_exact,
-    char_poly_mod,
-    det_exact,
-)
+from .exact import IntMatrix, _is_prime_trial, char_poly_mod, det_exact
 from .hypermatrix import SymmetricHypermatrix, multinomial_weight, multisets
 from .sylvester2 import hyperdet_dim2
 
@@ -36,10 +37,6 @@ MAX_DEGREE = 5
 # and the n=2 Sylvester formula (both reproduced entrywise by the Macaulay
 # matrix), then frozen.
 MACAULAY_SIGN = 1
-
-
-class DegenerateConstructionError(RuntimeError):
-    pass
 
 
 # a polynomial is a dict {exponent tuple: integer coefficient}
@@ -134,109 +131,6 @@ def macaulay_matrix(s: HomogeneousSystem) -> tuple[IntMatrix, list]:
     return IntMatrix(rows), reduced
 
 
-def _macaulay_size(s: HomogeneousSystem) -> int:
-    """Row count of the Macaulay matrix without building it."""
-    n, d = s.nvars, s.degree
-    return math.comb(n * (d - 1) + 1 + n - 1, n - 1)
-
-
-def _macaulay_ratio(s: HomogeneousSystem):
-    """det(M)/det(M') for one Macaulay layout, or None when M' is singular."""
-    matrix, reduced = macaulay_matrix(s)
-    keep = [i for i, r in enumerate(reduced) if not r]
-    if not keep:
-        return Fraction(det_exact(matrix))
-    # minor first: when it is singular the full determinant is never needed
-    minor = IntMatrix([[matrix[i, j] for j in keep] for i in keep])
-    det_minor = det_exact(minor)
-    if det_minor == 0:
-        return None
-    return Fraction(det_exact(matrix), det_minor)
-
-
-def _linear_form(row, nvars: int) -> Polynomial:
-    out = {}
-    for j, c in enumerate(row):
-        if c != 0:
-            expo = tuple(1 if t == j else 0 for t in range(nvars))
-            out[expo] = c
-    return out
-
-
-def _poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    out: Polynomial = {}
-    for ea, ca in p.items():
-        for eb, cb in q.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            c = out.get(e, 0) + ca * cb
-            if c:
-                out[e] = c
-            elif e in out:
-                del out[e]
-    return out
-
-
-def substitute(s: HomogeneousSystem, t_rows) -> HomogeneousSystem:
-    """Apply the change of variables x_i = sum_j T[i][j] y_j to every form."""
-    n = s.nvars
-    forms = [_linear_form(t_rows[i], n) for i in range(n)]
-    new_polys = []
-    for p in s.polys:
-        out: Polynomial = {}
-        for expo, c in p.items():
-            term = {tuple([0] * n): c}
-            for i, e in enumerate(expo):
-                for _ in range(e):
-                    term = _poly_mul(term, forms[i])
-            for ee, cc in term.items():
-                v = out.get(ee, 0) + cc
-                if v:
-                    out[ee] = v
-                elif ee in out:
-                    del out[ee]
-        new_polys.append(out)
-    return HomogeneousSystem(n, s.degree, tuple(new_polys))
-
-
-MAX_SUBSTITUTIONS = 8
-
-# past this many Macaulay rows a failed substitution costs a dense exact
-# determinant each, so the modular perturbation route wins outright
-SUBSTITUTION_MAX_ROWS = 400
-
-# size cap for the characteristic-polynomial fallback (quartic cost)
-GCP_CHARPOLY_MAX = 80
-
-
-def _gcp_constant(s: HomogeneousSystem) -> Fraction | None:
-    """Resultant via diagonal perturbation when the plain minor is singular.
-
-    Perturbing F_i by t*x_i^d adds t on the diagonal of both M and M', so
-    det(M + tI)/det(M' + tI) is a polynomial in t whose constant term is
-    the resultant.  Constant term = 0 when ord_t det(M+tI) exceeds
-    ord_t det(M'+tI), else the ratio of trailing coefficients.  Exact but
-    quartic in the matrix size, hence capped.
-    """
-    matrix, reduced = macaulay_matrix(s)
-    if matrix.rows > GCP_CHARPOLY_MAX:
-        return None
-    neg = IntMatrix([[-x for x in matrix.row(i)] for i in range(matrix.rows)])
-    p = char_poly_exact(neg, max_size=GCP_CHARPOLY_MAX).coeffs
-    keep = [i for i, r in enumerate(reduced) if not r]
-    if keep:
-        minor = IntMatrix([[-matrix[i, j] for j in keep] for i in keep])
-        q = char_poly_exact(minor, max_size=GCP_CHARPOLY_MAX).coeffs
-    else:
-        q = (1,)
-    ord_p = next(i for i, c in enumerate(p) if c != 0)
-    ord_q = next(i for i, c in enumerate(q) if c != 0)
-    if ord_p < ord_q:
-        raise ArithmeticError("perturbed Macaulay ratio is not a polynomial")
-    if ord_p > ord_q:
-        return Fraction(0)
-    return Fraction(p[ord_p], q[ord_q])
-
-
 def _modular_primes():
     """Descending primes just below 2**25, the char_poly_mod ceiling."""
     p = (1 << 25) - 1
@@ -247,28 +141,35 @@ def _modular_primes():
     raise ArithmeticError("prime pool exhausted")  # pragma: no cover
 
 
-def _gcp_constant_modular(s: HomogeneousSystem) -> Fraction:
-    """Chinese-remainder version of the diagonal perturbation, any size.
+def _eigenvalue_bound(m: IntMatrix) -> int:
+    """min(||m||_1, ||m||_inf): no eigenvalue of m is larger in absolute value."""
+    rows = m.to_lists()
+    return min(
+        max(sum(map(abs, r)) for r in rows),
+        max(sum(map(abs, c)) for c in zip(*rows)),
+    )
 
-    det(tI + M) = C(t) * det(tI + M') holds in Z[t] with both sides monic,
-    so reducing mod p keeps the identity intact for every prime: the
-    trailing-coefficient extraction returns Res mod p with no unusable
-    primes.  Remaindering past 2 * max(1, ||M||_inf)^(N - N') pins the
-    integer, since the constant term of C is a product of N - N'
-    eigenvalues of M.
+
+def _gcp_constant_modular(s: HomogeneousSystem) -> int:
+    """C(0) from det(tI + M) = C(t) det(tI + M'), remaindered over primes.
+
+    Mod p, C(0) is 0 when det(tI + M) vanishes to a higher order in t than
+    det(tI + M'), else the ratio of their trailing coefficients.  Both are
+    read off the charpolys of M and M' themselves, with no negated copy:
+    det(tI + M) = (-1)^N charpoly_M(-t), so its t^r coefficient is
+    (-1)^(N + r) times that of charpoly_M, and a ratio at equal orders r
+    picks up (-1)^(N - N').
     """
     matrix, reduced = macaulay_matrix(s)
     keep = [i for i, r in enumerate(reduced) if not r]
-    neg = IntMatrix([[-x for x in matrix.row(i)] for i in range(matrix.rows)])
-    neg_minor = (
-        IntMatrix([[-matrix[i, j] for j in keep] for i in keep]) if keep else None
-    )
-    norm = max(sum(abs(x) for x in matrix.row(i)) for i in range(matrix.rows))
-    bound = max(1, norm) ** (matrix.rows - len(keep))
+    minor = IntMatrix([[matrix[i, j] for j in keep] for i in keep]) if keep else None
+    excess = matrix.rows - len(keep)
+    bound = 2 * _eigenvalue_bound(matrix) ** excess
+    sign = (-1) ** excess
     residue, modulus = 0, 1
     for p in _modular_primes():
-        pp = char_poly_mod(neg, p)
-        qq = char_poly_mod(neg_minor, p) if neg_minor is not None else (1,)
+        pp = char_poly_mod(matrix, p)
+        qq = char_poly_mod(minor, p) if minor is not None else (1,)
         ord_p = next(i for i, c in enumerate(pp) if c)
         ord_q = next(i for i, c in enumerate(qq) if c)
         if ord_p < ord_q:  # impossible when the Z[t] identity holds
@@ -276,25 +177,28 @@ def _gcp_constant_modular(s: HomogeneousSystem) -> Fraction:
         if ord_p > ord_q:
             c = 0
         else:
-            c = pp[ord_p] * pow(qq[ord_q], p - 2, p) % p
+            c = sign * pp[ord_p] * pow(qq[ord_q], p - 2, p) % p
         residue += modulus * ((c - residue) * pow(modulus, -1, p) % p)
         modulus *= p
-        if modulus > 2 * bound:
+        if modulus > bound:
             break
     if residue > modulus // 2:
         residue -= modulus
-    return Fraction(residue)
+    return residue
 
 
-def macaulay_resultant(s: HomogeneousSystem, rng: random.Random | None = None):
-    """Exact resultant of the system; integer for integer inputs.
+def macaulay_resultant(s: HomogeneousSystem) -> int:
+    """Exact resultant of the integer system, by one multi-modular route.
 
-    When the non-reduced minor is singular, falls back to the exact
-    diagonal-perturbation route (small sizes), then to random invertible
-    integer substitutions T with the det(T)^(d^n) correction, and finally
-    to the modular diagonal perturbation, which cannot fail but costs a
-    charpoly per prime.  The last resort matters: some vanishing systems
-    keep a singular minor under every linear substitution.
+    For each prime p from just below 2**25 downward, the resultant mod p
+    is C(0) mod p from the perturbation identity in the module docstring.
+    Every prime is usable: det(tI + M') is monic, so dividing it out of
+    det(tI + M) is exact over F_p as over Z, whether or not M' is
+    singular mod p.  The roots of det(tI + M') are among those of
+    det(tI + M), so C(0) is a product of N - N' eigenvalues of -M, each at
+    most B = min(||M||_1, ||M||_inf) in absolute value; remaindering stops
+    once the modulus exceeds 2 * B^(N - N'), and the symmetric residue is
+    the resultant.
     """
     if s.nvars > MAX_VARS or s.degree > MAX_DEGREE:
         raise ValueError(
@@ -303,34 +207,7 @@ def macaulay_resultant(s: HomogeneousSystem, rng: random.Random | None = None):
         )
     if any(not p for p in s.polys):
         return 0  # a vanishing form forces a nontrivial common root
-    ratio = _macaulay_ratio(s)
-    if ratio is None:
-        ratio = _gcp_constant(s)
-    if ratio is None and _macaulay_size(s) <= SUBSTITUTION_MAX_ROWS:
-        if rng is None:
-            rng = random.Random(0)
-        try:
-            ratio = _resultant_by_substitution(s, rng)
-        except DegenerateConstructionError:
-            ratio = None
-    if ratio is None:
-        ratio = _gcp_constant_modular(s)
-    if ratio.denominator == 1:
-        return int(ratio)
-    return ratio
-
-
-def _resultant_by_substitution(s: HomogeneousSystem, rng: random.Random) -> Fraction:
-    n = s.nvars
-    for _ in range(MAX_SUBSTITUTIONS):
-        t_rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        det_t = det_exact(IntMatrix(t_rows))
-        if det_t == 0:
-            continue
-        ratio = _macaulay_ratio(substitute(s, t_rows))
-        if ratio is not None:
-            return ratio / Fraction(det_t) ** (s.degree**n)
-    raise DegenerateConstructionError("degenerate construction")
+    return _gcp_constant_modular(s)
 
 
 def _as_matrix(a: SymmetricHypermatrix) -> IntMatrix:
@@ -352,7 +229,7 @@ def hyperdet_route(a: SymmetricHypermatrix) -> str:
     )
 
 
-def hyperdet(a: SymmetricHypermatrix, rng: random.Random | None = None):
+def hyperdet(a: SymmetricHypermatrix):
     """Qi's symmetric hyperdeterminant, exact.
 
     Coincides with the ordinary determinant at k = 2 and with the
@@ -363,4 +240,4 @@ def hyperdet(a: SymmetricHypermatrix, rng: random.Random | None = None):
         return det_exact(_as_matrix(a))
     if route == "sylvester":
         return hyperdet_dim2(a)
-    return MACAULAY_SIGN * macaulay_resultant(gradient_system(a), rng=rng)
+    return MACAULAY_SIGN * macaulay_resultant(gradient_system(a))

@@ -190,6 +190,29 @@ class TestCharPolyMod:
             got = char_poly_mod(m, p)
             assert got == tuple(c % p for c in exact) + (0,) * (len(got) - len(exact))
 
+    def test_block_triangular_under_permutation(self):
+        # Block upper triangular, then conjugated by a permutation that keeps
+        # index 0 inside the first diagonal block.  The Hessenberg reduction
+        # starts from e_0, whose Krylov space stays in that block's span, so
+        # the subdiagonal gets a zero and char_poly_mod splits into blocks.
+        rng = random.Random(17)
+        p = 33554393
+        for _ in range(30):
+            sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 4))]
+            n = sum(sizes)
+            block = [b for b, size in enumerate(sizes) for _ in range(size)]
+            rows = [
+                [rng.randint(-9, 9) if block[i] <= block[j] else 0 for j in range(n)]
+                for i in range(n)
+            ]
+            perm = list(range(n))
+            rng.shuffle(perm)
+            first = perm.index(0)
+            perm[0], perm[first] = perm[first], perm[0]
+            m = IntMatrix([[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+            exact = char_poly_exact(m).coeffs
+            assert char_poly_mod(m, p) == tuple(c % p for c in exact)
+
     def test_small_moduli(self):
         rng = random.Random(16)
         rows = [[rng.randint(-20, 20) for _ in range(6)] for _ in range(6)]

@@ -141,9 +141,9 @@ class TestSweepTrees:
         real = harness.hyperdet
         calls = {"n": 0}
 
-        def flaky(a, rng=None):
+        def flaky(a):
             calls["n"] += 1
-            v = real(a, rng=rng)
+            v = real(a)
             # corrupt only the relabel-verification calls, not the sweep body
             return v + 1 if calls["n"] > 2 else v
 
