@@ -14,7 +14,9 @@ of both matrices, and
 with C(0) the resultant.  Both determinants are monic in t, so the
 identity survives reduction modulo any prime: one pair of charpolys mod p
 gives the resultant mod p, and Chinese remaindering past a norm bound
-gives the integer.  That is the one route, singular minor or not.
+gives the integer.  That route serves every matrix, singular minor or
+not; only the smallest (at most 15 rows, so n = 3 with k = 3 or n <= 2)
+take the same two charpolys exactly over Z instead.
 
 Dispatch: k = 2 is an ordinary determinant, n = 2 uses the banded
 Sylvester formula, and everything else within the desk-scale cap
@@ -23,10 +25,11 @@ Sylvester formula, and everything else within the desk-scale cap
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .exact import IntMatrix, _is_prime_trial, char_poly_mod, det_exact
+from .exact import IntMatrix, _is_prime_trial, char_poly_exact, char_poly_mod, det_exact
 from .hypermatrix import SymmetricHypermatrix, multinomial_weight, multisets
 from .sylvester2 import hyperdet_dim2
 
@@ -131,6 +134,56 @@ def macaulay_matrix(s: HomogeneousSystem) -> tuple[IntMatrix, list]:
     return IntMatrix(rows), reduced
 
 
+def _macaulay_size(s: HomogeneousSystem) -> int:
+    """Row count of the Macaulay matrix without building it."""
+    n, d = s.nvars, s.degree
+    return math.comb(n * (d - 1) + 1 + n - 1, n - 1)
+
+
+def _nonreduced_minor(matrix: IntMatrix, reduced: list) -> IntMatrix | None:
+    """M', the principal minor on the non-reduced rows, or None when empty."""
+    keep = [i for i, r in enumerate(reduced) if not r]
+    return IntMatrix([[matrix[i, j] for j in keep] for i in keep]) if keep else None
+
+
+def _trailing_terms(pp, qq):
+    """Trailing coefficients (a, b) of charpoly_M and charpoly_M' at one
+    order, or None when charpoly_M vanishes to a higher order (C(0) = 0).
+
+    det(tI + M) = (-1)^N charpoly_M(-t), so its t^r coefficient is
+    (-1)^(N + r) times that of charpoly_M, and C(0) = (-1)^(N - N') a / b:
+    no negated copy of M is needed.
+    """
+    ord_p = next(i for i, c in enumerate(pp) if c)
+    ord_q = next(i for i, c in enumerate(qq) if c)
+    if ord_p < ord_q:  # impossible when the Z[t] identity holds
+        raise ArithmeticError("perturbed Macaulay ratio is not a polynomial")
+    return None if ord_p > ord_q else (pp[ord_p], qq[ord_q])
+
+
+# At or below this many Macaulay rows the charpolys are taken exactly over
+# Z: at 15 rows (n = 3, k = 3) Faddeev-LeVerrier costs about what the CRT
+# does (5 vs 3 ms), its quartic cost rules it out beyond.
+GCP_EXACT_MAX_ROWS = 15
+
+
+def _gcp_constant(s: HomogeneousSystem) -> int:
+    """C(0) from det(tI + M) = C(t) det(tI + M'), with exact charpolys."""
+    matrix, reduced = macaulay_matrix(s)
+    minor = _nonreduced_minor(matrix, reduced)
+    excess = sum(reduced)  # N - N'
+    cap = GCP_EXACT_MAX_ROWS
+    pp = char_poly_exact(matrix, max_size=cap).coeffs
+    qq = char_poly_exact(minor, max_size=cap).coeffs if minor is not None else (1,)
+    terms = _trailing_terms(pp, qq)
+    if terms is None:
+        return 0
+    c, rem = divmod(terms[0], terms[1])
+    if rem:
+        raise ArithmeticError("perturbed Macaulay ratio is not a polynomial")
+    return (-1) ** excess * c
+
+
 def _modular_primes():
     """Descending primes just below 2**25, the char_poly_mod ceiling."""
     p = (1 << 25) - 1
@@ -154,30 +207,20 @@ def _gcp_constant_modular(s: HomogeneousSystem) -> int:
     """C(0) from det(tI + M) = C(t) det(tI + M'), remaindered over primes.
 
     Mod p, C(0) is 0 when det(tI + M) vanishes to a higher order in t than
-    det(tI + M'), else the ratio of their trailing coefficients.  Both are
-    read off the charpolys of M and M' themselves, with no negated copy:
-    det(tI + M) = (-1)^N charpoly_M(-t), so its t^r coefficient is
-    (-1)^(N + r) times that of charpoly_M, and a ratio at equal orders r
-    picks up (-1)^(N - N').
+    det(tI + M'), else the signed ratio of their trailing coefficients
+    (`_trailing_terms`).
     """
     matrix, reduced = macaulay_matrix(s)
-    keep = [i for i, r in enumerate(reduced) if not r]
-    minor = IntMatrix([[matrix[i, j] for j in keep] for i in keep]) if keep else None
-    excess = matrix.rows - len(keep)
+    minor = _nonreduced_minor(matrix, reduced)
+    excess = sum(reduced)  # N - N'
     bound = 2 * _eigenvalue_bound(matrix) ** excess
     sign = (-1) ** excess
     residue, modulus = 0, 1
     for p in _modular_primes():
         pp = char_poly_mod(matrix, p)
         qq = char_poly_mod(minor, p) if minor is not None else (1,)
-        ord_p = next(i for i, c in enumerate(pp) if c)
-        ord_q = next(i for i, c in enumerate(qq) if c)
-        if ord_p < ord_q:  # impossible when the Z[t] identity holds
-            raise ArithmeticError("perturbed Macaulay ratio is not a polynomial")
-        if ord_p > ord_q:
-            c = 0
-        else:
-            c = sign * pp[ord_p] * pow(qq[ord_q], p - 2, p) % p
+        terms = _trailing_terms(pp, qq)
+        c = 0 if terms is None else sign * terms[0] * pow(terms[1], p - 2, p) % p
         residue += modulus * ((c - residue) * pow(modulus, -1, p) % p)
         modulus *= p
         if modulus > bound:
@@ -188,10 +231,12 @@ def _gcp_constant_modular(s: HomogeneousSystem) -> int:
 
 
 def macaulay_resultant(s: HomogeneousSystem) -> int:
-    """Exact resultant of the integer system, by one multi-modular route.
+    """Exact resultant of the integer system, by the multi-modular route.
 
-    For each prime p from just below 2**25 downward, the resultant mod p
-    is C(0) mod p from the perturbation identity in the module docstring.
+    Up to GCP_EXACT_MAX_ROWS Macaulay rows C(0) is read off exact integer
+    charpolys (`_gcp_constant`).  Above, for each prime p from just below
+    2**25 downward, the resultant mod p is C(0) mod p from the
+    perturbation identity in the module docstring.
     Every prime is usable: det(tI + M') is monic, so dividing it out of
     det(tI + M) is exact over F_p as over Z, whether or not M' is
     singular mod p.  The roots of det(tI + M') are among those of
@@ -207,6 +252,8 @@ def macaulay_resultant(s: HomogeneousSystem) -> int:
         )
     if any(not p for p in s.polys):
         return 0  # a vanishing form forces a nontrivial common root
+    if _macaulay_size(s) <= GCP_EXACT_MAX_ROWS:
+        return _gcp_constant(s)
     return _gcp_constant_modular(s)
 
 

@@ -11,6 +11,7 @@ from steiner_spectra.resultant import (
     MAX_DEGREE,
     MAX_VARS,
     HomogeneousSystem,
+    _gcp_constant_modular,
     gradient_system,
     hyperdet,
     hyperdet_route,
@@ -140,6 +141,7 @@ class TestSingleRoute:
             ratio = Fraction(det_exact(matrix), det_minor)
             assert ratio.denominator == 1
             assert macaulay_resultant(s) == ratio
+            assert _gcp_constant_modular(s) == ratio
             checked += 1
         assert checked >= 3
 
@@ -167,6 +169,7 @@ class TestSingleRoute:
             assert ord_m >= ord_minor
             want = 0 if ord_m > ord_minor else Fraction(lead_m, lead_minor)
             assert macaulay_resultant(s) == want, (g, k)
+            assert _gcp_constant_modular(s) == want, (g, k)
 
 
 class TestVanishingInstances:
