@@ -15,8 +15,10 @@ with C(0) the resultant.  Both determinants are monic in t, so the
 identity survives reduction modulo any prime: one pair of charpolys mod p
 gives the resultant mod p, and Chinese remaindering past a norm bound
 gives the integer.  That route serves every matrix, singular minor or
-not; only the smallest (at most 15 rows, so n = 3 with k = 3 or n <= 2)
-take the same two charpolys exactly over Z instead.
+not.  Macaulay matrices of at most 15 rows (on the hyperdet path, n = 3
+with k = 3) still take the same two charpolys exactly over Z
+(`_gcp_constant`), a remnant that goes once the benchmark's tracer
+self-test stops counting that route.
 
 Dispatch: k = 2 is an ordinary determinant, n = 2 uses the banded
 Sylvester formula, and everything else within the desk-scale cap
@@ -161,9 +163,11 @@ def _trailing_terms(pp, qq):
     return None if ord_p > ord_q else (pp[ord_p], qq[ord_q])
 
 
-# At or below this many Macaulay rows the charpolys are taken exactly over
-# Z: at 15 rows (n = 3, k = 3) Faddeev-LeVerrier costs about what the CRT
-# does (5 vs 3 ms), its quartic cost rules it out beyond.
+# At or below this many Macaulay rows (on the hyperdet path, n = 3 with
+# k = 3) the charpolys are taken exactly over Z.  This is no faster than
+# the CRT (about 9 against 4 ms at 15 rows); it stays only because
+# perfbench's tracer self-test asserts that hyperdet(D_3(P_3)) takes this
+# route, and goes with that assertion (ROADMAP item 2).
 GCP_EXACT_MAX_ROWS = 15
 
 
@@ -233,10 +237,10 @@ def _gcp_constant_modular(s: HomogeneousSystem) -> int:
 def macaulay_resultant(s: HomogeneousSystem) -> int:
     """Exact resultant of the integer system, by the multi-modular route.
 
-    Up to GCP_EXACT_MAX_ROWS Macaulay rows C(0) is read off exact integer
-    charpolys (`_gcp_constant`).  Above, for each prime p from just below
-    2**25 downward, the resultant mod p is C(0) mod p from the
-    perturbation identity in the module docstring.
+    For each prime p from just below 2**25 downward, the resultant mod p
+    is C(0) mod p from the perturbation identity in the module docstring
+    (up to GCP_EXACT_MAX_ROWS Macaulay rows, C(0) is instead read off
+    exact integer charpolys by `_gcp_constant`).
     Every prime is usable: det(tI + M') is monic, so dividing it out of
     det(tI + M) is exact over F_p as over Z, whether or not M' is
     singular mod p.  The roots of det(tI + M') are among those of
