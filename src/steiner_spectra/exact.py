@@ -188,7 +188,7 @@ def _is_prime_trial(p: int) -> bool:
 _MOD_MAX_ROWS = 2000
 
 
-def char_poly_mod(m: IntMatrix, p: int, max_size: int = _MOD_MAX_ROWS) -> tuple:
+def char_poly_mod(m: IntMatrix, p: int) -> tuple:
     """Ascending coefficients of det(lambda*I - m) modulo a prime p < 2**25.
 
     Similarity reduction to upper Hessenberg form over F_p.  A diagonal
@@ -200,15 +200,14 @@ def char_poly_mod(m: IntMatrix, p: int, max_size: int = _MOD_MAX_ROWS) -> tuple:
 
     Everything runs on int64 numpy arrays.  Every sum has at most
     2000 < 2**11 terms, each below p**2 < 2**50, so it stays below 2**61:
-    that is why both the prime ceiling and the 2000-row ceiling on
-    `max_size` are enforced.
+    that is why both the prime ceiling and the 2000-row ceiling are
+    enforced.
     """
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial requires a square matrix")
     n = m.rows
-    cap = min(max_size, _MOD_MAX_ROWS)
-    if n > cap:
-        raise ValueError(f"matrix size {n} exceeds the modular charpoly cap of {cap}")
+    if n > _MOD_MAX_ROWS:
+        raise ValueError(f"matrix size {n} exceeds the modular charpoly cap of {_MOD_MAX_ROWS}")
     if not 2 <= p < (1 << 25) or not _is_prime_trial(p):
         raise ValueError("modulus must be a prime below 2**25")
     h = (np.array(m._data, dtype=object) % p).astype(np.int64)

@@ -262,10 +262,13 @@ def tree_canonical_form(g: Graph) -> str:
     """Centroid-rooted AHU encoding; equal strings iff trees are isomorphic."""
     if not g.is_tree():
         raise ValueError("AHU canonical form requires a tree")
-    if g.n == 1:
+    return _ahu_form(g.adjacency(), g.n)
+
+
+def _ahu_form(adj: dict, n: int) -> str:
+    if n == 1:
         return "()"
-    adj = g.adjacency()
-    centroids = _tree_centroids(adj, g.n)
+    centroids = _tree_centroids(adj, n)
 
     def encode(v, parent):
         subs = sorted(encode(w, v) for w in adj[v] if w != parent)
@@ -311,8 +314,10 @@ def graph_canonical_form(g: Graph) -> str:
 
 def canonical_key(g: Graph) -> str:
     """Cache key invariant under relabeling: AHU for trees, brute force otherwise."""
-    if g.is_tree():
-        return f"tree:n{g.n}:{tree_canonical_form(g)}"
+    # the hot loop of every sweep: one adjacency build, one BFS for tree-ness
+    adj = g.adjacency()
+    if len(g.edges) == g.n - 1 and len(_component(adj, 1)) == g.n:
+        return f"tree:n{g.n}:{_ahu_form(adj, g.n)}"
     return "graph:" + graph_canonical_form(g)
 
 

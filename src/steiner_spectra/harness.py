@@ -2,22 +2,23 @@
 conjecture verdicts, the distance-determinant regression, and extremal
 spectral-radius rankings, all emitting deterministic JSON-ready reports.
 
-Dedup happens through canonical forms, so a labeled sweep over n^(n-2)
-trees pays for one hyperdeterminant per isomorphism class; results are
-optionally persisted in an append-only JSON-lines cache.
+Sweeps and rankings share one pass that evaluates each isomorphism
+class once (by canonical form), so a labeled sweep over n^(n-2) trees
+pays for one hyperdeterminant per class; results are optionally
+persisted in an append-only JSON-lines cache.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import sys
 import threading
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 
 from .exact import det_exact
 from .graphs import (
-    Graph,
     all_connected_graphs,
     canonical_key,
     distance_matrix,
@@ -25,7 +26,7 @@ from .graphs import (
     path_graph,
 )
 from .hypermatrix import build_steiner_hypermatrix
-from .resultant import MAX_DEGREE, MAX_VARS, hyperdet
+from .resultant import check_hyperdet_cap, hyperdet
 from .spectra import nqz_spectral_radius
 
 
@@ -104,14 +105,9 @@ class SweepReport:
         return report_json(self.to_json_dict())
 
 
-def hyperdet_cap_ok(n: int, k: int) -> bool:
-    return k == 2 or n == 2 or (n <= MAX_VARS and k - 1 <= MAX_DEGREE)
-
-
 def _class_job(args):
     """Worker task: all requested quantities for one isomorphism class."""
-    edges, n, k, want_det, want_radius, tol = args
-    g = Graph.from_edges(n, edges)
+    g, k, want_det, want_radius, tol = args
     a = build_steiner_hypermatrix(g, k)
     out = {}
     if want_det:
@@ -121,8 +117,43 @@ def _class_job(args):
     return out
 
 
-def _radius_quantity(tol: float) -> str:
-    return f"radius:{tol:g}"
+def _evaluate_classes(items, k, det, radius, tol, jobs=1, cache=None):
+    """Canonical key per (label, graph) item, the first item per class
+    (`reps`), and each class's {"det", "radius"} values: cache hits
+    first, then one `_class_job` per miss, serial or in a worker pool.
+    """
+    keys, reps = [], {}
+    for item in items:
+        keys.append(sys.intern(canonical_key(item[1])))  # one string per class
+        reps.setdefault(keys[-1], item)
+    names = {"det": "det", "radius": f"radius:{tol:g}"}  # cache quantities
+    wanted = [q for q, on in (("det", det), ("radius", radius)) if on]
+    values = {}
+    pending = []
+    for ckey, (_, g) in reps.items():
+        found = values[ckey] = {}
+        for q in wanted:
+            if cache is not None and cache.get(ckey, k, names[q]) is not None:
+                found[q] = cache.get(ckey, k, names[q])
+        missing = [q for q in wanted if q not in found]
+        if missing:
+            pending.append((ckey, (g, k, "det" in missing, "radius" in missing, tol)))
+
+    if jobs > 1 and pending:
+        with Pool(processes=min(jobs, len(pending))) as pool:
+            results = pool.map(_class_job, [args for _, args in pending])
+    else:
+        results = [_class_job(args) for _, args in pending]
+    for (ckey, _), out in zip(pending, results):
+        values[ckey].update(out)
+        if cache is not None:
+            for q, value in out.items():
+                cache.put(ckey, k, names[q], value)
+    return keys, reps, values
+
+
+# how many randomly relabeled hypermatrices a det sweep re-checks
+RELABEL_CHECKS = 10
 
 
 def sweep_trees(
@@ -135,7 +166,6 @@ def sweep_trees(
     seed: int = 0,
     jobs: int = 1,
     cache: ResultCache | None = None,
-    relabel_checks: int = 10,
 ) -> SweepReport:
     """Evaluate every labeled tree on n vertices at order k.
 
@@ -147,81 +177,37 @@ def sweep_trees(
     enclosure belongs to a path, counting enclosure-overlap ties in the
     path's favor and reporting them.
 
-    Relabeling spot-checks rerun hyperdet on `relabel_checks` randomly
-    permuted hypermatrices and demand identical values.
+    Relabeling spot-checks rerun hyperdet on RELABEL_CHECKS randomly
+    permuted hypermatrices, drawn with `seed`, and demand identical values.
     """
     if mode not in ("labeled", "unlabeled"):
         raise ValueError(f"unknown mode {mode!r}")
-    if det and not hyperdet_cap_ok(n, k):
-        raise ValueError(
-            f"hyperdet cap: need k = 2, n = 2, or n <= {MAX_VARS} with "
-            f"k - 1 <= {MAX_DEGREE}; got n={n}, k={k}"
-        )
+    if det:
+        check_hyperdet_cap(n, k)
 
     trees = list(enumerate_labeled_trees(n))
-    keys = [canonical_key(g) for _, g in trees]
-    reps: dict = {}
-    for (seq, g), ckey in zip(trees, keys):
-        reps.setdefault(ckey, (seq, g))
-
-    # resolve each class from the cache, then batch the misses
-    values = {ckey: {} for ckey in reps}
-    pending = []
-    for ckey, (_, g) in reps.items():
-        want_det = det and (cache is None or cache.get(ckey, k, "det") is None)
-        want_radius = radius and (
-            cache is None or cache.get(ckey, k, _radius_quantity(tol)) is None
-        )
-        if cache is not None:
-            if det and not want_det:
-                values[ckey]["det"] = cache.get(ckey, k, "det")
-            if radius and not want_radius:
-                values[ckey]["radius"] = cache.get(ckey, k, _radius_quantity(tol))
-        if want_det or want_radius:
-            pending.append(
-                (ckey, (tuple(g.sorted_edges()), n, k, want_det, want_radius, tol))
-            )
-
-    if pending:
-        if jobs > 1:
-            with Pool(processes=min(jobs, len(pending))) as pool:
-                results = pool.map(_class_job, [args for _, args in pending])
-        else:
-            results = [_class_job(args) for _, args in pending]
-        for (ckey, _), out in zip(pending, results):
-            values[ckey].update(out)
-            if cache is not None:
-                if "det" in out:
-                    cache.put(ckey, k, "det", out["det"])
-                if "radius" in out:
-                    cache.put(ckey, k, _radius_quantity(tol), out["radius"])
-
-    records = []
-    if mode == "labeled":
-        for (seq, g), ckey in zip(trees, keys):
-            v = values[ckey]
-            records.append(SweepRecord(seq, ckey, v.get("det"), v.get("radius")))
-    else:
-        for ckey, (seq, g) in reps.items():
-            v = values[ckey]
-            records.append(SweepRecord(seq, ckey, v.get("det"), v.get("radius")))
+    keys, reps, values = _evaluate_classes(trees, k, det, radius, tol, jobs, cache)
+    if mode == "unlabeled":
+        trees, keys = list(reps.values()), list(reps)
+    records = [
+        SweepRecord(seq, ckey, values[ckey].get("det"), values[ckey].get("radius"))
+        for (seq, _), ckey in zip(trees, keys)
+    ]
 
     report = SweepReport(n, k, mode, seed, records)
     if det:
-        _relabel_spot_checks(reps, values, n, k, seed, relabel_checks)
+        _relabel_spot_checks(reps, values, n, k, seed)
         report.verdicts.update(_det_verdicts(records, n))
     if radius:
         report.verdicts.update(_radius_verdicts(records, n))
     return report
 
 
-def _relabel_spot_checks(reps, values, n, k, seed, count) -> None:
+def _relabel_spot_checks(reps, values, n, k, seed) -> None:
     """hyperdet must not move under random vertex permutations."""
-    if count <= 0 or n < 2:
-        return
     rng = random.Random(seed)
     items = sorted(reps)
-    for _ in range(count):
+    for _ in range(RELABEL_CHECKS):
         ckey = rng.choice(items)
         _, g = reps[ckey]
         perm = list(range(1, n + 1))
@@ -253,11 +239,18 @@ def _det_verdicts(records, n: int) -> dict:
     return verdicts
 
 
+def _by_radius(r) -> tuple:
+    """Ranking key: the largest radius value first, then the smaller canonical key."""
+    return (-r.radius["value"], r.canonical)
+
+
+def _radius_ties(records, top) -> list:
+    """Canonical keys, in record order, whose enclosure reaches the top's lower end."""
+    return [r.canonical for r in records if r.radius["hi"] >= top.radius["lo"]]
+
+
 def _radius_verdicts(records, n: int) -> dict:
-    top = max(records, key=lambda r: (r.radius["value"], r.canonical))
-    ties = sorted(
-        {r.canonical for r in records if r.radius["hi"] >= top.radius["lo"]}
-    )
+    ties = sorted(set(_radius_ties(records, min(records, key=_by_radius))))
     path_key = canonical_key(path_graph(n))
     verdicts = {"question2": path_key in ties}
     if len(ties) > 1:
@@ -287,7 +280,7 @@ def falsifying_witness(report: SweepReport) -> dict | None:
                     "witness": [{"prufer": list(r.prufer), "det": r.det}],
                 }
     if v.get("question2") is False:
-        top = max(report.records, key=lambda r: (r.radius["value"], r.canonical))
+        top = min(report.records, key=_by_radius)
         return {
             "verdict": "question2",
             "witness": [
@@ -340,44 +333,38 @@ def extremal_radius(n: int, k: int, scope: str = "trees", tol: float = 1e-8) -> 
     if scope == "trees":
         if not 2 <= n <= EXTREMAL_TREE_CAP:
             raise ValueError(f"tree scope capped at 2 <= n <= {EXTREMAL_TREE_CAP}")
-        pool = (g for _, g in enumerate_labeled_trees(n))
+        items = enumerate_labeled_trees(n)
     elif scope == "connected-graphs":
         if not 2 <= n <= EXTREMAL_GRAPH_CAP:
             raise ValueError(f"graph scope capped at 2 <= n <= {EXTREMAL_GRAPH_CAP}")
-        pool = all_connected_graphs(n)
+        items = ((None, g) for g in all_connected_graphs(n))
     else:
         raise ValueError(f"unknown scope {scope!r}")
 
-    reps: dict = {}
-    for g in pool:
-        reps.setdefault(canonical_key(g), g)
-
+    _, reps, values = _evaluate_classes(items, k, False, True, tol)
+    records = [SweepRecord(label, c, radius=values[c]["radius"]) for c, (label, _) in reps.items()]
+    ranked = sorted(records, key=_by_radius)
+    ties = _radius_ties(ranked, ranked[0])
     path_key = canonical_key(path_graph(n))
     entries = []
-    for ckey in sorted(reps):
-        g = reps[ckey]
+    for r in ranked:
+        g = reps[r.canonical][1]
         degs = sorted((len(v) for v in g.adjacency().values()), reverse=True)
-        enc = nqz_spectral_radius(build_steiner_hypermatrix(g, k), tol)
         entries.append(
             {
-                "canonical": ckey,
+                "canonical": r.canonical,
                 "edges": [list(e) for e in g.sorted_edges()],
                 "degree_sequence": degs,
-                "is_path": ckey == path_key,
-                "radius": enc.to_json_dict(),
+                "is_path": r.canonical == path_key,
+                "radius": r.radius,
             }
         )
-    entries.sort(key=lambda e: (-e["radius"]["value"], e["canonical"]))
-    top = entries[0]
-    ties = [
-        e["canonical"] for e in entries if e["radius"]["hi"] >= top["radius"]["lo"]
-    ]
     return {
         "n": n,
         "k": k,
         "scope": scope,
         "tol": tol,
         "entries": entries,
-        "top_is_path": top["is_path"],
+        "top_is_path": entries[0]["is_path"],
         "ties": ties if len(ties) > 1 else [],
     }

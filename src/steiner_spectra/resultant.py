@@ -266,18 +266,23 @@ def _as_matrix(a: SymmetricHypermatrix) -> IntMatrix:
     return IntMatrix([[a.entry((i, j)) for j in range(1, n + 1)] for i in range(1, n + 1)])
 
 
+def check_hyperdet_cap(n: int, k: int) -> None:
+    """Refuse an (n, k) that no hyperdet route serves at desk scale."""
+    if not (k == 2 or n == 2 or (n <= MAX_VARS and k - 1 <= MAX_DEGREE)):
+        raise ValueError(
+            f"hyperdet cap: need k = 2, n = 2, or n <= {MAX_VARS} with "
+            f"k - 1 <= {MAX_DEGREE}; got n={n}, k={k}"
+        )
+
+
 def hyperdet_route(a: SymmetricHypermatrix) -> str:
     """Which computation serves hyperdet(a): matrix-det, sylvester, or macaulay."""
+    check_hyperdet_cap(a.dim, a.order)
     if a.order == 2:
         return "matrix-det"
     if a.dim == 2:
         return "sylvester"
-    if a.dim <= MAX_VARS and a.order - 1 <= MAX_DEGREE:
-        return "macaulay"
-    raise ValueError(
-        f"hyperdet supports k = 2, n = 2, or n <= {MAX_VARS} with "
-        f"k - 1 <= {MAX_DEGREE}; got n={a.dim}, k={a.order}"
-    )
+    return "macaulay"
 
 
 def hyperdet(a: SymmetricHypermatrix):

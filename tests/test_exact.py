@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from steiner_spectra import exact
 from steiner_spectra.exact import (
     IntMatrix,
     Poly,
@@ -225,15 +226,16 @@ class TestCharPolyMod:
         m = IntMatrix([[7]])
         assert char_poly_mod(m, 5) == (3, 1)
 
-    def test_validations(self):
+    def test_validations(self, monkeypatch):
         with pytest.raises(ValueError, match="square"):
             char_poly_mod(IntMatrix([[1, 2, 3], [4, 5, 6]]), 7)
         with pytest.raises(ValueError, match="prime"):
             char_poly_mod(IntMatrix([[1]]), 6)
         with pytest.raises(ValueError, match="prime"):
             char_poly_mod(IntMatrix([[1]]), 1 << 25)
+        monkeypatch.setattr(exact, "_MOD_MAX_ROWS", 2)
         with pytest.raises(ValueError, match="cap"):
-            char_poly_mod(IntMatrix.identity(3), 7, max_size=2)
+            char_poly_mod(IntMatrix.identity(3), 7)
 
 
 class TestCirculantOracle:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -12,10 +13,11 @@ from steiner_spectra.harness import (
     extremal_radius,
     falsifying_witness,
     graham_pollak_check,
-    hyperdet_cap_ok,
     report_json,
     sweep_trees,
 )
+from steiner_spectra.graphs import canonical_key, path_graph
+from steiner_spectra.resultant import check_hyperdet_cap
 from steiner_spectra.wendt import wendt
 
 
@@ -58,11 +60,11 @@ class TestResultCache:
 
 class TestCaps:
     def test_hyperdet_cap(self):
-        assert hyperdet_cap_ok(10, 2)
-        assert hyperdet_cap_ok(2, 16)
-        assert hyperdet_cap_ok(4, 6)
-        assert not hyperdet_cap_ok(5, 3)
-        assert not hyperdet_cap_ok(3, 7)
+        for n, k in [(10, 2), (2, 16), (4, 6)]:
+            check_hyperdet_cap(n, k)
+        for n, k in [(5, 3), (3, 7)]:
+            with pytest.raises(ValueError, match="cap"):
+                check_hyperdet_cap(n, k)
 
 
 class TestSweepTrees:
@@ -111,15 +113,15 @@ class TestSweepTrees:
 
     def test_cache_persists_and_reruns_identically(self, tmp_path):
         cache = ResultCache(tmp_path / "c.jsonl")
-        first = sweep_trees(4, 3, det=True, cache=cache, relabel_checks=1).to_json()
+        first = sweep_trees(4, 3, det=True, cache=cache).to_json()
         assert (tmp_path / "c.jsonl").exists()
         cached = ResultCache(tmp_path / "c.jsonl")
-        second = sweep_trees(4, 3, det=True, cache=cached, relabel_checks=1).to_json()
+        second = sweep_trees(4, 3, det=True, cache=cached).to_json()
         assert first == second
 
     def test_cache_values_short_circuit_work(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path / "c.jsonl")
-        sweep_trees(4, 3, det=True, cache=cache, relabel_checks=0)
+        sweep_trees(4, 3, det=True, cache=cache)
 
         import steiner_spectra.harness as harness
 
@@ -127,12 +129,12 @@ class TestSweepTrees:
             raise AssertionError("cache miss where a hit was expected")
 
         monkeypatch.setattr(harness, "_class_job", boom)
-        rep = sweep_trees(4, 3, det=True, cache=cache, relabel_checks=0)
+        rep = sweep_trees(4, 3, det=True, cache=cache)
         assert rep.verdicts["conjecture1"] is True
 
     def test_jobs_do_not_change_report(self):
-        serial = sweep_trees(4, 3, det=True, radius=True, jobs=1, relabel_checks=0)
-        parallel = sweep_trees(4, 3, det=True, radius=True, jobs=2, relabel_checks=0)
+        serial = sweep_trees(4, 3, det=True, radius=True, jobs=1)
+        parallel = sweep_trees(4, 3, det=True, radius=True, jobs=2)
         assert serial.to_json() == parallel.to_json()
 
     def test_relabel_spot_check_catches_bad_hyperdet(self, monkeypatch):
@@ -149,7 +151,14 @@ class TestSweepTrees:
 
         monkeypatch.setattr(harness, "hyperdet", flaky)
         with pytest.raises(ArithmeticError, match="relabel"):
-            sweep_trees(4, 2, det=True, relabel_checks=4)
+            sweep_trees(4, 2, det=True)
+
+    def test_det_report_is_pinned(self):
+        # exact integers only, so the bytes do not depend on the platform
+        report = sweep_trees(5, 2, det=True, seed=5).to_json()
+        assert hashlib.sha256(report.encode()).hexdigest() == (
+            "f6d992fd9dce4a0e367045864b6ee0d2a95dc95873d5174af3671415503381f8"
+        )
 
     def test_seed_recorded(self):
         rep = sweep_trees(3, 2, det=True, seed=7)
@@ -261,3 +270,36 @@ class TestExtremalRadius:
         a = report_json(extremal_radius(4, 3))
         b = report_json(extremal_radius(4, 3))
         assert a == b
+
+    @pytest.mark.parametrize("n,k", [(5, 3), (6, 4)])
+    def test_matches_unlabeled_sweep(self, n, k):
+        entries = extremal_radius(n, k)["entries"]
+        records = sweep_trees(n, k, radius=True, mode="unlabeled").records
+        assert len(entries) == len(records)
+        assert {e["canonical"]: e["radius"] for e in entries} == {
+            r.canonical: r.radius for r in records
+        }
+
+
+class TestRadiusTies:
+    def test_exact_tie_names_the_same_top_class(self, monkeypatch):
+        import steiner_spectra.harness as harness
+
+        path_key = canonical_key(path_graph(5))
+
+        def tied(args):
+            # the two non-path classes at n = 5 share one radius, above the path's
+            g, k, want_det, want_radius, tol = args
+            value = 1.0 if canonical_key(g) == path_key else 5.0
+            return {"radius": {"value": value, "lo": value, "hi": value, "iterations": 1}}
+
+        monkeypatch.setattr(harness, "_class_job", tied)
+        rep = sweep_trees(5, 3, radius=True)
+        ties = rep.verdicts["question2_ties"]
+        assert rep.verdicts["question2"] is False
+        assert len(ties) == 2
+        witness = falsifying_witness(rep)["witness"][0]["canonical"]
+        assert witness == min(ties)
+        ranking = extremal_radius(5, 3)
+        assert ranking["ties"] == ties
+        assert ranking["entries"][0]["canonical"] == witness
