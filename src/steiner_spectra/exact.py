@@ -1,7 +1,9 @@
 """Exact integer linear algebra: Bareiss determinants, circulants, characteristic polynomials.
 
 Everything here is arbitrary precision, except `char_poly_mod`, which
-works over F_p on int64 arrays.
+works over F_p on int64 arrays: it splits the matrix at the strongly
+connected components of its nonzero pattern and runs a Hessenberg
+reduction on each block of more than one row.
 """
 
 from __future__ import annotations
@@ -188,29 +190,85 @@ def _is_prime_trial(p: int) -> bool:
 _MOD_MAX_ROWS = 2000
 
 
-def char_poly_mod(m: IntMatrix, p: int) -> tuple:
-    """Ascending coefficients of det(lambda*I - m) modulo a prime p < 2**25.
+def _strong_components(pattern) -> list:
+    """Strongly connected components of the nonzero pattern of a square array.
 
-    Similarity reduction to upper Hessenberg form over F_p.  A diagonal
-    similarity then turns every nonzero subdiagonal entry into 1, and the
-    zero ones split the matrix into diagonal blocks whose charpolys
-    multiply.  Inside a block the leading-principal-minor recurrence
+    The digraph has an edge i -> j for every nonzero off-diagonal entry
+    pattern[i, j]; diagonal entries are ignored.  Each component is a
+    sorted list of indices, and the components come in reverse topological
+    order (Tarjan), so listing them last to first permutes the matrix to
+    block upper triangular form.  The depth-first search keeps its own
+    stack, so a long chain costs no recursion depth.
+    """
+    n = pattern.shape[0]
+    nonzero = pattern != 0
+    np.fill_diagonal(nonzero, False)
+    rows, cols = np.nonzero(nonzero)
+    # successors of v are succ[first[v]:first[v + 1]] (rows come out sorted)
+    first = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    succ = cols.tolist()
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    components = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        path = [(root, first[root])]  # vertex and its next unexplored edge
+        while path:
+            v, e = path[-1]
+            end = first[v + 1]
+            while e < end:
+                w = succ[e]
+                e += 1
+                if index[w] < 0:
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                path.pop()
+                if path:
+                    u = path[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        component.append(w)
+                        if w == v:
+                            break
+                    component.sort()
+                    components.append(component)
+                continue
+            path[-1] = (v, e)
+            index[w] = low[w] = counter
+            counter += 1
+            stack.append(w)
+            on_stack[w] = True
+            path.append((w, first[w]))
+    return components
+
+
+def _char_poly_hessenberg(h: np.ndarray, p: int) -> np.ndarray:
+    """Ascending coefficients of det(lambda*I - h) over F_p, h reduced mod p.
+
+    Similarity reduction of the int64 array h (overwritten) to upper
+    Hessenberg form.  A diagonal similarity then turns every nonzero
+    subdiagonal entry into 1, and the zero ones split the matrix into
+    diagonal blocks whose charpolys multiply.  Inside a block the
+    leading-principal-minor recurrence
     p_c = x p_{c-1} - sum_{i <= c} h[i, c] p_{i-1} is one vector-matrix
     product per step.
-
-    Everything runs on int64 numpy arrays.  Every sum has at most
-    2000 < 2**11 terms, each below p**2 < 2**50, so it stays below 2**61:
-    that is why both the prime ceiling and the 2000-row ceiling are
-    enforced.
     """
-    if m.rows != m.cols:
-        raise ValueError("characteristic polynomial requires a square matrix")
-    n = m.rows
-    if n > _MOD_MAX_ROWS:
-        raise ValueError(f"matrix size {n} exceeds the modular charpoly cap of {_MOD_MAX_ROWS}")
-    if not 2 <= p < (1 << 25) or not _is_prime_trial(p):
-        raise ValueError("modulus must be a prime below 2**25")
-    h = (np.array(m._data, dtype=object) % p).astype(np.int64)
+    n = h.shape[0]
     for j in range(n - 2):
         nz = np.flatnonzero(h[j + 1 :, j])
         if nz.size == 0:
@@ -253,6 +311,43 @@ def char_poly_mod(m: IntMatrix, p: int) -> tuple:
             polys[c, 1 : c + 1] = polys[c - 1, :c]
             polys[c, :c] = (polys[c, :c] - h[s : s + c, s + c - 1] @ polys[:c, :c]) % p
         charpoly = np.convolve(charpoly, polys[size]) % p
+    return charpoly
+
+
+def char_poly_mod(m: IntMatrix, p: int) -> tuple:
+    """Ascending coefficients of det(lambda*I - m) modulo a prime p < 2**25.
+
+    After one reduction mod p, the strongly connected components of the
+    off-diagonal nonzero pattern (`_strong_components`) give a symmetric
+    permutation of m to block upper triangular form, which leaves the
+    charpoly unchanged: it is the product of the diagonal blocks'
+    charpolys.  A 1-row block gives x - m_ii; a larger one goes through
+    Hessenberg reduction over F_p and a leading-principal-minor recurrence
+    (`_char_poly_hessenberg`), whose cost is cubic in the block size.
+    Macaulay matrices are sparse, and their patterns fall apart into many
+    components.
+
+    Everything runs on int64 numpy arrays.  Every sum, in a block or in
+    the product of the blocks' charpolys, has at most 2000 < 2**11 terms, each below p**2 < 2**50, so it stays below 2**61:
+    that is why both the prime ceiling and the 2000-row ceiling are
+    enforced.
+    """
+    if m.rows != m.cols:
+        raise ValueError("characteristic polynomial requires a square matrix")
+    n = m.rows
+    if n > _MOD_MAX_ROWS:
+        raise ValueError(f"matrix size {n} exceeds the modular charpoly cap of {_MOD_MAX_ROWS}")
+    if not 2 <= p < (1 << 25) or not _is_prime_trial(p):
+        raise ValueError("modulus must be a prime below 2**25")
+    a = (np.array(m._data, dtype=object) % p).astype(np.int64)
+    charpoly = np.ones(1, dtype=np.int64)
+    for component in _strong_components(a):
+        if len(component) == 1:
+            i = component[0]
+            block = np.array([-a[i, i] % p, 1], dtype=np.int64)
+        else:
+            block = _char_poly_hessenberg(a[np.ix_(component, component)], p)
+        charpoly = np.convolve(charpoly, block) % p
     return tuple(int(c) for c in charpoly)
 
 

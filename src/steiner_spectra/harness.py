@@ -14,6 +14,7 @@ import json
 import random
 import sys
 import threading
+import warnings
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 
@@ -36,22 +37,40 @@ def report_json(obj) -> str:
 
 
 class ResultCache:
-    """Append-only JSON-lines store keyed by (canonical form, k, quantity)."""
+    """Append-only JSON-lines store keyed by (canonical form, k, quantity).
+
+    A write cut short by a crash leaves a torn final line: loading skips
+    it with a warning, and the next `put` truncates it away and starts on
+    a fresh line.  A malformed line anywhere else still raises.
+    """
 
     def __init__(self, path):
         self.path = str(path)
         self._data = {}
         self._lock = threading.Lock()
+        # file length to truncate to before the next record, when the file
+        # does not end in a complete line
+        self._resume_at = None
         try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    rec = json.loads(line)
-                    self._data[tuple(rec["key"])] = rec["value"]
+            with open(self.path, "rb") as fh:
+                lines = fh.readlines()
         except FileNotFoundError:
-            pass
+            return
+        offset = 0
+        for i, line in enumerate(lines):
+            if line.strip():
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError:
+                    if i < len(lines) - 1:
+                        raise
+                    warnings.warn(f"{self.path}: skipped a torn final line", stacklevel=2)
+                    self._resume_at = offset
+                    break
+                self._data[tuple(rec["key"])] = rec["value"]
+            offset += len(line)
+        if lines and not lines[-1].endswith(b"\n") and self._resume_at is None:
+            self._resume_at = offset  # a whole record that lost its newline
 
     def get(self, canonical: str, k: int, quantity: str):
         return self._data.get((canonical, k, quantity))
@@ -63,6 +82,12 @@ class ResultCache:
                 return
             self._data[key] = value
             with open(self.path, "a", encoding="utf-8") as fh:
+                if self._resume_at is not None:
+                    # the leading newline ends a kept record and leaves a
+                    # blank line, which loading skips, after a cut one
+                    fh.truncate(self._resume_at)
+                    fh.write("\n")
+                    self._resume_at = None
                 fh.write(json.dumps({"key": list(key), "value": value}) + "\n")
 
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from steiner_spectra import exact
@@ -13,6 +14,9 @@ from steiner_spectra.exact import (
     circulant_det_oracle,
     det_exact,
 )
+from steiner_spectra.graphs import path_graph
+from steiner_spectra.hypermatrix import build_steiner_hypermatrix
+from steiner_spectra.resultant import _nonreduced_minor, gradient_system, macaulay_matrix
 
 
 def cofactor_det(rows):
@@ -192,10 +196,13 @@ class TestCharPolyMod:
             assert got == tuple(c % p for c in exact) + (0,) * (len(got) - len(exact))
 
     def test_block_triangular_under_permutation(self):
-        # Block upper triangular, then conjugated by a permutation that keeps
-        # index 0 inside the first diagonal block.  The Hessenberg reduction
-        # starts from e_0, whose Krylov space stays in that block's span, so
-        # the subdiagonal gets a zero and char_poly_mod splits into blocks.
+        # Block upper triangular, then conjugated by a permutation.
+        # char_poly_mod finds the diagonal blocks again as strongly connected
+        # components (zero entries may split a block further) before any
+        # Hessenberg step.  Index 0 stays inside the first block, so a
+        # Hessenberg reduction of the whole matrix, which starts from e_0,
+        # would meet a zero subdiagonal as well; that split is tested inside
+        # one component by test_hessenberg_split_inside_one_component.
         rng = random.Random(17)
         p = 33554393
         for _ in range(30):
@@ -213,6 +220,78 @@ class TestCharPolyMod:
             m = IntMatrix([[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
             exact = char_poly_exact(m).coeffs
             assert char_poly_mod(m, p) == tuple(c % p for c in exact)
+
+    def test_many_small_components_under_permutation(self):
+        rng = random.Random(18)
+        p = 33554393
+        for _ in range(4):
+            sizes = [1] * 15 + [2, 3, 4]
+            rng.shuffle(sizes)
+            n = sum(sizes)
+            block = [b for b, size in enumerate(sizes) for _ in range(size)]
+            # diagonal blocks are dense, so each is one component
+            rows = [
+                [
+                    rng.choice((-1, 1)) * rng.randint(1, 9)
+                    if block[i] == block[j]
+                    else rng.randint(-9, 9) if block[i] < block[j] and rng.random() < 0.3
+                    else 0
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ]
+            perm = list(range(n))
+            rng.shuffle(perm)
+            m = IntMatrix([[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+            components = exact._strong_components(np.array(m.to_lists()))
+            assert sorted(map(len, components)) == sorted(sizes)
+            want = char_poly_exact(m).coeffs
+            assert char_poly_mod(m, p) == tuple(c % p for c in want)
+
+    def test_hessenberg_split_inside_one_component(self):
+        # S diag(A, B) S^-1 with S e_0 = e_0: the Krylov space of e_0 is
+        # S span(A's rows), so the Hessenberg reduction, which starts from
+        # e_0, meets a zero subdiagonal although the pattern is one strongly
+        # connected component.  S is a product of unimodular elementary
+        # similarities E = I + c e_i e_j^T with j != 0.
+        rng = random.Random(19)
+        p = 33554393
+        for _ in range(10):
+            a, b = rng.randint(2, 3), rng.randint(2, 3)
+            n = a + b
+            rows = [
+                [
+                    rng.choice((-1, 1)) * rng.randint(1, 5)
+                    if (i < a) == (j < a)
+                    else 0
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ]
+            for _ in range(4 * n):
+                i, j = rng.sample(range(n), 2)
+                if j == 0:
+                    continue
+                c = rng.choice((-1, 1))
+                rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]  # E M
+                for r in rows:  # (E M) E^-1
+                    r[j] -= c * r[i]
+            m = IntMatrix(rows)
+            assert len(exact._strong_components(np.array(rows) % p)) == 1
+            want = char_poly_exact(m).coeffs
+            assert char_poly_mod(m, p) == tuple(c % p for c in want)
+
+    def test_macaulay_matrices_match_exact(self):
+        # real structure: the (n, k) = (3, 4) path Macaulay matrix and its
+        # non-reduced minor
+        s = gradient_system(build_steiner_hypermatrix(path_graph(3), 4))
+        matrix, reduced = macaulay_matrix(s)
+        minor = _nonreduced_minor(matrix, reduced)
+        assert (matrix.rows, minor.rows) == (36, sum(not r for r in reduced))
+        for m in (matrix, minor):
+            want = char_poly_exact(m, max_size=m.rows).coeffs
+            for p in (33554393, 8191):
+                assert char_poly_mod(m, p) == tuple(c % p for c in want)
 
     def test_small_moduli(self):
         rng = random.Random(16)
@@ -236,6 +315,34 @@ class TestCharPolyMod:
         monkeypatch.setattr(exact, "_MOD_MAX_ROWS", 2)
         with pytest.raises(ValueError, match="cap"):
             char_poly_mod(IntMatrix.identity(3), 7)
+
+
+class TestStrongComponents:
+    def test_hand_built_pattern(self):
+        # 0 <-> 1 -> 2 -> 3 -> 2, 4 alone, 3 -> 5 -> 4; nonzero diagonal
+        pattern = np.eye(6, dtype=np.int64) * 7
+        for i, j in [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (3, 5), (5, 4)]:
+            pattern[i, j] = 1
+        components = exact._strong_components(pattern)
+        assert sorted(components) == [[0, 1], [2, 3], [4], [5]]
+        # reverse topological order: a component comes after all it reaches
+        order = {v: c for c, comp in enumerate(components) for v in comp}
+        for i, j in zip(*np.nonzero(pattern)):
+            assert order[i] >= order[j]
+        # the diagonal alone is no edge
+        assert exact._strong_components(np.eye(3, dtype=np.int64)) == [[0], [1], [2]]
+
+    def test_long_cycle_is_one_component(self):
+        n = 1500
+        pattern = np.zeros((n, n), dtype=np.int64)
+        pattern[np.arange(n), (np.arange(n) + 1) % n] = 1
+        assert exact._strong_components(pattern) == [list(range(n))]
+
+    def test_long_chain_needs_no_recursion(self):
+        n = 1500
+        pattern = np.zeros((n, n), dtype=np.int64)
+        pattern[np.arange(n - 1), np.arange(1, n)] = 1
+        assert exact._strong_components(pattern) == [[v] for v in reversed(range(n))]
 
 
 class TestCirculantOracle:

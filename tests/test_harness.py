@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import pytest
 
@@ -56,6 +57,44 @@ class TestResultCache:
         assert c.get("abc", 3, "det") == 1
         assert c.get("abc", 4, "det") == 7
         assert c.get("abc", 3, "radius:1e-08") == {"value": 2.0}
+
+    def test_torn_final_line_is_skipped_then_cut(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        c = ResultCache(path)
+        c.put("abc", 3, "det", -12)
+        c.put("abd", 3, "radius:1e-08", {"value": 2.5})
+        half = json.dumps({"key": ["abe", 3, "det"], "value": 123456789})
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(half[: len(half) // 2])  # a write cut short by a crash
+        with pytest.warns(UserWarning, match="torn final line"):
+            torn = ResultCache(path)
+        assert torn.get("abc", 3, "det") == -12
+        assert torn.get("abd", 3, "radius:1e-08") == {"value": 2.5}
+        assert torn.get("abe", 3, "det") is None
+        torn.put("abf", 4, "det", 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            again = ResultCache(path)
+        assert again.get("abc", 3, "det") == -12
+        assert again.get("abd", 3, "radius:1e-08") == {"value": 2.5}
+        assert again.get("abe", 3, "det") is None
+        assert again.get("abf", 4, "det") == 7
+
+    def test_record_without_newline_is_kept(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps({"key": ["abc", 3, "det"], "value": 5}))
+        c = ResultCache(path)
+        assert c.get("abc", 3, "det") == 5
+        c.put("abd", 3, "det", 6)
+        again = ResultCache(path)
+        assert (again.get("abc", 3, "det"), again.get("abd", 3, "det")) == (5, 6)
+
+    def test_malformed_middle_line_raises(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        good = json.dumps({"key": ["abc", 3, "det"], "value": 5})
+        path.write_text(good + "\n" + good[:10] + "\n" + good + "\n")
+        with pytest.raises(json.JSONDecodeError):
+            ResultCache(path)
 
 
 class TestCaps:
