@@ -28,8 +28,9 @@ class IntMatrix:
             raise ValueError("ragged rows")
         for row in data:
             for v in row:
-                # floats would silently break the exact eliminations downstream
-                if not isinstance(v, numbers.Integral):
+                # floats would silently break the exact eliminations downstream;
+                # the exact type test skips the slow ABC check for plain ints
+                if type(v) is not int and not isinstance(v, numbers.Integral):
                     raise ValueError(f"non-integer entry: {v!r}")
         self.rows = len(data)
         self.cols = cols

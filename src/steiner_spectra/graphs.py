@@ -4,11 +4,16 @@ Vertices are labeled 1..n throughout so results line up with hand
 calculations.  Steiner distance of a vertex set S is the fewest edges in
 any connected subgraph containing S: trees get a leaf-pruning fast path,
 general graphs go through the Dreyfus-Wagner dynamic program.
+
+Labeled trees come as edge lists: `enumerate_tree_edges` decodes every
+Prüfer sequence in linear time, `tree_key` (center-rooted AHU) names the
+isomorphism class straight from the edges, and `distance_rows` takes one
+BFS per vertex over adjacency lists, so a sweep over n^(n-2) trees needs
+a `Graph` only for the trees it keeps.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
@@ -140,7 +145,7 @@ def steiner_distance(g: Graph, s) -> int:
         return _prune_tree(adj, comp, s)
     if len(s) == 2:
         a, b = s
-        return _bfs_dist(adj, a)[b]
+        return _bfs_dist(adj, a, g.n)[b]
     return _dreyfus_wagner(adj, comp, sorted(s))
 
 
@@ -162,21 +167,26 @@ def _prune_tree(adj: dict, comp: set, s: set) -> int:
     return sum(1 for u in live for w in adj[u] if w in live and w > u)
 
 
-def _bfs_dist(adj: dict, source: int) -> dict:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
+def _bfs_dist(adj, source: int, n: int) -> list:
+    """Hop distances from source; adj maps each of 1..n to its neighbors.
+
+    Slot 0 is unused and unreachable vertices read -1.
+    """
+    dist = [-1] * (n + 1)
+    dist[source] = 0
+    queue = [source]
+    for u in queue:  # the loop also visits what it appends
+        du = dist[u] + 1
         for w in adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
+            if dist[w] < 0:
+                dist[w] = du
                 queue.append(w)
     return dist
 
 
 def _dreyfus_wagner(adj: dict, comp: set, terminals: list) -> int:
     verts = sorted(comp)
-    dist = {v: _bfs_dist(adj, v) for v in verts}
+    dist = {v: _bfs_dist(adj, v, len(adj)) for v in verts}
     t = len(terminals)
     full = (1 << t) - 1
     inf = float("inf")
@@ -210,6 +220,44 @@ def _dreyfus_wagner(adj: dict, comp: set, terminals: list) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _adjacency_lists(n: int, edges) -> list:
+    """Neighbor lists indexed by vertex 1..n (slot 0 unused)."""
+    adj = [[] for _ in range(n + 1)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def _prufer_edges(seq, n: int) -> list:
+    """Edges of the tree with Prüfer sequence seq, in linear time.
+
+    Each entry is joined to the smallest current leaf, as a min-heap of
+    leaves would pick it: a pointer only moves up past used leaves, and an
+    entry that becomes a leaf below the pointer is taken at once.
+    """
+    degree = [1] * (n + 1)
+    for x in seq:
+        degree[x] += 1
+    ptr = 1
+    while degree[ptr] != 1:
+        ptr += 1
+    leaf = ptr
+    edges = []
+    for x in seq:
+        edges.append((leaf, x))
+        degree[x] -= 1
+        if degree[x] == 1 and x < ptr:
+            leaf = x
+        else:
+            ptr += 1
+            while degree[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    edges.append((leaf, n))
+    return edges
+
+
 def tree_from_prufer(seq) -> Graph:
     """Decode a Prüfer sequence into the labeled tree on len(seq)+2 vertices."""
     seq = list(seq)
@@ -217,39 +265,35 @@ def tree_from_prufer(seq) -> Graph:
     for x in seq:
         if not (1 <= x <= n):
             raise ValueError(f"Prüfer entry {x} out of range 1..{n}")
-    degree = [1] * (n + 1)
-    for x in seq:
-        degree[x] += 1
-    leaves = [v for v in range(1, n + 1) if degree[v] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, x))
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(n, _prufer_edges(seq, n))
+
+
+def enumerate_tree_edges(n: int):
+    """(Prüfer sequence, edge list) of all n^(n-2) labeled trees, in
+    Prüfer lexicographic order."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    for seq in itertools.product(range(1, n + 1), repeat=n - 2):
+        yield seq, _prufer_edges(seq, n)
 
 
 def enumerate_labeled_trees(n: int):
     """All n^(n-2) labeled trees on n vertices, in Prüfer lexicographic order."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    for seq in itertools.product(range(1, n + 1), repeat=n - 2):
-        yield seq, tree_from_prufer(seq)
+    for seq, edges in enumerate_tree_edges(n):
+        yield seq, Graph.from_edges(n, edges)
+
+
+def distance_rows(n: int, edges) -> list:
+    """Pairwise hop distances on 1..n as n rows, -1 between components."""
+    adj = _adjacency_lists(n, edges)
+    return [_bfs_dist(adj, v, n)[1:] for v in range(1, n + 1)]
 
 
 def distance_matrix(g: Graph) -> IntMatrix:
     """Pairwise shortest-path distance matrix (the k=2 Steiner hypermatrix)."""
-    if not g.is_connected():
+    rows = distance_rows(g.n, g.edges)
+    if -1 in rows[0]:
         raise ValueError("disconnected graph")
-    adj = g.adjacency()
-    rows = []
-    for v in range(1, g.n + 1):
-        d = _bfs_dist(adj, v)
-        rows.append([d[w] for w in range(1, g.n + 1)])
     return IntMatrix(rows)
 
 
@@ -258,29 +302,38 @@ def distance_matrix(g: Graph) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
-def tree_canonical_form(g: Graph) -> str:
-    """Centroid-rooted AHU encoding; equal strings iff trees are isomorphic."""
-    if not g.is_tree():
-        raise ValueError("AHU canonical form requires a tree")
-    return _ahu_form(g.adjacency(), g.n)
+def tree_key(n: int, edges) -> str:
+    """Canonical key "tree:n{n}:<AHU>" of the tree on 1..n with these edges.
+
+    The AHU string is the smallest over the tree's 1 or 2 centers of the
+    encoding rooted there; equal keys iff the trees are isomorphic.  The
+    edges are trusted to form a tree.
+    """
+    adj = _adjacency_lists(n, edges)
+    return f"tree:n{n}:{min(_rooted_form(adj, c) for c in _tree_centers(adj, n))}"
 
 
-def _ahu_form(adj: dict, n: int) -> str:
-    if n == 1:
-        return "()"
-    centroids = _tree_centroids(adj, n)
+def _rooted_form(adj: list, root: int) -> str:
+    """AHU string of the tree rooted at root: "(" + sorted child strings + ")"."""
+    parent = [0] * len(adj)
+    order = [root]
+    for u in order:  # BFS order; the loop also visits what it appends
+        for w in adj[u]:
+            if w != parent[u]:
+                parent[w] = u
+                order.append(w)
+    subs = [[] for _ in adj]  # slot 0 collects the root's string
+    for v in reversed(order):
+        below = subs[v]
+        below.sort()
+        subs[parent[v]].append("(" + "".join(below) + ")")
+    return subs[0][0]
 
-    def encode(v, parent):
-        subs = sorted(encode(w, v) for w in adj[v] if w != parent)
-        return "(" + "".join(subs) + ")"
 
-    return min(encode(c, 0) for c in centroids)
-
-
-def _tree_centroids(adj: dict, n: int) -> list:
+def _tree_centers(adj: list, n: int) -> list:
     """The 1 or 2 middle vertices left after repeatedly peeling all leaves."""
-    deg = {v: len(adj[v]) for v in adj}
-    layer = [v for v in adj if deg[v] <= 1]
+    deg = [len(a) for a in adj]
+    layer = [v for v in range(1, n + 1) if deg[v] <= 1]
     remaining = n
     while remaining > 2:
         nxt = []
@@ -294,6 +347,13 @@ def _tree_centroids(adj: dict, n: int) -> list:
         remaining -= len(layer)
         layer = nxt
     return layer
+
+
+def tree_canonical_form(g: Graph) -> str:
+    """Center-rooted AHU encoding; equal strings iff trees are isomorphic."""
+    if not g.is_tree():
+        raise ValueError("AHU canonical form requires a tree")
+    return tree_key(g.n, g.edges).rpartition(":")[2]
 
 
 def graph_canonical_form(g: Graph) -> str:
@@ -314,10 +374,8 @@ def graph_canonical_form(g: Graph) -> str:
 
 def canonical_key(g: Graph) -> str:
     """Cache key invariant under relabeling: AHU for trees, brute force otherwise."""
-    # the hot loop of every sweep: one adjacency build, one BFS for tree-ness
-    adj = g.adjacency()
-    if len(g.edges) == g.n - 1 and len(_component(adj, 1)) == g.n:
-        return f"tree:n{g.n}:{_ahu_form(adj, g.n)}"
+    if g.is_tree():
+        return tree_key(g.n, g.edges)
     return "graph:" + graph_canonical_form(g)
 
 

@@ -5,7 +5,9 @@ spectral-radius rankings, all emitting deterministic JSON-ready reports.
 Sweeps and rankings share one pass that evaluates each isomorphism
 class once (by canonical form), so a labeled sweep over n^(n-2) trees
 pays for one hyperdeterminant per class; results are optionally
-persisted in an append-only JSON-lines cache.
+persisted in an append-only JSON-lines cache.  A labeled tree costs a
+Prüfer decode and a canonical key; a `Graph` is built only for the first
+tree of each class.
 """
 
 from __future__ import annotations
@@ -18,13 +20,15 @@ import warnings
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 
-from .exact import det_exact
+from .exact import IntMatrix, det_exact
 from .graphs import (
+    Graph,
     all_connected_graphs,
     canonical_key,
-    distance_matrix,
-    enumerate_labeled_trees,
+    distance_rows,
+    enumerate_tree_edges,
     path_graph,
+    tree_key,
 )
 from .hypermatrix import build_steiner_hypermatrix
 from .resultant import check_hyperdet_cap, hyperdet
@@ -142,16 +146,35 @@ def _class_job(args):
     return out
 
 
-def _evaluate_classes(items, k, det, radius, tol, jobs=1, cache=None):
-    """Canonical key per (label, graph) item, the first item per class
-    (`reps`), and each class's {"det", "radius"} values: cache hits
-    first, then one `_class_job` per miss, serial or in a worker pool.
+# Part of every cache quantity name: change it when a stored value's
+# algorithm or format changes, so that older records are misses.
+CACHE_VERSION = "v2"
+
+
+def _labeled_trees(n):
+    """(Prüfer sequence, edges, canonical key) of every labeled tree on n vertices."""
+    for seq, edges in enumerate_tree_edges(n):
+        yield seq, edges, tree_key(n, edges)
+
+
+def _evaluate_classes(n, items, k, det, radius, tol, jobs=1, cache=None):
+    """Evaluate each class of the (label, edges, canonical key) items once.
+
+    Returns `labeled`, the (label, key) pairs in item order; `reps`, the
+    first item per class as key -> (label, Graph), the only Graphs built;
+    and each class's {"det", "radius"} values: cache hits first, then one
+    `_class_job` per miss, serial or in a worker pool.
     """
-    keys, reps = [], {}
-    for item in items:
-        keys.append(sys.intern(canonical_key(item[1])))  # one string per class
-        reps.setdefault(keys[-1], item)
-    names = {"det": "det", "radius": f"radius:{tol:g}"}  # cache quantities
+    labeled, reps = [], {}
+    for label, edges, key in items:
+        key = sys.intern(key)  # one string per class
+        labeled.append((label, key))
+        if key not in reps:
+            reps[key] = (label, Graph.from_edges(n, edges))
+    names = {  # cache quantities
+        "det": f"det:{CACHE_VERSION}",
+        "radius": f"radius:{tol:g}:{CACHE_VERSION}",
+    }
     wanted = [q for q, on in (("det", det), ("radius", radius)) if on]
     values = {}
     pending = []
@@ -174,10 +197,10 @@ def _evaluate_classes(items, k, det, radius, tol, jobs=1, cache=None):
         if cache is not None:
             for q, value in out.items():
                 cache.put(ckey, k, names[q], value)
-    return keys, reps, values
+    return labeled, reps, values
 
 
-# how many randomly relabeled hypermatrices a det sweep re-checks
+# at most how many distinct classes a det sweep re-checks under a random relabeling
 RELABEL_CHECKS = 10
 
 
@@ -202,21 +225,23 @@ def sweep_trees(
     enclosure belongs to a path, counting enclosure-overlap ties in the
     path's favor and reporting them.
 
-    Relabeling spot-checks rerun hyperdet on RELABEL_CHECKS randomly
-    permuted hypermatrices, drawn with `seed`, and demand identical values.
+    Relabeling spot-checks rerun hyperdet on up to RELABEL_CHECKS distinct
+    classes, each under one random vertex permutation, all drawn with
+    `seed`, and demand identical values.
     """
     if mode not in ("labeled", "unlabeled"):
         raise ValueError(f"unknown mode {mode!r}")
     if det:
         check_hyperdet_cap(n, k)
 
-    trees = list(enumerate_labeled_trees(n))
-    keys, reps, values = _evaluate_classes(trees, k, det, radius, tol, jobs, cache)
+    labeled, reps, values = _evaluate_classes(
+        n, _labeled_trees(n), k, det, radius, tol, jobs, cache
+    )
     if mode == "unlabeled":
-        trees, keys = list(reps.values()), list(reps)
+        labeled = [(seq, ckey) for ckey, (seq, _) in reps.items()]
     records = [
         SweepRecord(seq, ckey, values[ckey].get("det"), values[ckey].get("radius"))
-        for (seq, _), ckey in zip(trees, keys)
+        for seq, ckey in labeled
     ]
 
     report = SweepReport(n, k, mode, seed, records)
@@ -231,9 +256,7 @@ def sweep_trees(
 def _relabel_spot_checks(reps, values, n, k, seed) -> None:
     """hyperdet must not move under random vertex permutations."""
     rng = random.Random(seed)
-    items = sorted(reps)
-    for _ in range(RELABEL_CHECKS):
-        ckey = rng.choice(items)
+    for ckey in rng.sample(sorted(reps), min(RELABEL_CHECKS, len(reps))):
         _, g = reps[ckey]
         perm = list(range(1, n + 1))
         rng.shuffle(perm)
@@ -328,9 +351,9 @@ def graham_pollak_check(n_max: int) -> dict:
         expected = (1 - n) * (-2) ** (n - 2)
         trees = 0
         failures = []
-        for seq, g in enumerate_labeled_trees(n):
+        for seq, edges in enumerate_tree_edges(n):
             trees += 1
-            d = det_exact(distance_matrix(g))
+            d = det_exact(IntMatrix(distance_rows(n, edges)))
             if d != expected:
                 failures.append({"prufer": list(seq), "det": d})
         per_n.append(
@@ -358,15 +381,15 @@ def extremal_radius(n: int, k: int, scope: str = "trees", tol: float = 1e-8) -> 
     if scope == "trees":
         if not 2 <= n <= EXTREMAL_TREE_CAP:
             raise ValueError(f"tree scope capped at 2 <= n <= {EXTREMAL_TREE_CAP}")
-        items = enumerate_labeled_trees(n)
+        items = _labeled_trees(n)
     elif scope == "connected-graphs":
         if not 2 <= n <= EXTREMAL_GRAPH_CAP:
             raise ValueError(f"graph scope capped at 2 <= n <= {EXTREMAL_GRAPH_CAP}")
-        items = ((None, g) for g in all_connected_graphs(n))
+        items = ((None, g.edges, canonical_key(g)) for g in all_connected_graphs(n))
     else:
         raise ValueError(f"unknown scope {scope!r}")
 
-    _, reps, values = _evaluate_classes(items, k, False, True, tol)
+    _, reps, values = _evaluate_classes(n, items, k, False, True, tol)
     records = [SweepRecord(label, c, radius=values[c]["radius"]) for c, (label, _) in reps.items()]
     ranked = sorted(records, key=_by_radius)
     ties = _radius_ties(ranked, ranked[0])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -177,6 +178,14 @@ class TestGpCheck:
         code, out, _ = run(capsys, ["gp-check", "--n-max", "3", "--json"])
         obj = json.loads(out)
         assert code == 0 and obj["pass"] is True
+
+    def test_json_is_pinned(self, capsys):
+        # all 18,248 labeled trees on 2..7 vertices, exact integers only
+        code, out, _ = run(capsys, ["gp-check", "--n-max", "7", "--json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e2946c6b788f2b788ca9a512885a6a602be587fca5ba9494e9fa83c1b5a7cde0"
+        )
 
 
 class TestExtremal:

@@ -74,6 +74,17 @@ class TestIntMatrix:
         with pytest.raises(ValueError):
             IntMatrix([[1.5]])
 
+    @pytest.mark.parametrize("bad", [2.0, Fraction(1, 2), Fraction(4, 1), "3", None])
+    def test_rejects_every_non_integral_type(self, bad):
+        with pytest.raises(ValueError, match="non-integer"):
+            IntMatrix([[1, bad]])
+
+    def test_accepts_integral_subtypes(self):
+        # bool and numpy integers are numbers.Integral without being int
+        m = IntMatrix([[True, np.int64(-3)], [np.uint8(7), 2**70]])
+        assert m.to_lists() == [[1, -3], [7, 2**70]]
+        assert [type(v) for v in m.row(0)] == [bool, np.int64]
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             IntMatrix([])

@@ -1,5 +1,6 @@
+import heapq
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -9,7 +10,9 @@ from steiner_spectra.graphs import (
     canonical_key,
     complete_graph,
     distance_matrix,
+    distance_rows,
     enumerate_labeled_trees,
+    enumerate_tree_edges,
     format_graph,
     graph_canonical_form,
     parse_graph,
@@ -20,6 +23,7 @@ from steiner_spectra.graphs import (
     steiner_distance,
     tree_canonical_form,
     tree_from_prufer,
+    tree_key,
     write_graph,
 )
 
@@ -50,6 +54,50 @@ def steiner_by_edge_subsets(g: Graph, s):
             if s <= seen:
                 return size
     raise AssertionError("unreachable")
+
+
+def prufer_edges_by_heap(seq, n):
+    """Reference decoder: join each entry to the smallest leaf of a min-heap."""
+    degree = [1] * (n + 1)
+    for x in seq:
+        degree[x] += 1
+    leaves = [v for v in range(1, n + 1) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in seq:
+        edges.append((heapq.heappop(leaves), x))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return edges
+
+
+def tree_key_by_sets(n, edges):
+    """Reference key: dict-of-sets adjacency, recursive AHU at each center."""
+    adj = {v: set() for v in range(1, n + 1)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    deg = {v: len(adj[v]) for v in adj}
+    layer = [v for v in adj if deg[v] <= 1]
+    remaining = n
+    while remaining > 2:
+        nxt = []
+        for v in layer:
+            deg[v] = 0
+            for w in adj[v]:
+                if deg[w] > 1:
+                    deg[w] -= 1
+                    if deg[w] == 1:
+                        nxt.append(w)
+        remaining -= len(layer)
+        layer = nxt
+
+    def encode(v, parent):
+        return "(" + "".join(sorted(encode(w, v) for w in adj[v] if w != parent)) + ")"
+
+    return f"tree:n{n}:" + min(encode(c, 0) for c in layer)
 
 
 def random_connected_graph(rng, n):
@@ -165,6 +213,21 @@ class TestPrufer:
     def test_enumeration_rejects_small_n(self):
         with pytest.raises(ValueError):
             list(enumerate_labeled_trees(1))
+        with pytest.raises(ValueError):
+            list(enumerate_tree_edges(1))
+
+    def test_linear_decoder_matches_heap_reference(self):
+        # every sequence for n = 2..7, same edges in the same order
+        for n in range(2, 8):
+            decoded = list(enumerate_tree_edges(n))
+            assert [seq for seq, _ in decoded] == list(product(range(1, n + 1), repeat=n - 2))
+            for seq, edges in decoded:
+                assert edges == prufer_edges_by_heap(seq, n), seq
+
+    def test_enumerations_agree(self):
+        for (seq, edges), (seq2, g) in zip(enumerate_tree_edges(5), enumerate_labeled_trees(5)):
+            assert seq == seq2
+            assert g == Graph.from_edges(5, edges) == tree_from_prufer(seq)
 
 
 class TestDistanceMatrix:
@@ -178,6 +241,25 @@ class TestDistanceMatrix:
     def test_rejects_disconnected(self):
         with pytest.raises(ValueError):
             distance_matrix(Graph.from_edges(3, [(1, 2)]))
+        with pytest.raises(ValueError):
+            distance_matrix(Graph.from_edges(3, [(2, 3)]))
+
+    def test_rows_from_edges(self):
+        assert distance_rows(4, [(1, 2), (3, 4)]) == [
+            [0, 1, -1, -1],
+            [1, 0, -1, -1],
+            [-1, -1, 0, 1],
+            [-1, -1, 1, 0],
+        ]
+        assert distance_rows(1, []) == [[0]]
+
+    def test_matches_steiner_pairs(self):
+        rng = random.Random(24)
+        for _ in range(20):
+            g = random_connected_graph(rng, rng.randint(2, 6))
+            m = distance_matrix(g)
+            for u, v in combinations(range(1, g.n + 1), 2):
+                assert m[u - 1, v - 1] == m[v - 1, u - 1] == steiner_distance(g, {u, v})
 
 
 class TestCanonicalForms:
@@ -190,6 +272,21 @@ class TestCanonicalForms:
             rng.shuffle(perm)
             h = relabel_graph(g, dict(zip(range(1, n + 1), perm)))
             assert tree_canonical_form(g) == tree_canonical_form(h)
+
+    def test_tree_key_matches_dict_of_sets_reference(self):
+        # every labeled tree for n <= 7
+        assert canonical_key(Graph(1)) == tree_key(1, []) == "tree:n1:()"
+        for n in range(2, 8):
+            for _, edges in enumerate_tree_edges(n):
+                assert tree_key(n, edges) == tree_key_by_sets(n, edges), edges
+
+    def test_keys_agree_across_entry_points(self):
+        for _, g in enumerate_labeled_trees(6):
+            key = canonical_key(g)
+            assert key == tree_key(6, g.edges)
+            assert key == f"tree:n6:{tree_canonical_form(g)}"
+        with pytest.raises(ValueError, match="tree"):
+            tree_canonical_form(complete_graph(3))
 
     def test_path_and_star_differ(self):
         assert tree_canonical_form(path_graph(4)) != tree_canonical_form(star_graph(4))

@@ -6,8 +6,10 @@ import warnings
 import pytest
 
 from steiner_spectra.harness import (
+    CACHE_VERSION,
     EXTREMAL_GRAPH_CAP,
     EXTREMAL_TREE_CAP,
+    RELABEL_CHECKS,
     ResultCache,
     SweepRecord,
     SweepReport,
@@ -17,7 +19,7 @@ from steiner_spectra.harness import (
     report_json,
     sweep_trees,
 )
-from steiner_spectra.graphs import canonical_key, path_graph
+from steiner_spectra.graphs import canonical_key, distance_rows, path_graph, tree_from_prufer
 from steiner_spectra.resultant import check_hyperdet_cap
 from steiner_spectra.wendt import wendt
 
@@ -171,6 +173,33 @@ class TestSweepTrees:
         rep = sweep_trees(4, 3, det=True, cache=cache)
         assert rep.verdicts["conjecture1"] is True
 
+    def test_other_cache_version_is_a_miss(self, tmp_path, monkeypatch):
+        import steiner_spectra.harness as harness
+
+        fresh = sweep_trees(4, 3, det=True, radius=True).to_json()
+        path = tmp_path / "c.jsonl"
+        old = ResultCache(path)
+        for key in {r["canonical"] for r in json.loads(fresh)["records"]}:
+            # wrong values under the unversioned names and an older version
+            for quantity in ("det", "det:v1", "radius:1e-08", "radius:1e-08:v1"):
+                old.put(key, 3, quantity, 12345)
+        jobs = []
+        real = harness._class_job
+
+        def counted(args):
+            jobs.append(args[2:4])
+            return real(args)
+
+        monkeypatch.setattr(harness, "_class_job", counted)
+        cache = ResultCache(path)
+        assert sweep_trees(4, 3, det=True, radius=True, cache=cache).to_json() == fresh
+        assert jobs == [(True, True), (True, True)]  # both classes recomputed
+        det = {r["canonical"]: r["det"] for r in json.loads(fresh)["records"]}
+        for key, value in det.items():
+            assert cache.get(key, 3, f"det:{CACHE_VERSION}") == value
+        assert sweep_trees(4, 3, det=True, radius=True, cache=ResultCache(path)).to_json() == fresh
+        assert len(jobs) == 2  # the versioned records are hits
+
     def test_jobs_do_not_change_report(self):
         serial = sweep_trees(4, 3, det=True, radius=True, jobs=1)
         parallel = sweep_trees(4, 3, det=True, radius=True, jobs=2)
@@ -191,6 +220,23 @@ class TestSweepTrees:
         monkeypatch.setattr(harness, "hyperdet", flaky)
         with pytest.raises(ArithmeticError, match="relabel"):
             sweep_trees(4, 2, det=True)
+
+    @pytest.mark.parametrize("n,classes", [(4, 2), (7, 11)])
+    def test_relabel_spot_checks_distinct_classes(self, n, classes, monkeypatch):
+        import steiner_spectra.harness as harness
+
+        built = []
+        real = harness.build_steiner_hypermatrix
+
+        def spy(g, k):
+            built.append(canonical_key(g))
+            return real(g, k)
+
+        monkeypatch.setattr(harness, "build_steiner_hypermatrix", spy)
+        sweep_trees(n, 2, det=True, seed=3)
+        checks = built[classes:]  # the class jobs come first
+        assert len(built[:classes]) == len(set(built[:classes])) == classes
+        assert len(checks) == len(set(checks)) == min(RELABEL_CHECKS, classes)
 
     def test_det_report_is_pinned(self):
         # exact integers only, so the bytes do not depend on the platform
@@ -268,6 +314,21 @@ class TestGrahamPollak:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             graham_pollak_check(1)
+
+    def test_reports_a_wrong_determinant(self, monkeypatch):
+        import steiner_spectra.harness as harness
+
+        real = harness.det_exact
+        bad = distance_rows(5, tree_from_prufer((4, 1, 4)).edges)
+
+        def wrong_once(m):
+            return real(m) + 1 if m.to_lists() == bad else real(m)
+
+        monkeypatch.setattr(harness, "det_exact", wrong_once)
+        out = graham_pollak_check(6)
+        assert out["pass"] is False
+        assert [e["pass"] for e in out["per_n"]] == [True, True, True, False, True]
+        assert out["per_n"][3]["failures"] == [{"prufer": [4, 1, 4], "det": 32 + 1}]
 
 
 class TestExtremalRadius:
