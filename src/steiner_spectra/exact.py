@@ -329,9 +329,9 @@ def char_poly_mod(m: IntMatrix, p: int) -> tuple:
     components.
 
     Everything runs on int64 numpy arrays.  Every sum, in a block or in
-    the product of the blocks' charpolys, has at most 2000 < 2**11 terms, each below p**2 < 2**50, so it stays below 2**61:
-    that is why both the prime ceiling and the 2000-row ceiling are
-    enforced.
+    the product of the blocks' charpolys, has at most 2000 < 2**11
+    terms, each below p**2 < 2**50, so it stays below 2**61: that is why
+    both the prime ceiling and the 2000-row ceiling are enforced.
     """
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial requires a square matrix")

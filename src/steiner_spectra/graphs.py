@@ -1,15 +1,19 @@
 """Undirected graphs, labeled-tree enumeration, and exact Steiner distances.
 
 Vertices are labeled 1..n throughout so results line up with hand
-calculations.  Steiner distance of a vertex set S is the fewest edges in
-any connected subgraph containing S: trees get a leaf-pruning fast path,
-general graphs go through the Dreyfus-Wagner dynamic program.
+calculations.  Every traversal runs on one adjacency format, neighbor
+lists indexed by vertex with slot 0 unused (`Graph.adjacency`), and one
+BFS (`_bfs_dist`) serves connectivity, forest tests, distances and
+Steiner distances.  Steiner distance of a vertex set S is the fewest
+edges in any connected subgraph containing S: a pair is read off the
+BFS from min(S), forests get a leaf-pruning fast path, and other graphs
+go through the Dreyfus-Wagner dynamic program.
 
 Labeled trees come as edge lists: `enumerate_tree_edges` decodes every
 Prüfer sequence in linear time, `tree_key` (center-rooted AHU) names the
 isomorphism class straight from the edges, and `distance_rows` takes one
-BFS per vertex over adjacency lists, so a sweep over n^(n-2) trees needs
-a `Graph` only for the trees it keeps.
+BFS per vertex, so a sweep over n^(n-2) trees needs a `Graph` only for
+the trees it keeps.
 """
 
 from __future__ import annotations
@@ -45,31 +49,25 @@ class Graph:
     def from_edges(cls, n: int, edges) -> "Graph":
         return cls(n, frozenset(tuple(e) for e in edges))
 
-    def adjacency(self) -> dict:
-        adj = {v: set() for v in range(1, self.n + 1)}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+    def adjacency(self) -> list:
+        """Neighbor lists indexed by vertex 1..n (slot 0 unused)."""
+        return _adjacency_lists(self.n, self.edges)
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        return len(_component(self.adjacency(), 1)) == self.n
+        return -1 not in _bfs_dist(self.adjacency(), 1, self.n)[1:]
 
     def is_forest(self) -> bool:
-        # acyclic iff every component has |E| = |V| - 1; equivalent global test
+        # acyclic iff |E| = |V| - (number of components)
         adj = self.adjacency()
-        seen = set()
+        seen = [False] * (self.n + 1)
         comps = 0
-        total = 0
         for v in range(1, self.n + 1):
-            if v not in seen:
-                comp = _component(adj, v)
-                seen |= comp
+            if not seen[v]:
                 comps += 1
-                total += sum(len(adj[u]) for u in comp) // 2
-        return total == self.n - comps
+                for u, d in enumerate(_bfs_dist(adj, v, self.n)):
+                    if d >= 0:
+                        seen[u] = True
+        return len(self.edges) == self.n - comps
 
     def is_tree(self) -> bool:
         return len(self.edges) == self.n - 1 and self.is_connected()
@@ -79,18 +77,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.sorted_edges()})"
-
-
-def _component(adj: dict, start: int) -> set:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
 
 
 def path_graph(n: int) -> Graph:
@@ -136,23 +122,21 @@ def steiner_distance(g: Graph, s) -> int:
         return 0
 
     adj = g.adjacency()
-    root = min(s)
-    comp = _component(adj, root)
-    if not s <= comp:
+    dist = _bfs_dist(adj, min(s), g.n)
+    if any(dist[v] < 0 for v in s):
         raise ValueError("unreachable set")
-
+    if len(s) == 2:
+        return dist[max(s)]
+    comp = [v for v in range(1, g.n + 1) if dist[v] >= 0]
     if g.is_forest():
         return _prune_tree(adj, comp, s)
-    if len(s) == 2:
-        a, b = s
-        return _bfs_dist(adj, a, g.n)[b]
-    return _dreyfus_wagner(adj, comp, sorted(s))
+    return _dreyfus_wagner(adj, comp, sorted(s), g.n)
 
 
-def _prune_tree(adj: dict, comp: set, s: set) -> int:
+def _prune_tree(adj: list, comp: list, s: set) -> int:
     """Repeatedly delete degree-1 vertices outside s; count surviving edges."""
     live = set(comp)
-    deg = {v: len(adj[v] & comp) for v in comp}
+    deg = {v: len(adj[v]) for v in comp}
     queue = deque(v for v in comp if deg[v] <= 1 and v not in s)
     while queue:
         v = queue.popleft()
@@ -167,8 +151,8 @@ def _prune_tree(adj: dict, comp: set, s: set) -> int:
     return sum(1 for u in live for w in adj[u] if w in live and w > u)
 
 
-def _bfs_dist(adj, source: int, n: int) -> list:
-    """Hop distances from source; adj maps each of 1..n to its neighbors.
+def _bfs_dist(adj: list, source: int, n: int) -> list:
+    """Hop distances from source over the neighbor lists of 1..n.
 
     Slot 0 is unused and unreachable vertices read -1.
     """
@@ -184,9 +168,8 @@ def _bfs_dist(adj, source: int, n: int) -> list:
     return dist
 
 
-def _dreyfus_wagner(adj: dict, comp: set, terminals: list) -> int:
-    verts = sorted(comp)
-    dist = {v: _bfs_dist(adj, v, len(adj)) for v in verts}
+def _dreyfus_wagner(adj: list, verts: list, terminals: list, n: int) -> int:
+    dist = {v: _bfs_dist(adj, v, n) for v in verts}
     t = len(terminals)
     full = (1 << t) - 1
     inf = float("inf")

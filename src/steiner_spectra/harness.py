@@ -173,7 +173,7 @@ def _evaluate_classes(n, items, k, det, radius, tol, jobs=1, cache=None):
             reps[key] = (label, Graph.from_edges(n, edges))
     names = {  # cache quantities
         "det": f"det:{CACHE_VERSION}",
-        "radius": f"radius:{tol:g}:{CACHE_VERSION}",
+        "radius": f"radius:{float(tol)!r}:{CACHE_VERSION}",
     }
     wanted = [q for q, on in (("det", det), ("radius", radius)) if on]
     values = {}
@@ -397,7 +397,7 @@ def extremal_radius(n: int, k: int, scope: str = "trees", tol: float = 1e-8) -> 
     entries = []
     for r in ranked:
         g = reps[r.canonical][1]
-        degs = sorted((len(v) for v in g.adjacency().values()), reverse=True)
+        degs = sorted(map(len, g.adjacency()[1:]), reverse=True)
         entries.append(
             {
                 "canonical": r.canonical,

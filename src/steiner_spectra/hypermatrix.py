@@ -1,10 +1,13 @@
 """Symmetric hypermatrices stored by index multiset.
 
 An order-k dimension-n symmetric hypermatrix keeps one exact integer per
-multiset of k indices from 1..n (C(n+k-1, k) values instead of n^k).  The
-degree-(k-1) contraction map A x^{k-1}, the tensor action behind
-H-eigenvalues, enumerates multisets with precomputed multinomial weights
-rather than materializing all n^{k-1} terms.
+multiset of k indices from 1..n (C(n+k-1, k) values instead of n^k).  Its
+gradient forms F_i = (A x^{k-1})_i, the tensor action behind H-eigenvalues
+and the system whose resultant is the hyperdeterminant, are listed once
+per hypermatrix (`gradient_forms`): one exponent vector per degree-(k-1)
+monomial and one integer coefficient per (form, monomial), the multinomial
+weight times the entry, rather than all n^{k-1} terms.  The exact and the
+numpy `contract` and `resultant.gradient_system` all read that table.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ def multinomial_weight(ms) -> int:
 class SymmetricHypermatrix:
     """Order-k, dimension-n symmetric array with exact integer entries."""
 
-    __slots__ = ("order", "dim", "entries", "_slice_weights", "_float_tables")
+    __slots__ = ("order", "dim", "entries", "_forms")
 
     def __init__(self, order: int, dim: int, entries: dict):
         if order < 2:
@@ -55,8 +58,7 @@ class SymmetricHypermatrix:
         self.order = order
         self.dim = dim
         self.entries = dict(entries)
-        self._slice_weights = None
-        self._float_tables = None
+        self._forms = None
 
     @classmethod
     def from_function(cls, order: int, dim: int, fn) -> "SymmetricHypermatrix":
@@ -80,12 +82,29 @@ class SymmetricHypermatrix:
 
     # -- contraction --------------------------------------------------
 
-    def _weights(self):
-        if self._slice_weights is None:
-            self._slice_weights = [
-                (ms, multinomial_weight(ms)) for ms in multisets(self.dim, self.order - 1)
-            ]
-        return self._slice_weights
+    def gradient_forms(self) -> tuple:
+        """The forms F_i = (A x^{k-1})_i as one table, built once.
+
+        Returns (exponents, coeffs, counts, weights): exponents[m] is the
+        exponent vector of the m-th degree-(k-1) monomial, in multiset
+        order, and coeffs[i-1][m] = multinomial(ms_m) * entry((i,) + ms_m)
+        is its integer coefficient in F_i.  counts (int64) and weights
+        (float64) hold the same two tables as numpy arrays.
+        """
+        if self._forms is None:
+            exponents, coeffs = [], [[] for _ in range(self.dim)]
+            for ms in multisets(self.dim, self.order - 1):
+                exponents.append(tuple(ms.count(j) for j in range(1, self.dim + 1)))
+                w = multinomial_weight(ms)
+                for i, row in enumerate(coeffs, 1):
+                    row.append(w * self.entries[tuple(sorted((i,) + ms))])
+            self._forms = (
+                exponents,
+                coeffs,
+                np.array(exponents, dtype=np.int64),
+                np.array(coeffs, dtype=np.float64),
+            )
+        return self._forms
 
     def contract(self, x):
         """(A x^{k-1})_i = sum over k-1 index tuples of entry * x products.
@@ -95,43 +114,11 @@ class SymmetricHypermatrix:
         """
         if len(x) != self.dim:
             raise ValueError(f"vector length {len(x)} != dimension {self.dim}")
+        exponents, coeffs, counts, weights = self.gradient_forms()
         if isinstance(x, np.ndarray):
-            return self._contract_array(x)
-        weights = self._weights()
-        prods = []
-        for ms, w in weights:
-            p = w
-            for j in ms:
-                p = p * x[j - 1]
-            prods.append(p)
-        out = []
-        for i in range(1, self.dim + 1):
-            acc = 0
-            for (ms, _), p in zip(weights, prods):
-                e = self.entries[tuple(sorted((i,) + ms))]
-                if e:
-                    acc = acc + e * p
-            out.append(acc)
-        return out
-
-    def _contract_array(self, x: np.ndarray) -> np.ndarray:
-        counts, coeff = self._tables()
-        mono = np.prod(np.power(x[np.newaxis, :], counts), axis=1)
-        return coeff @ mono
-
-    def _tables(self):
-        # coeff[i, m] = multinomial(ms_m) * entry(i + ms_m); counts[m, j] = #j in ms_m
-        if self._float_tables is None:
-            weights = self._weights()
-            counts = np.zeros((len(weights), self.dim), dtype=np.int64)
-            coeff = np.zeros((self.dim, len(weights)), dtype=np.float64)
-            for m, (ms, w) in enumerate(weights):
-                for j in ms:
-                    counts[m, j - 1] += 1
-                for i in range(1, self.dim + 1):
-                    coeff[i - 1, m] = w * self.entries[tuple(sorted((i,) + ms))]
-            self._float_tables = (counts, coeff)
-        return self._float_tables
+            return weights @ np.prod(np.power(x[np.newaxis, :], counts), axis=1)
+        monos = [math.prod(v**e for v, e in zip(x, expo) if e) for expo in exponents]
+        return [sum(c * p for c, p in zip(row, monos) if c) for row in coeffs]
 
     # -- structure maps ------------------------------------------------
 

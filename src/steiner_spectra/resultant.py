@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .exact import IntMatrix, _is_prime_trial, char_poly_exact, char_poly_mod, det_exact
-from .hypermatrix import SymmetricHypermatrix, multinomial_weight, multisets
+from .hypermatrix import SymmetricHypermatrix
 from .sylvester2 import hyperdet_dim2
 
 MAX_VARS = 4
@@ -44,13 +44,12 @@ MAX_DEGREE = 5
 MACAULAY_SIGN = 1
 
 
-# a polynomial is a dict {exponent tuple: integer coefficient}
-Polynomial = dict
-
-
 @dataclass(frozen=True)
 class HomogeneousSystem:
-    """n integer forms, all homogeneous of the same degree, in n variables."""
+    """n integer forms, all homogeneous of the same degree, in n variables.
+
+    Each form is a dict {exponent tuple: nonzero integer coefficient}.
+    """
 
     nvars: int
     degree: int
@@ -75,18 +74,9 @@ class HomogeneousSystem:
 
 def gradient_system(a: SymmetricHypermatrix) -> HomogeneousSystem:
     """The forms (contract(a, x))_i, i = 1..n, expanded symbolically."""
-    n, k = a.dim, a.order
-    polys = []
-    for i in range(1, n + 1):
-        poly: Polynomial = {}
-        for ms in multisets(n, k - 1):
-            c = multinomial_weight(ms) * a.entry((i,) + ms)
-            if c == 0:
-                continue
-            expo = tuple(ms.count(v) for v in range(1, n + 1))
-            poly[expo] = poly.get(expo, 0) + c
-        polys.append({e: c for e, c in poly.items() if c != 0})
-    return HomogeneousSystem(n, k - 1, tuple(polys))
+    exponents, coeffs, _, _ = a.gradient_forms()
+    polys = tuple({e: c for e, c in zip(exponents, row) if c} for row in coeffs)
+    return HomogeneousSystem(a.dim, a.order - 1, polys)
 
 
 def _monomials(nvars: int, total: int) -> list:

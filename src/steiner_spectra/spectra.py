@@ -210,6 +210,8 @@ def nqz_spectral_radius(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     if a.dim < 2:
         raise ValueError("dimension must be at least 2")
     positive_slice = [False] * a.dim

@@ -226,6 +226,18 @@ class TestExtremal:
         assert witness["verdict"] == "question2"
         assert witness["witness"][0]["canonical"] == "s"
 
+    def test_connected_graph_json_is_pinned(self, capsys):
+        # all 728 connected graphs on 5 vertices: Dreyfus-Wagner, pair
+        # distances on graphs with cycles, and degree sequences
+        code, out, _ = run(
+            capsys,
+            ["extremal", "--n", "5", "--k", "4", "--scope", "connected-graphs", "--json"],
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "9d4881a7f0a3395c9e59f16307505da7ec15dc651cd0a74007a808e41b503f70"
+        )
+
     def test_scope_error(self, capsys):
         code, _, err = run(capsys, ["extremal", "--n", "9", "--k", "3"])
         assert code == 1 and "error:" in err

@@ -20,7 +20,9 @@ from steiner_spectra.harness import (
     sweep_trees,
 )
 from steiner_spectra.graphs import canonical_key, distance_rows, path_graph, tree_from_prufer
+from steiner_spectra.hypermatrix import build_steiner_hypermatrix
 from steiner_spectra.resultant import check_hyperdet_cap
+from steiner_spectra.spectra import nqz_spectral_radius
 from steiner_spectra.wendt import wendt
 
 
@@ -199,6 +201,18 @@ class TestSweepTrees:
             assert cache.get(key, 3, f"det:{CACHE_VERSION}") == value
         assert sweep_trees(4, 3, det=True, radius=True, cache=ResultCache(path)).to_json() == fresh
         assert len(jobs) == 2  # the versioned records are hits
+
+    def test_radius_records_are_keyed_by_the_exact_tolerance(self, tmp_path):
+        # the two tolerances agree to 6 significant digits but straddle the
+        # 4th enclosure width of D_3(P_4), so they stop at different iterations
+        d3p4 = build_steiner_hypermatrix(path_graph(4), 3)
+        lo, hi = nqz_spectral_radius(d3p4, tol=1e-12).history[3]
+        width = hi - lo
+        cache = ResultCache(tmp_path / "c.jsonl")
+        sweep_trees(4, 3, radius=True, tol=width * (1 + 1e-9), cache=cache)
+        tight = width * (1 - 1e-9)
+        fresh = sweep_trees(4, 3, radius=True, tol=tight).to_json()
+        assert sweep_trees(4, 3, radius=True, tol=tight, cache=cache).to_json() == fresh
 
     def test_jobs_do_not_change_report(self):
         serial = sweep_trees(4, 3, det=True, radius=True, jobs=1)

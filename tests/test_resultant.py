@@ -190,6 +190,20 @@ class TestVanishingInstances:
         assert hyperdet(a) != 0
 
 
+class TestPinnedValues:
+    # the one tree class at n = 3 is the path; these are the anchors of
+    # perfbench/run.py (HYPERDET_3_4, HYPERDET_3_6), through the CRT route
+    @pytest.mark.parametrize(
+        "k, value",
+        [(4, 8023601152), (6, 43782435923605828680933188175642624)],
+        ids=["k4", "k6"],
+    )
+    def test_path3_and_a_relabeling(self, k, value):
+        a = build_steiner_hypermatrix(path_graph(3), k)
+        assert hyperdet(a) == value
+        assert hyperdet(a.relabel({1: 2, 2: 1, 3: 3})) == value
+
+
 class TestHyperdetDispatch:
     def test_routes(self):
         assert hyperdet_route(build_steiner_hypermatrix(path_graph(3), 2)) == "matrix-det"

@@ -178,6 +178,12 @@ class TestNQZ:
         with pytest.raises(ValueError):
             nqz_spectral_radius(one, tol=1e-8)
 
+    def test_rejects_max_iter_below_one(self):
+        a = build_steiner_hypermatrix(complete_graph(2), 3)
+        for max_iter in (0, -1):
+            with pytest.raises(ValueError, match="max_iter"):
+                nqz_spectral_radius(a, tol=1e-8, max_iter=max_iter)
+
     def test_rejects_negative_entries(self):
         a = SymmetricHypermatrix.from_function(2, 2, lambda ms: -1)
         with pytest.raises(ValueError, match="negative"):
