@@ -8,7 +8,7 @@ machine-readable output, --seed for the sweep relabel spot checks,
 --cache for the JSON-lines result cache, --jobs for sweep parallelism.
 
 Exit codes: 0 all pass, 2 a conjecture-falsifying witness was found,
-1 error.
+1 error, including arguments the parser rejects.
 """
 
 from __future__ import annotations
@@ -234,8 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 on --help
+        return 1 if exc.code else 0
     try:
         return args.fn(args)
     except (ValueError, ArithmeticError, OSError, RuntimeError) as exc:

@@ -8,6 +8,7 @@ reduction on each block of more than one row.
 
 from __future__ import annotations
 
+import functools
 import numbers
 
 import mpmath
@@ -176,6 +177,7 @@ def char_poly_exact(m: IntMatrix, max_size: int = 40) -> Poly:
     return Poly(coeffs)
 
 
+@functools.cache
 def _is_prime_trial(p: int) -> bool:
     if p < 2:
         return False
@@ -262,23 +264,29 @@ def _char_poly_hessenberg(h: np.ndarray, p: int) -> np.ndarray:
     """Ascending coefficients of det(lambda*I - h) over F_p, h reduced mod p.
 
     Similarity reduction of the int64 array h (overwritten) to upper
-    Hessenberg form.  A diagonal similarity then turns every nonzero
-    subdiagonal entry into 1, and the zero ones split the matrix into
-    diagonal blocks whose charpolys multiply.  Inside a block the
+    Hessenberg form.  Each pivot is scaled to 1 as it is placed (row j + 1
+    by its inverse, column j + 1 by it), so every subdiagonal entry ends
+    up 1 or 0, and the zero ones split the matrix into diagonal blocks
+    whose charpolys multiply.  Inside a block the
     leading-principal-minor recurrence
     p_c = x p_{c-1} - sum_{i <= c} h[i, c] p_{i-1} is one vector-matrix
     product per step.
     """
     n = h.shape[0]
-    for j in range(n - 2):
+    starts = [0]
+    for j in range(n - 1):
         nz = np.flatnonzero(h[j + 1 :, j])
         if nz.size == 0:
+            starts.append(j + 1)
             continue
         piv = j + 1 + int(nz[0])
         if piv != j + 1:
             h[[j + 1, piv], :] = h[[piv, j + 1], :]
             h[:, [j + 1, piv]] = h[:, [piv, j + 1]]
-        factors = h[j + 2 :, j] * pow(int(h[j + 1, j]), p - 2, p) % p
+        pivot = int(h[j + 1, j])
+        h[j + 1] = h[j + 1] * pow(pivot, p - 2, p) % p
+        h[:, j + 1] = h[:, j + 1] * pivot % p
+        factors = h[j + 2 :, j].copy()
         if factors.any():
             # row eliminations below the subdiagonal (columns left of j + 1
             # are zero there already, column j becomes zero) plus the
@@ -288,21 +296,6 @@ def _char_poly_hessenberg(h: np.ndarray, p: int) -> np.ndarray:
             below %= p
             h[j + 2 :, j] = 0
             h[:, j + 1] = (h[:, j + 1] + h[:, j + 2 :] @ factors) % p
-    # D^-1 h D with d_i = h[i, i-1] d_{i-1}, restarting at 1 on each zero
-    # subdiagonal entry, which is also where a new diagonal block starts
-    d = [1] * n
-    starts = [0]
-    for i in range(1, n):
-        sub = int(h[i, i - 1])
-        if sub:
-            d[i] = d[i - 1] * sub % p
-        else:
-            starts.append(i)
-    d_inv = [pow(x, p - 2, p) for x in d]
-    h *= np.array(d, dtype=np.int64)
-    h %= p
-    h *= np.array(d_inv, dtype=np.int64)[:, None]
-    h %= p
     charpoly = np.ones(1, dtype=np.int64)
     for s, e in zip(starts, starts[1:] + [n]):
         size = e - s

@@ -5,21 +5,20 @@ calculations.  Every traversal runs on one adjacency format, neighbor
 lists indexed by vertex with slot 0 unused (`Graph.adjacency`), and one
 BFS (`_bfs_dist`) serves connectivity, forest tests, distances and
 Steiner distances.  Steiner distance of a vertex set S is the fewest
-edges in any connected subgraph containing S: a pair is read off the
-BFS from min(S), forests get a leaf-pruning fast path, and other graphs
-go through the Dreyfus-Wagner dynamic program.
+edges in any connected subgraph containing S: a pair, or any S whose
+component is a tree, is read off the one BFS from min(S), and other
+graphs go through the Dreyfus-Wagner dynamic program.
 
 Labeled trees come as edge lists: `enumerate_tree_edges` decodes every
-Prüfer sequence in linear time, `tree_key` (center-rooted AHU) names the
-isomorphism class straight from the edges, and `distance_rows` takes one
-BFS per vertex, so a sweep over n^(n-2) trees needs a `Graph` only for
-the trees it keeps.
+Prüfer sequence in linear time, `tree_key` names the isomorphism class
+by center-rooted AHU strings built during the one leaf peel that finds
+the centers, and `distance_rows` takes one BFS per vertex, so a sweep
+over n^(n-2) trees needs a `Graph` only for the trees it keeps.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 
 from .exact import IntMatrix
@@ -109,9 +108,10 @@ def relabel_graph(g: Graph, perm: dict) -> Graph:
 def steiner_distance(g: Graph, s) -> int:
     """Fewest edges in a connected subgraph of g containing the vertex set s.
 
-    |s| = 1 is 0, |s| = 2 is the shortest-path length, forests use leaf
-    pruning, everything else runs Dreyfus-Wagner over (terminal subset,
-    anchor vertex) states.
+    One BFS from r = min(s) answers |s| <= 2 and, when the component of r
+    is a tree, any s: the answer is the number of distinct vertices on the
+    BFS paths from each terminal up to r, minus one.  Everything else runs
+    Dreyfus-Wagner over (terminal subset, anchor vertex) states.
     """
     s = set(s)
     if not s:
@@ -122,33 +122,23 @@ def steiner_distance(g: Graph, s) -> int:
         return 0
 
     adj = g.adjacency()
-    dist = _bfs_dist(adj, min(s), g.n)
+    r = min(s)
+    dist = _bfs_dist(adj, r, g.n)
     if any(dist[v] < 0 for v in s):
         raise ValueError("unreachable set")
     if len(s) == 2:
         return dist[max(s)]
     comp = [v for v in range(1, g.n + 1) if dist[v] >= 0]
-    if g.is_forest():
-        return _prune_tree(adj, comp, s)
+    if sum(len(adj[v]) for v in comp) == 2 * (len(comp) - 1):
+        # the component is a tree: a vertex's parent is its neighbor one
+        # step closer to r
+        spanned = {r}
+        for v in s:
+            while v not in spanned:
+                spanned.add(v)
+                v = next(w for w in adj[v] if dist[w] < dist[v])
+        return len(spanned) - 1
     return _dreyfus_wagner(adj, comp, sorted(s), g.n)
-
-
-def _prune_tree(adj: list, comp: list, s: set) -> int:
-    """Repeatedly delete degree-1 vertices outside s; count surviving edges."""
-    live = set(comp)
-    deg = {v: len(adj[v]) for v in comp}
-    queue = deque(v for v in comp if deg[v] <= 1 and v not in s)
-    while queue:
-        v = queue.popleft()
-        if v not in live:
-            continue
-        live.discard(v)
-        for w in adj[v]:
-            if w in live:
-                deg[w] -= 1
-                if deg[w] <= 1 and w not in s:
-                    queue.append(w)
-    return sum(1 for u in live for w in adj[u] if w in live and w > u)
 
 
 def _bfs_dist(adj: list, source: int, n: int) -> list:
@@ -288,48 +278,44 @@ def distance_matrix(g: Graph) -> IntMatrix:
 def tree_key(n: int, edges) -> str:
     """Canonical key "tree:n{n}:<AHU>" of the tree on 1..n with these edges.
 
-    The AHU string is the smallest over the tree's 1 or 2 centers of the
-    encoding rooted there; equal keys iff the trees are isomorphic.  The
-    edges are trusted to form a tree.
+    One leaf peel finds the 1 or 2 centers and builds the AHU strings on
+    the way: a peeled vertex's sorted child strings, wrapped in "( )",
+    go to its one unpeeled neighbor.  The key is the string rooted at the
+    center, or the smaller of the two strings rooted at either center over
+    the other; equal keys iff the trees are isomorphic.  The edges are
+    trusted to form a tree.
     """
     adj = _adjacency_lists(n, edges)
-    return f"tree:n{n}:{min(_rooted_form(adj, c) for c in _tree_centers(adj, n))}"
-
-
-def _rooted_form(adj: list, root: int) -> str:
-    """AHU string of the tree rooted at root: "(" + sorted child strings + ")"."""
-    parent = [0] * len(adj)
-    order = [root]
-    for u in order:  # BFS order; the loop also visits what it appends
-        for w in adj[u]:
-            if w != parent[u]:
-                parent[w] = u
-                order.append(w)
-    subs = [[] for _ in adj]  # slot 0 collects the root's string
-    for v in reversed(order):
-        below = subs[v]
-        below.sort()
-        subs[parent[v]].append("(" + "".join(below) + ")")
-    return subs[0][0]
-
-
-def _tree_centers(adj: list, n: int) -> list:
-    """The 1 or 2 middle vertices left after repeatedly peeling all leaves."""
     deg = [len(a) for a in adj]
+    subs = [[] for _ in adj]
+
+    def form(v):
+        subs[v].sort()
+        return "(" + "".join(subs[v]) + ")"
+
     layer = [v for v in range(1, n + 1) if deg[v] <= 1]
     remaining = n
     while remaining > 2:
         nxt = []
         for v in layer:
             deg[v] = 0
+            up = form(v)
             for w in adj[v]:
-                if deg[w] > 1:
+                # > 0, not > 1: the center can reach degree 1 while leaves
+                # of this layer still hang on it
+                if deg[w] > 0:
+                    subs[w].append(up)
                     deg[w] -= 1
                     if deg[w] == 1:
                         nxt.append(w)
         remaining -= len(layer)
         layer = nxt
-    return layer
+    if len(layer) == 2:
+        a, b = layer
+        fa, fb = form(a), form(b)
+        subs[a].append(fb)
+        subs[b].append(fa)
+    return f"tree:n{n}:{min(form(c) for c in layer)}"
 
 
 def tree_canonical_form(g: Graph) -> str:

@@ -38,11 +38,6 @@ from .sylvester2 import hyperdet_dim2
 MAX_VARS = 4
 MAX_DEGREE = 5
 
-# Macaulay-to-hyperdet normalization, calibrated against the k=2 determinant
-# and the n=2 Sylvester formula (both reproduced entrywise by the Macaulay
-# matrix), then frozen.
-MACAULAY_SIGN = 1
-
 
 @dataclass(frozen=True)
 class HomogeneousSystem:
@@ -286,4 +281,4 @@ def hyperdet(a: SymmetricHypermatrix):
         return det_exact(_as_matrix(a))
     if route == "sylvester":
         return hyperdet_dim2(a)
-    return MACAULAY_SIGN * macaulay_resultant(gradient_system(a))
+    return macaulay_resultant(gradient_system(a))

@@ -112,6 +112,11 @@ class TestSweep:
         code, _, err = run(capsys, ["sweep", "--n", "3", "--k", "3"])
         assert code == 1 and "nothing to compute" in err
 
+    def test_usage_error_exits_1(self, capsys):
+        # 2 is reserved for a falsifying witness
+        code, _, err = run(capsys, ["sweep", "--n", "4", "--k", "three", "--det"])
+        assert code == 1 and "invalid int value" in err
+
     def test_text_output(self, capsys):
         code, out, _ = run(capsys, ["sweep", "--n", "4", "--k", "2", "--det"])
         assert code == 0
@@ -237,6 +242,23 @@ class TestExtremal:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "9d4881a7f0a3395c9e59f16307505da7ec15dc651cd0a74007a808e41b503f70"
         )
+
+    def test_json_is_pinned(self, capsys):
+        # all 11 tree classes on 7 vertices, with one center and with two
+        code, out, _ = run(capsys, ["extremal", "--n", "7", "--k", "3", "--json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0c0681ec961463b4ccb7825303306b485e79edbff420af99201fe923c55190ca"
+        )
+
+    def test_usage_error_exits_1(self, capsys):
+        # 2 is reserved for a falsifying witness
+        code, _, err = run(capsys, ["extremal", "--n", "5", "--k", "3", "--bogus"])
+        assert code == 1 and "unrecognized arguments: --bogus" in err
+
+    def test_help_exits_0(self, capsys):
+        code, out, _ = run(capsys, ["extremal", "--help"])
+        assert code == 0 and "--scope" in out
 
     def test_scope_error(self, capsys):
         code, _, err = run(capsys, ["extremal", "--n", "9", "--k", "3"])

@@ -183,6 +183,19 @@ class TestSteinerDistance:
             s = set(rng.sample(range(1, n + 1), size))
             assert steiner_distance(g, s) == steiner_by_edge_subsets(g, s)
 
+    def test_tree_component_beside_a_cycle(self):
+        # triangle 1-2-3 plus the path 4-5-6-7: the whole graph is not a
+        # forest, but the path component is a tree
+        g = Graph.from_edges(7, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (6, 7)])
+        for comp in ([1, 2, 3], [4, 5, 6, 7]):
+            sub = Graph.from_edges(7, [e for e in g.edges if e[0] in comp])
+            for size in range(1, len(comp) + 1):
+                for s in combinations(comp, size):
+                    assert steiner_distance(g, s) == steiner_by_edge_subsets(sub, s), s
+        for s in ({1, 4}, {3, 5, 7}, {1, 2, 3, 4, 5, 6, 7}):
+            with pytest.raises(ValueError, match="unreachable"):
+                steiner_distance(g, s)
+
 
 class TestPrufer:
     def test_known_decodes(self):

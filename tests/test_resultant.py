@@ -7,7 +7,6 @@ from steiner_spectra.exact import IntMatrix, char_poly_exact, det_exact
 from steiner_spectra.graphs import complete_graph, path_graph, star_graph
 from steiner_spectra.hypermatrix import SymmetricHypermatrix, build_steiner_hypermatrix
 from steiner_spectra.resultant import (
-    MACAULAY_SIGN,
     MAX_DEGREE,
     MAX_VARS,
     HomogeneousSystem,
@@ -101,7 +100,7 @@ class TestMacaulayResultant:
         for _ in range(10):
             n = rng.randint(2, 4)
             a = random_hypermatrix(rng, 2, n, lo=-4, hi=4)
-            got = MACAULAY_SIGN * macaulay_resultant(gradient_system(a))
+            got = macaulay_resultant(gradient_system(a))
             rows = [[a.entry((i, j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
             assert got == det_exact(IntMatrix(rows))
 
@@ -110,7 +109,7 @@ class TestMacaulayResultant:
         for k in (3, 4, 5):
             for _ in range(5):
                 a = random_hypermatrix(rng, k, 2, lo=-3, hi=3)
-                got = MACAULAY_SIGN * macaulay_resultant(gradient_system(a))
+                got = macaulay_resultant(gradient_system(a))
                 assert got == hyperdet_dim2(a), k
 
     def test_zero_system_shortcut(self):
