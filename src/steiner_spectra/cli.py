@@ -97,11 +97,12 @@ def _cmd_hyperdet(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     g = _load_graph(args)
-    method = args.method or ("closed" if g.n == 2 else "nqz")
+    k2 = g == complete_graph(2)
+    method = args.method or ("closed" if k2 else "nqz")
     out = {"k": args.k, "n": g.n, "method": method}
     if method == "closed":
-        if g.n != 2:
-            raise ValueError("closed-form spectrum is available only for 2-vertex graphs")
+        if not k2:
+            raise ValueError("closed-form spectrum is available only for K2, one edge on 2 vertices")
         out["eigenvalues"] = _eigen_json(charpoly_D_dim2(args.k))
         out["spectral_radius"] = spectral_radius_K2(args.k)
         out["enclosure"] = None

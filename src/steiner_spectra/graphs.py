@@ -5,9 +5,10 @@ calculations.  Every traversal runs on one adjacency format, neighbor
 lists indexed by vertex with slot 0 unused (`Graph.adjacency`), and one
 BFS (`_bfs_dist`) serves connectivity, forest tests, distances and
 Steiner distances.  Steiner distance of a vertex set S is the fewest
-edges in any connected subgraph containing S: a pair, or any S whose
-component is a tree, is read off the one BFS from min(S), and other
-graphs go through the Dreyfus-Wagner dynamic program.
+edges in any connected subgraph containing S.  The sets of one
+`steiner_distances` call share BFS rows and one Dreyfus-Wagner table: the
+row from min(S) answers pairs and S in a tree component, and the table
+answers every other S.
 
 Labeled trees come as edge lists: `enumerate_tree_edges` decodes every
 Prüfer sequence in linear time, `tree_key` names the isomorphism class
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cache
 
 from .exact import IntMatrix
 
@@ -106,39 +108,70 @@ def relabel_graph(g: Graph, perm: dict) -> Graph:
 
 
 def steiner_distance(g: Graph, s) -> int:
-    """Fewest edges in a connected subgraph of g containing the vertex set s.
+    """Fewest edges in a connected subgraph of g containing the vertex set s:
+    the one-set case of `steiner_distances`, with its rules and errors."""
+    return steiner_distances(g, [s])[0]
 
-    One BFS from r = min(s) answers |s| <= 2 and, when the component of r
-    is a tree, any s: the answer is the number of distinct vertices on the
-    BFS paths from each terminal up to r, minus one.  Everything else runs
-    Dreyfus-Wagner over (terminal subset, anchor vertex) states.
+
+def steiner_distances(g: Graph, sets) -> list:
+    """Steiner distance of each vertex set in sets, in order.
+
+    The sets share the neighbor lists, at most one BFS row per source
+    vertex and one Dreyfus-Wagner table.  The row from r = min(s) answers
+    |s| <= 2 and, when the component of r is a tree, any s: the number of
+    distinct vertices on the BFS paths from each terminal up to r, minus
+    one.  Any other s reads tree(mask)[r], with bit v of mask set for each
+    v in s; tree(mask)[v] is the fewest edges in a tree holding v and the
+    vertices of mask, and a one-vertex mask's entry is that vertex's row.
     """
-    s = set(s)
-    if not s:
-        raise ValueError("empty set")
-    if not s <= set(range(1, g.n + 1)):
-        raise ValueError(f"terminals {sorted(s)} not within 1..{g.n}")
-    if len(s) == 1:
-        return 0
-
     adj = g.adjacency()
-    r = min(s)
-    dist = _bfs_dist(adj, r, g.n)
-    if any(dist[v] < 0 for v in s):
-        raise ValueError("unreachable set")
-    if len(s) == 2:
-        return dist[max(s)]
-    comp = [v for v in range(1, g.n + 1) if dist[v] >= 0]
-    if sum(len(adj[v]) for v in comp) == 2 * (len(comp) - 1):
-        # the component is a tree: a vertex's parent is its neighbor one
-        # step closer to r
-        spanned = {r}
-        for v in s:
-            while v not in spanned:
-                spanned.add(v)
-                v = next(w for w in adj[v] if dist[w] < dist[v])
-        return len(spanned) - 1
-    return _dreyfus_wagner(adj, comp, sorted(s), g.n)
+
+    @cache
+    def row(v):
+        return _bfs_dist(adj, v, g.n)
+
+    @cache
+    def tree(mask):
+        low = mask & -mask
+        root = row(low.bit_length() - 1)
+        if mask == low:
+            return root
+        sub = others = mask ^ low
+        halves = []
+        while sub:  # the lowest vertex stays on one side: halves the work
+            sub = (sub - 1) & others
+            halves.append((tree(low | sub), tree(others ^ sub)))
+        comp = [v for v, d in enumerate(root) if d >= 0]
+        merged = [(min(a[u] + b[u] for a, b in halves), row(u)) for u in comp]
+        return {v: min(m + d[v] for m, d in merged) for v in comp}
+
+    def one(s):
+        s = set(s)
+        if not s:
+            raise ValueError("empty set")
+        if not s <= set(range(1, g.n + 1)):
+            raise ValueError(f"terminals {sorted(s)} not within 1..{g.n}")
+        if len(s) == 1:
+            return 0
+        r = min(s)
+        dist = row(r)
+        if any(dist[v] < 0 for v in s):
+            raise ValueError("unreachable set")
+        if len(s) == 2:
+            return dist[max(s)]
+        comp = [v for v in range(1, g.n + 1) if dist[v] >= 0]
+        if sum(len(adj[v]) for v in comp) == 2 * (len(comp) - 1):
+            # the component is a tree: a vertex's parent is its neighbor one
+            # step closer to r
+            spanned = {r}
+            for v in s:
+                while v not in spanned:
+                    spanned.add(v)
+                    v = next(w for w in adj[v] if dist[w] < dist[v])
+            return len(spanned) - 1
+        return tree(sum(1 << v for v in s))[r]
+
+    return [one(s) for s in sets]
 
 
 def _bfs_dist(adj: list, source: int, n: int) -> list:
@@ -156,36 +189,6 @@ def _bfs_dist(adj: list, source: int, n: int) -> list:
                 dist[w] = du
                 queue.append(w)
     return dist
-
-
-def _dreyfus_wagner(adj: list, verts: list, terminals: list, n: int) -> int:
-    dist = {v: _bfs_dist(adj, v, n) for v in verts}
-    t = len(terminals)
-    full = (1 << t) - 1
-    inf = float("inf")
-    # dp[mask][v]: cheapest tree containing the terminals of mask plus v
-    dp = {1 << i: {v: dist[term][v] for v in verts} for i, term in enumerate(terminals)}
-    for mask in range(1, full + 1):
-        if mask & (mask - 1) == 0 or mask in dp:
-            continue
-        merged = {}
-        low = mask & -mask
-        for v in verts:
-            best = inf
-            sub = (mask - 1) & mask
-            while sub:
-                if sub & low:  # fix the lowest terminal in one side: halves the work
-                    rest = mask ^ sub
-                    if rest:
-                        cand = dp[sub][v] + dp[rest][v]
-                        if cand < best:
-                            best = cand
-                sub = (sub - 1) & mask
-            merged[v] = best
-        dp[mask] = {
-            v: min(merged[u] + dist[u][v] for u in verts) for v in verts
-        }
-    return dp[full][terminals[0]]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from collections import Counter
 
 import numpy as np
 
-from .graphs import Graph, steiner_distance
+from .graphs import Graph, steiner_distances
 
 
 def multisets(dim: int, size: int):
@@ -156,25 +156,31 @@ class SymmetricHypermatrix:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SymmetricHypermatrix":
-        entries = {tuple(k): int(v) for k, v in obj["entries"]}
-        return cls(int(obj["order"]), int(obj["dim"]), entries)
+        """Inverse of `to_json_dict`: order, dim, indices and values must be
+        JSON integers, since entries are exact and nothing is rounded."""
+        entries = {tuple(map(_json_int, k)): _json_int(v) for k, v in obj["entries"]}
+        return cls(_json_int(obj["order"]), _json_int(obj["dim"]), entries)
 
     @classmethod
     def from_json(cls, text: str) -> "SymmetricHypermatrix":
         return cls.from_json_dict(json.loads(text))
 
 
+def _json_int(x) -> int:
+    if type(x) is not int:  # the exact type: bool is an int subclass
+        raise ValueError(f"expected a JSON integer, got {x!r}")
+    return x
+
+
 def build_steiner_hypermatrix(g: Graph, k: int) -> SymmetricHypermatrix:
-    """Order-k Steiner distance hypermatrix: entry at (v_1..v_k) is d({v_1..v_k})."""
+    """Order-k Steiner distance hypermatrix: entry at (v_1..v_k) is d({v_1..v_k}).
+
+    One `steiner_distances` pass over g serves every distinct support.
+    """
     if k < 2:
         raise ValueError("order must be at least 2")
     if not g.is_connected():
         raise ValueError("disconnected graph")
-    by_support = {}
-    entries = {}
-    for ms in multisets(g.n, k):
-        supp = frozenset(ms)
-        if supp not in by_support:
-            by_support[supp] = steiner_distance(g, supp)
-        entries[ms] = by_support[supp]
-    return SymmetricHypermatrix(k, g.n, entries)
+    supports = list(dict.fromkeys(frozenset(ms) for ms in multisets(g.n, k)))
+    dist = dict(zip(supports, steiner_distances(g, supports)))
+    return SymmetricHypermatrix.from_function(k, g.n, lambda ms: dist[frozenset(ms)])

@@ -208,7 +208,7 @@ def nqz_spectral_radius(
     hi = max_i; the true radius always lies in [lo, hi], and the width
     shrinks monotonically.  Stops when hi - lo < tol.
     """
-    if tol <= 0:
+    if not tol > 0:  # also rejects NaN
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")

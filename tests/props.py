@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
 from steiner_spectra import (
+    Graph,
     SymmetricHypermatrix,
     build_steiner_hypermatrix,
     charpoly_allones,
@@ -22,6 +23,34 @@ from steiner_spectra import (
     tree_from_prufer,
 )
 from steiner_spectra.hypermatrix import multisets
+
+
+def steiner_by_edge_subsets(g: Graph, s):
+    """Oracle: try every edge subset, smallest one whose span connects s."""
+    s = set(s)
+    edges = sorted(g.edges)
+    for size in range(len(edges) + 1):
+        for sub in combinations(edges, size):
+            verts = set(s)
+            for u, v in sub:
+                verts.add(u)
+                verts.add(v)
+            # connectivity of the chosen subgraph over `verts`
+            adj = {v: set() for v in verts}
+            for u, v in sub:
+                adj[u].add(v)
+                adj[v].add(u)
+            seen = set()
+            stack = [next(iter(s))]
+            while stack:
+                v = stack.pop()
+                if v in seen:
+                    continue
+                seen.add(v)
+                stack.extend(adj[v] - seen)
+            if s <= seen:
+                return size
+    raise AssertionError("unreachable")
 
 
 def random_hypermatrix(rng: random.Random, order: int, dim: int, lo=0, hi=3):

@@ -100,6 +100,13 @@ class TestSpectrum:
         assert obj["enclosure"]["hi"] - obj["enclosure"]["lo"] < 1e-8
         assert obj["spectral_radius"] == pytest.approx(2.7320508, abs=1e-5)
 
+    def test_two_vertices_without_the_edge_exit_1(self, capsys, tmp_path):
+        gfile = tmp_path / "two.txt"
+        gfile.write_text("n 2\n")
+        for extra in ([], ["--method", "closed"]):
+            code, out, err = run(capsys, ["spectrum", "--graph", str(gfile), "--k", "3"] + extra)
+            assert code == 1 and "error:" in err and out == ""
+
     def test_closed_rejected_off_two_vertices(self, capsys, p3_file):
         code, _, err = run(
             capsys, ["spectrum", "--graph", p3_file, "--k", "2", "--method", "closed"]

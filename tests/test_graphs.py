@@ -21,39 +21,14 @@ from steiner_spectra.graphs import (
     relabel_graph,
     star_graph,
     steiner_distance,
+    steiner_distances,
     tree_canonical_form,
     tree_from_prufer,
     tree_key,
     write_graph,
 )
 
-
-def steiner_by_edge_subsets(g: Graph, s):
-    """Oracle: try every edge subset, smallest one whose span connects s."""
-    s = set(s)
-    edges = sorted(g.edges)
-    for size in range(len(edges) + 1):
-        for sub in combinations(edges, size):
-            verts = set(s)
-            for u, v in sub:
-                verts.add(u)
-                verts.add(v)
-            # connectivity of the chosen subgraph over `verts`
-            adj = {v: set() for v in verts}
-            for u, v in sub:
-                adj[u].add(v)
-                adj[v].add(u)
-            seen = set()
-            stack = [next(iter(s))]
-            while stack:
-                v = stack.pop()
-                if v in seen:
-                    continue
-                seen.add(v)
-                stack.extend(adj[v] - seen)
-            if s <= seen:
-                return size
-    raise AssertionError("unreachable")
+from props import steiner_by_edge_subsets
 
 
 def prufer_edges_by_heap(seq, n):
@@ -195,6 +170,15 @@ class TestSteinerDistance:
         for s in ({1, 4}, {3, 5, 7}, {1, 2, 3, 4, 5, 6, 7}):
             with pytest.raises(ValueError, match="unreachable"):
                 steiner_distance(g, s)
+
+    def test_one_batch_equals_the_per_set_values(self):
+        # pairs, tree-component sets and triangle sets share one call
+        g = Graph.from_edges(7, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (6, 7)])
+        sets = [{2}, {1, 3}, {4, 7}, {4, 6, 7}, {1, 2, 3}, {5, 6, 7}, {2, 3}, {1, 2}, {4, 5, 6, 7}]
+        assert steiner_distances(g, sets) == [steiner_distance(g, s) for s in sets]
+        assert steiner_distances(g, []) == []
+        with pytest.raises(ValueError, match="unreachable"):
+            steiner_distances(g, sets + [{3, 4}])
 
 
 class TestPrufer:

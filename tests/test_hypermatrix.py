@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from steiner_spectra.graphs import complete_graph, path_graph, star_graph
+from steiner_spectra import graphs
+from steiner_spectra.graphs import Graph, all_connected_graphs, complete_graph, path_graph, star_graph
 from steiner_spectra.hypermatrix import (
     SymmetricHypermatrix,
     build_steiner_hypermatrix,
@@ -14,7 +15,7 @@ from steiner_spectra.hypermatrix import (
     multisets,
 )
 
-from props import naive_contract, random_hypermatrix
+from props import naive_contract, random_hypermatrix, steiner_by_edge_subsets
 
 
 class TestMultisets:
@@ -80,12 +81,36 @@ class TestSteinerEntries:
             build_steiner_hypermatrix(path_graph(3), 3).dim2_profile()
 
     def test_build_validations(self):
-        from steiner_spectra.graphs import Graph
-
         with pytest.raises(ValueError):
             build_steiner_hypermatrix(path_graph(3), 1)
         with pytest.raises(ValueError):
             build_steiner_hypermatrix(Graph.from_edges(3, [(1, 2)]), 2)
+
+    def test_every_entry_against_edge_subset_oracle(self):
+        cases = [(g, 3) for n in range(1, 5) for g in all_connected_graphs(n)]
+        c5 = Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+        c6_chord = Graph.from_edges(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (1, 4)])
+        cases += [(c5, 4), (c6_chord, 4)]
+        for g, k in cases:
+            a = build_steiner_hypermatrix(g, k)
+            oracle = {}
+            for ms, value in a.entries.items():
+                supp = frozenset(ms)
+                if supp not in oracle:
+                    oracle[supp] = steiner_by_edge_subsets(g, supp)
+                assert value == oracle[supp], (g, ms)
+
+    def test_one_bfs_row_per_vertex(self, monkeypatch):
+        calls = []
+        bfs = graphs._bfs_dist
+
+        def counted(*args):
+            calls.append(args[1])
+            return bfs(*args)
+
+        monkeypatch.setattr(graphs, "_bfs_dist", counted)
+        build_steiner_hypermatrix(path_graph(7), 4)
+        assert len(calls) <= 7 + 1  # one row per vertex, plus the connectivity check
 
 
 class TestContraction:
@@ -159,3 +184,16 @@ class TestJson:
         obj = a.to_json_dict()
         assert obj["order"] == 2 and obj["dim"] == 2
         json.dumps(obj)  # must be serializable as-is
+
+    def test_rejects_values_that_are_not_json_integers(self):
+        good = SymmetricHypermatrix.all_ones(2, 2).to_json_dict()
+        assert SymmetricHypermatrix.from_json_dict(good) == SymmetricHypermatrix.all_ones(2, 2)
+        bad_entries = [1.7, 1.0, "0", True, None]
+        variants = [dict(good, entries=[[[1, 1], v]] + good["entries"][1:]) for v in bad_entries]
+        variants += [dict(good, order=2.9), dict(good, order=2.0), dict(good, dim=True)]
+        variants.append(dict(good, entries=[[[1.0, 1], 1]] + good["entries"][1:]))
+        for obj in variants:
+            with pytest.raises(ValueError, match="JSON integer"):
+                SymmetricHypermatrix.from_json_dict(obj)
+        with pytest.raises(ValueError, match="JSON integer"):
+            SymmetricHypermatrix.from_json(json.dumps(good).replace('"order": 2', '"order": 2.5'))

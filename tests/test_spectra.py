@@ -172,8 +172,9 @@ class TestNQZ:
 
     def test_rejects_bad_tol_and_dim(self):
         a = build_steiner_hypermatrix(complete_graph(2), 3)
-        with pytest.raises(ValueError):
-            nqz_spectral_radius(a, tol=0.0)
+        for tol in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="tol"):
+                nqz_spectral_radius(a, tol=tol)
         one = SymmetricHypermatrix(3, 1, {(1, 1, 1): 1})
         with pytest.raises(ValueError):
             nqz_spectral_radius(one, tol=1e-8)
