@@ -3,9 +3,9 @@
     steiner-spectra <subcommand> [flags]
 
 Subcommands: wendt, classify, det2, hyperdet, spectrum, sweep, gp-check,
-extremal.  Global flags (valid on every subcommand): --json for
-machine-readable output, --seed for the sweep relabel spot checks,
---cache for the JSON-lines result cache, --jobs for sweep parallelism.
+extremal.  --json (machine-readable output) is valid on every
+subcommand; --seed (relabel spot checks), --cache (JSON-lines result
+cache) and --jobs (worker processes) only on sweep.
 
 Exit codes: 0 all pass, 2 a conjecture-falsifying witness was found,
 1 error, including arguments the parser rejects.
@@ -176,11 +176,6 @@ def _cmd_extremal(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument(
-        "--seed", type=int, default=0, help="seed for the sweep relabel spot checks"
-    )
-    common.add_argument("--cache", default=None, help="JSON-lines result cache path")
-    common.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
 
     parser = argparse.ArgumentParser(prog="steiner-spectra", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -218,6 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", action="store_true", help="compute NQZ spectral radii")
     p.add_argument("--mode", choices=["labeled", "unlabeled"], default="labeled")
     p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--seed", type=int, default=0, help="seed for the relabel spot checks")
+    p.add_argument("--cache", default=None, help="JSON-lines result cache path")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("gp-check", parents=[common], help="distance-determinant regression")

@@ -28,11 +28,14 @@ class IntMatrix:
         if any(len(row) != cols for row in data):
             raise ValueError("ragged rows")
         for row in data:
-            for v in row:
-                # floats would silently break the exact eliminations downstream;
-                # the exact type test skips the slow ABC check for plain ints
-                if type(v) is not int and not isinstance(v, numbers.Integral):
-                    raise ValueError(f"non-integer entry: {v!r}")
+            for j, v in enumerate(row):
+                # floats would silently break the exact eliminations downstream,
+                # and numpy integers would wrap there, so other integral types
+                # become int; the exact type test skips the ABC check for ints
+                if type(v) is not int:
+                    if not isinstance(v, numbers.Integral):
+                        raise ValueError(f"non-integer entry: {v!r}")
+                    row[j] = int(v)
         self.rows = len(data)
         self.cols = cols
         self._data = data

@@ -231,6 +231,8 @@ def sweep_trees(
     """
     if mode not in ("labeled", "unlabeled"):
         raise ValueError(f"unknown mode {mode!r}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if det:
         check_hyperdet_cap(n, k)
 

@@ -3,7 +3,10 @@
 A dimension-2 symmetric hypermatrix is determined by its profile
 (a_0, ..., a_k), a_t being the entry with t coordinates equal to the
 second index.  Its hyperdeterminant is the determinant of a 2(k-1) square
-Sylvester-style matrix built from two binomial-weighted bands.
+Sylvester-style matrix built from two binomial-weighted bands: the
+paper's dimension-2 formula.  `hyperdet` reaches the same matrix as the
+Macaulay matrix of the gradient system; this module keeps the formula
+for the `det2` command and as an independent test reference.
 """
 
 from __future__ import annotations

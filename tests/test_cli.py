@@ -79,6 +79,10 @@ class TestHyperdet:
         code, _, err = run(capsys, ["hyperdet", "--graph", str(tmp_path / "nope"), "--k", "2"])
         assert code == 1 and "error:" in err
 
+    def test_sweep_flags_rejected(self, capsys, p3_file):
+        code, _, err = run(capsys, ["hyperdet", "--graph", p3_file, "--k", "2", "--seed", "1"])
+        assert code == 1 and "unrecognized arguments: --seed 1" in err
+
 
 class TestSpectrum:
     def test_closed_form_default_for_one_edge(self, capsys, tmp_path):
@@ -123,6 +127,10 @@ class TestSweep:
         # 2 is reserved for a falsifying witness
         code, _, err = run(capsys, ["sweep", "--n", "4", "--k", "three", "--det"])
         assert code == 1 and "invalid int value" in err
+
+    def test_jobs_below_one_exits_1(self, capsys):
+        code, out, err = run(capsys, ["sweep", "--n", "4", "--k", "2", "--det", "--jobs", "0"])
+        assert code == 1 and out == "" and "jobs" in err
 
     def test_text_output(self, capsys):
         code, out, _ = run(capsys, ["sweep", "--n", "4", "--k", "2", "--det"])
@@ -262,6 +270,11 @@ class TestExtremal:
         # 2 is reserved for a falsifying witness
         code, _, err = run(capsys, ["extremal", "--n", "5", "--k", "3", "--bogus"])
         assert code == 1 and "unrecognized arguments: --bogus" in err
+
+    def test_sweep_flags_rejected(self, capsys):
+        # extremal has no worker pool and no cache: --jobs is not silently ignored
+        code, _, err = run(capsys, ["extremal", "--n", "4", "--k", "3", "--jobs", "2"])
+        assert code == 1 and "unrecognized arguments: --jobs 2" in err
 
     def test_help_exits_0(self, capsys):
         code, out, _ = run(capsys, ["extremal", "--help"])

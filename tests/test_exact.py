@@ -83,7 +83,11 @@ class TestIntMatrix:
         # bool and numpy integers are numbers.Integral without being int
         m = IntMatrix([[True, np.int64(-3)], [np.uint8(7), 2**70]])
         assert m.to_lists() == [[1, -3], [7, 2**70]]
-        assert [type(v) for v in m.row(0)] == [bool, np.int64]
+        assert [type(v) for v in m.row(0)] == [int, int]
+
+    def test_numpy_entries_do_not_wrap(self):
+        big = np.int64(2**40)
+        assert det_exact(IntMatrix([[big, 1], [1, big]])) == 2**80 - 1
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -153,6 +153,9 @@ class TestSweepTrees:
             sweep_trees(3, 3, det=True, mode="nope")
         with pytest.raises(ValueError, match="cap"):
             sweep_trees(5, 3, det=True)
+        for jobs in (0, -3):
+            with pytest.raises(ValueError, match="jobs"):
+                sweep_trees(3, 3, det=True, jobs=jobs)
 
     def test_cache_persists_and_reruns_identically(self, tmp_path):
         cache = ResultCache(tmp_path / "c.jsonl")

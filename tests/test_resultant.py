@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from steiner_spectra import resultant
 from steiner_spectra.exact import IntMatrix, char_poly_exact, det_exact
 from steiner_spectra.graphs import complete_graph, path_graph, star_graph
 from steiner_spectra.hypermatrix import SymmetricHypermatrix, build_steiner_hypermatrix
@@ -11,6 +12,7 @@ from steiner_spectra.resultant import (
     MAX_VARS,
     HomogeneousSystem,
     _gcp_constant_modular,
+    check_hyperdet_cap,
     gradient_system,
     hyperdet,
     hyperdet_route,
@@ -18,6 +20,7 @@ from steiner_spectra.resultant import (
     macaulay_resultant,
 )
 from steiner_spectra.sylvester2 import hyperdet_dim2
+from steiner_spectra.wendt import wendt
 
 from props import random_hypermatrix
 
@@ -97,8 +100,7 @@ class TestMacaulayMatrix:
 class TestMacaulayResultant:
     def test_k2_equals_determinant(self):
         rng = random.Random(53)
-        for _ in range(10):
-            n = rng.randint(2, 4)
+        for n in [rng.randint(2, 4) for _ in range(10)] + [5, 6, 7]:
             a = random_hypermatrix(rng, 2, n, lo=-4, hi=4)
             got = macaulay_resultant(gradient_system(a))
             rows = [[a.entry((i, j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
@@ -111,6 +113,27 @@ class TestMacaulayResultant:
                 a = random_hypermatrix(rng, k, 2, lo=-3, hi=3)
                 got = macaulay_resultant(gradient_system(a))
                 assert got == hyperdet_dim2(a), k
+
+    def test_edge_is_det_of_sylvester_and_signed_wendt(self, monkeypatch):
+        # every Macaulay row is reduced at n = 2: det(M), no charpoly
+        def refuse(*args, **kwargs):
+            raise AssertionError("charpoly taken on an all-reduced Macaulay matrix")
+
+        monkeypatch.setattr(resultant, "char_poly_exact", refuse)
+        monkeypatch.setattr(resultant, "char_poly_mod", refuse)
+        for k in range(2, 17):
+            a = build_steiner_hypermatrix(complete_graph(2), k)
+            got = macaulay_resultant(gradient_system(a))
+            assert got == hyperdet_dim2(a) == (-1) ** (k - 1) * wendt(k - 1), k
+
+    def test_cap_is_the_hyperdet_cap(self):
+        for nvars, degree in [(5, 2), (3, 6)]:
+            with pytest.raises(ValueError) as want:
+                check_hyperdet_cap(nvars, degree + 1)
+            s = HomogeneousSystem(nvars, degree, ({(degree,) + (0,) * (nvars - 1): 1},) * nvars)
+            with pytest.raises(ValueError) as got:
+                macaulay_resultant(s)
+            assert str(got.value) == str(want.value)
 
     def test_zero_system_shortcut(self):
         a = SymmetricHypermatrix.from_function(3, 2, lambda ms: 0)
@@ -140,7 +163,7 @@ class TestSingleRoute:
             ratio = Fraction(det_exact(matrix), det_minor)
             assert ratio.denominator == 1
             assert macaulay_resultant(s) == ratio
-            assert _gcp_constant_modular(s) == ratio
+            assert _gcp_constant_modular(*macaulay_matrix(s)) == ratio
             checked += 1
         assert checked >= 3
 
@@ -168,7 +191,7 @@ class TestSingleRoute:
             assert ord_m >= ord_minor
             want = 0 if ord_m > ord_minor else Fraction(lead_m, lead_minor)
             assert macaulay_resultant(s) == want, (g, k)
-            assert _gcp_constant_modular(s) == want, (g, k)
+            assert _gcp_constant_modular(*macaulay_matrix(s)) == want, (g, k)
 
 
 class TestVanishingInstances:
