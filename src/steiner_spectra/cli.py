@@ -28,27 +28,16 @@ from .harness import (
 )
 from .hypermatrix import build_steiner_hypermatrix
 from .resultant import hyperdet, hyperdet_route
-from .spectra import (
-    charpoly_D_dim2,
-    nqz_spectral_radius,
-    spectral_radius_K2,
-)
+from .spectra import NQZ_TOL, charpoly_D_dim2, nqz_spectral_radius, spectral_radius_K2
 from .sylvester2 import hyperdet_dim2
 from .wendt import lehmer_vanishes, theorem1_vanishes, wendt
 
 
 def _eigen_json(pairs) -> list:
-    out = []
-    for p in pairs:
-        mult = p.multiplicity
-        out.append(
-            {
-                "re": p.value.real,
-                "im": p.value.imag,
-                "multiplicity": int(mult) if mult.denominator == 1 else [mult.numerator, mult.denominator],
-            }
-        )
-    return out
+    return [
+        {"re": p.value.real, "im": p.value.imag, "multiplicity": int(p.multiplicity)}
+        for p in pairs
+    ]
 
 
 def _cmd_wendt(args) -> int:
@@ -97,12 +86,10 @@ def _cmd_hyperdet(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     g = _load_graph(args)
-    k2 = g == complete_graph(2)
-    method = args.method or ("closed" if k2 else "nqz")
-    out = {"k": args.k, "n": g.n, "method": method}
-    if method == "closed":
-        if not k2:
-            raise ValueError("closed-form spectrum is available only for K2, one edge on 2 vertices")
+    # the closed form covers K2 only; every other graph gets the NQZ radius
+    closed = g == complete_graph(2)
+    out = {"k": args.k, "n": g.n, "method": "closed" if closed else "nqz"}
+    if closed:
         out["eigenvalues"] = _eigen_json(charpoly_D_dim2(args.k))
         out["spectral_radius"] = spectral_radius_K2(args.k)
         out["enclosure"] = None
@@ -202,8 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", parents=[common], help="eigenvalues / spectral radius")
     p.add_argument("--graph", required=True, help="edge-list file")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--method", choices=["closed", "nqz"], default=None)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=NQZ_TOL)
     p.set_defaults(fn=_cmd_spectrum)
 
     p = sub.add_parser("sweep", parents=[common], help="per-tree sweep with verdicts")
@@ -212,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--det", action="store_true", help="compute hyperdeterminants")
     p.add_argument("--radius", action="store_true", help="compute NQZ spectral radii")
     p.add_argument("--mode", choices=["labeled", "unlabeled"], default="labeled")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=NQZ_TOL)
     p.add_argument("--seed", type=int, default=0, help="seed for the relabel spot checks")
     p.add_argument("--cache", default=None, help="JSON-lines result cache path")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
@@ -226,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--scope", choices=["trees", "connected-graphs"], default="trees")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=NQZ_TOL)
     p.set_defaults(fn=_cmd_extremal)
 
     return parser

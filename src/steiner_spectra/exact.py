@@ -3,7 +3,8 @@
 Everything here is arbitrary precision, except `char_poly_mod`, which
 works over F_p on int64 arrays: it splits the matrix at the strongly
 connected components of its nonzero pattern and runs a Hessenberg
-reduction on each block of more than one row.
+reduction on each block of more than one row.  Both charpolys, exact
+(`char_poly_exact`) and modular, are tuples of ascending coefficients.
 """
 
 from __future__ import annotations
@@ -117,40 +118,9 @@ def det_exact(m: IntMatrix):
     return int(sign * a[n - 1][n - 1])
 
 
-class Poly:
-    """Integer-coefficient polynomial, coefficients stored ascending by degree."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial reported as -1."""
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"Poly({list(self.coeffs)!r})"
-
-
-def char_poly_exact(m: IntMatrix, max_size: int = 40) -> Poly:
-    """det(lambda*I - m) via the Faddeev-LeVerrier recurrence, all-integer.
+def char_poly_exact(m: IntMatrix, max_size: int = 40) -> tuple:
+    """Ascending coefficients of det(lambda*I - m), by the Faddeev-LeVerrier
+    recurrence, all-integer: the same format as `char_poly_mod`.
 
     The per-step divisions are exact for integer input, so no rationals
     appear.  Cost is n matrix products; `max_size` guards against runaway
@@ -176,8 +146,7 @@ def char_poly_exact(m: IntMatrix, max_size: int = 40) -> Poly:
             mk = [
                 [am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)
             ]
-    coeffs.reverse()  # now ascending: [c_n, ..., c_1, 1]
-    return Poly(coeffs)
+    return tuple(reversed(coeffs))  # ascending: (c_n, ..., c_1, 1)
 
 
 @functools.cache

@@ -32,7 +32,7 @@ from .graphs import (
 )
 from .hypermatrix import build_steiner_hypermatrix
 from .resultant import check_hyperdet_cap, hyperdet
-from .spectra import nqz_spectral_radius
+from .spectra import NQZ_TOL, nqz_spectral_radius
 
 
 def report_json(obj) -> str:
@@ -45,7 +45,9 @@ class ResultCache:
 
     A write cut short by a crash leaves a torn final line: loading skips
     it with a warning, and the next `put` truncates it away and starts on
-    a fresh line.  A malformed line anywhere else still raises.
+    a fresh line.  Any other line that is not JSON raises, and a JSON
+    line that is not a record (`_record_problem`) raises ValueError naming
+    the path and the line.
     """
 
     def __init__(self, path):
@@ -71,6 +73,9 @@ class ResultCache:
                     warnings.warn(f"{self.path}: skipped a torn final line", stacklevel=2)
                     self._resume_at = offset
                     break
+                problem = _record_problem(rec)
+                if problem:
+                    raise ValueError(f"{self.path}: line {i + 1}: {problem}")
                 self._data[tuple(rec["key"])] = rec["value"]
             offset += len(line)
         if lines and not lines[-1].endswith(b"\n") and self._resume_at is None:
@@ -93,6 +98,42 @@ class ResultCache:
                     fh.write("\n")
                     self._resume_at = None
                 fh.write(json.dumps({"key": list(key), "value": value}) + "\n")
+
+
+def _record_problem(rec) -> str | None:
+    """Why a parsed cache line is not a record, or None when it is one.
+
+    A record is {"key": [canonical, k, quantity], "value": v}.  Sweeps
+    read only quantities of the current CACHE_VERSION, so only there is v
+    checked: an int for "det:", and for "radius:" the enclosure object
+    {"value", "lo", "hi", "iterations"} (numbers, iterations an int).  The
+    type tests are exact, because bool is an int subclass.
+    """
+    if not isinstance(rec, dict):
+        return "not a JSON object"
+    key, value = rec.get("key"), rec.get("value")
+    if not (
+        isinstance(key, list)
+        and len(key) == 3
+        and isinstance(key[0], str)
+        and type(key[1]) is int
+        and isinstance(key[2], str)
+    ):
+        return f"key {key!r} is not [str, int, str]"
+    quantity = key[2]
+    if not quantity.endswith(f":{CACHE_VERSION}"):
+        return None
+    if quantity.startswith("det:"):
+        if type(value) is not int:
+            return f"det value {value!r} is not an integer"
+    elif quantity.startswith("radius:"):
+        if not (
+            isinstance(value, dict)
+            and all(type(value.get(f)) in (int, float) for f in ("value", "lo", "hi"))
+            and type(value.get("iterations")) is int
+        ):
+            return f"radius value {value!r} is not an enclosure"
+    return None
 
 
 @dataclass
@@ -210,7 +251,7 @@ def sweep_trees(
     det: bool = False,
     radius: bool = False,
     mode: str = "labeled",
-    tol: float = 1e-8,
+    tol: float = NQZ_TOL,
     seed: int = 0,
     jobs: int = 1,
     cache: ResultCache | None = None,
@@ -374,7 +415,7 @@ EXTREMAL_TREE_CAP = 7
 EXTREMAL_GRAPH_CAP = 5
 
 
-def extremal_radius(n: int, k: int, scope: str = "trees", tol: float = 1e-8) -> dict:
+def extremal_radius(n: int, k: int, scope: str = "trees", tol: float = NQZ_TOL) -> dict:
     """NQZ spectral radii over all trees (or connected graphs), ranked descending.
 
     Evidence report: flags whether a path sits on top, lists degree

@@ -8,6 +8,10 @@ per hypermatrix (`gradient_forms`): one exponent vector per degree-(k-1)
 monomial and one integer coefficient per (form, monomial), the multinomial
 weight times the entry, rather than all n^{k-1} terms.  The exact and the
 numpy `contract` and `resultant.gradient_system` all read that table.
+
+Monomials have one enumerator, `exponent_vectors`: the count vectors of
+the index multisets, in multiset order.  The gradient table and the
+Macaulay matrix (`resultant.macaulay_matrix`) both list monomials so.
 """
 
 from __future__ import annotations
@@ -25,6 +29,13 @@ from .graphs import Graph, steiner_distances
 def multisets(dim: int, size: int):
     """Sorted index tuples of the given size over 1..dim."""
     return itertools.combinations_with_replacement(range(1, dim + 1), size)
+
+
+def exponent_vectors(dim: int, degree: int) -> list:
+    """Exponent vectors of the degree-`degree` monomials in `dim` variables:
+    the count vectors of `multisets`, in multiset order (graded lex,
+    largest first), C(dim + degree - 1, degree) of them."""
+    return [tuple(ms.count(j) for j in range(1, dim + 1)) for ms in multisets(dim, degree)]
 
 
 def multinomial_weight(ms) -> int:
@@ -85,16 +96,17 @@ class SymmetricHypermatrix:
     def gradient_forms(self) -> tuple:
         """The forms F_i = (A x^{k-1})_i as one table, built once.
 
-        Returns (exponents, coeffs, counts, weights): exponents[m] is the
-        exponent vector of the m-th degree-(k-1) monomial, in multiset
-        order, and coeffs[i-1][m] = multinomial(ms_m) * entry((i,) + ms_m)
-        is its integer coefficient in F_i.  counts (int64) and weights
-        (float64) hold the same two tables as numpy arrays.
+        Returns (exponents, coeffs, counts, weights): exponents is
+        `exponent_vectors(n, k-1)`, whose m-th entry is the exponent vector
+        of the m-th multiset ms_m, and coeffs[i-1][m] =
+        multinomial(ms_m) * entry((i,) + ms_m) is that monomial's integer
+        coefficient in F_i.  counts (int64) and weights (float64) hold the
+        same two tables as numpy arrays.
         """
         if self._forms is None:
-            exponents, coeffs = [], [[] for _ in range(self.dim)]
+            exponents = exponent_vectors(self.dim, self.order - 1)
+            coeffs = [[] for _ in range(self.dim)]
             for ms in multisets(self.dim, self.order - 1):
-                exponents.append(tuple(ms.count(j) for j in range(1, self.dim + 1)))
                 w = multinomial_weight(ms)
                 for i, row in enumerate(coeffs, 1):
                     row.append(w * self.entries[tuple(sorted((i,) + ms))])

@@ -4,9 +4,12 @@ Contracting an order-k dimension-n symmetric hypermatrix with a variable
 vector k-1 times yields n homogeneous forms of degree k-1; their resultant
 is the symmetric hyperdeterminant, and every hyperdet is computed so.
 Macaulay's formula gives it as det(M)/det(M') at the critical degree,
-where M' is the minor on the non-reduced rows.  At k = 2 (M is the
-hypermatrix) and n = 2 (M is the Sylvester matrix) every row is reduced,
-M' is empty and the resultant is det(M).  For every Steiner tree case at
+where M' is the minor on the non-reduced rows.  M is indexed by the
+monomials of `hypermatrix.exponent_vectors`, the enumerator the gradient
+table uses too.  At k = 2 (M is the hypermatrix) and n = 2 (M is
+the Sylvester matrix of `sylvester2`, which for D_k(K_2) is the block
+matrix of `spectra.block_matrix_K2`) every row is reduced, M' is empty
+and the resultant is det(M).  For every Steiner tree case at
 n = 3, 4 the minor is singular and the ratio is 0/0.  Perturbing each
 form F_i by t*x_i^d (Canny's generalized characteristic polynomial) adds
 t to the diagonal of both matrices, and
@@ -28,10 +31,9 @@ bounds `hyperdet` and `macaulay_resultant` alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 from .exact import IntMatrix, _is_prime_trial, char_poly_exact, char_poly_mod, det_exact
-from .hypermatrix import SymmetricHypermatrix
+from .hypermatrix import SymmetricHypermatrix, exponent_vectors
 
 MAX_VARS = 4
 MAX_DEGREE = 5
@@ -72,18 +74,6 @@ def gradient_system(a: SymmetricHypermatrix) -> HomogeneousSystem:
     return HomogeneousSystem(a.dim, a.order - 1, polys)
 
 
-def _monomials(nvars: int, total: int) -> list:
-    """Exponent vectors of the given total degree, graded lex, largest first:
-    the order in which combinations_with_replacement yields them."""
-    out = []
-    for spots in combinations_with_replacement(range(nvars), total):
-        expo = [0] * nvars
-        for s in spots:
-            expo[s] += 1
-        out.append(tuple(expo))
-    return out
-
-
 def _class_index(m, d: int) -> int:
     for i, e in enumerate(m):
         if e >= d:
@@ -98,12 +88,12 @@ def _is_reduced(m, d: int) -> bool:
 def macaulay_matrix(s: HomogeneousSystem) -> tuple[IntMatrix, list]:
     """The Macaulay matrix at the critical degree and the reduced-row flags.
 
-    Rows and columns are indexed by the degree-D monomials, D = n(d-1)+1;
-    the row of monomial m is (m / x_i^d) * F_i where i is the least index
-    with x_i^d dividing m.
+    Rows and columns are indexed by the degree-D monomials, D = n(d-1)+1,
+    in `exponent_vectors` order; the row of monomial m is (m / x_i^d) * F_i
+    where i is the least index with x_i^d dividing m.
     """
     n, d = s.nvars, s.degree
-    mons = _monomials(n, n * (d - 1) + 1)
+    mons = exponent_vectors(n, n * (d - 1) + 1)
     col = {m: j for j, m in enumerate(mons)}
     rows = []
     reduced = []
@@ -154,8 +144,8 @@ GCP_EXACT_MAX_ROWS = 15
 def _gcp_constant(matrix: IntMatrix, reduced: list) -> int:
     """C(0) from det(tI + M) = C(t) det(tI + M'), with exact charpolys."""
     minor = _nonreduced_minor(matrix, reduced)
-    pp = char_poly_exact(matrix).coeffs
-    qq = char_poly_exact(minor).coeffs if minor is not None else (1,)
+    pp = char_poly_exact(matrix)
+    qq = char_poly_exact(minor) if minor is not None else (1,)
     terms = _trailing_terms(pp, qq)
     if terms is None:
         return 0

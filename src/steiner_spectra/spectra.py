@@ -1,10 +1,13 @@
 """Spectra of Steiner distance hypermatrices.
 
 Closed forms: the characteristic polynomial of the all-ones hypermatrix
-J_n^k (eigenvalues indexed by weak compositions of n into k-1 parts with
-rational multiplicities), the two-vertex family D_k(K_2) obtained from it
-by a shift of -1, and the block-matrix route that reaches the same
-eigenvalues through a 2(k-1) x 2(k-1) integer matrix.
+J_n^k (eigenvalues indexed by weak compositions of n into k-1 parts, the
+count vectors of the size-n multisets over 1..k-1, with rational
+multiplicities), the two-vertex family D_k(K_2) obtained from it by a
+shift of -1, and the block-matrix route that reaches the same eigenvalues
+through a 2(k-1) x 2(k-1) integer matrix: the Sylvester matrix of
+D_k(K_2) (`sylvester2.sylvester_matrix`), whose determinant is also the
+hyperdeterminant.
 
 Numerics: an NQZ-style power iteration producing certified enclosures of
 the spectral radius of any nonnegative symmetric hypermatrix whose slices
@@ -17,13 +20,14 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import mpmath
 import numpy as np
 
-from .exact import IntMatrix, Poly, char_poly_exact
-from .hypermatrix import SymmetricHypermatrix
+from .exact import IntMatrix, char_poly_exact
+from .hypermatrix import SymmetricHypermatrix, multinomial_weight, multisets
+from .sylvester2 import sylvester_matrix
 
 MERGE_TOL = 1e-9
 
@@ -40,23 +44,11 @@ class EigenPair:
             raise ValueError("multiplicity must be positive")
 
 
-def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts < 1:
-        raise ValueError("parts must be at least 1")
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in weak_compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-def merge_eigenpairs(pairs: Sequence[EigenPair], tol: float = MERGE_TOL) -> list[EigenPair]:
-    """Sum multiplicities of values equal within tol*(1 + max modulus)."""
+def merge_eigenpairs(pairs: Sequence[EigenPair]) -> list[EigenPair]:
+    """Sum multiplicities of values equal within MERGE_TOL*(1 + max modulus)."""
     if not pairs:
         return []
-    eps = tol * (1.0 + max(abs(p.value) for p in pairs))
+    eps = MERGE_TOL * (1.0 + max(abs(p.value) for p in pairs))
     ordered = sorted(pairs, key=lambda p: (p.value.real, p.value.imag))
     merged: list[list] = []
     for p in ordered:
@@ -73,13 +65,13 @@ def total_multiplicity(pairs: Sequence[EigenPair]) -> Fraction:
     return sum((p.multiplicity for p in pairs), Fraction(0))
 
 
-def multiset_equal(a: Sequence[EigenPair], b: Sequence[EigenPair], tol: float = MERGE_TOL) -> bool:
-    """Multiset equality of eigenpairs, values compared within relative tol."""
-    am, bm = merge_eigenpairs(a, tol), merge_eigenpairs(b, tol)
+def multiset_equal(a: Sequence[EigenPair], b: Sequence[EigenPair]) -> bool:
+    """Multiset equality of eigenpairs, values compared within relative MERGE_TOL."""
+    am, bm = merge_eigenpairs(a), merge_eigenpairs(b)
     if len(am) != len(bm):
         return False
     mods = [abs(p.value) for p in am] + [abs(p.value) for p in bm]
-    eps = tol * (1.0 + max(mods, default=0.0))
+    eps = MERGE_TOL * (1.0 + max(mods, default=0.0))
     return all(
         abs(pa.value - pb.value) <= eps and pa.multiplicity == pb.multiplicity
         for pa, pb in zip(am, bm)
@@ -92,7 +84,10 @@ def charpoly_allones(n: int, k: int) -> list[EigenPair]:
     Zero with multiplicity (n-1)(k-1)^{n-1}, plus one value per weak
     composition r of n into k-1 parts: (sum_j r_j w^j)^{k-1} with
     w = e^{2 pi i/(k-1)}, carrying multiplicity multinomial(n; r)/(k-1).
-    Merged multiplicities are integral; the total is n(k-1)^{n-1}.
+    The weak compositions are the count vectors of the size-n multisets
+    over 1..k-1 (r_j = how often j occurs), and multinomial(n; r) is the
+    multiset's `multinomial_weight`.  Merged multiplicities are integral;
+    the total is n(k-1)^{n-1}.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -105,13 +100,9 @@ def charpoly_allones(n: int, k: int) -> list[EigenPair]:
     zero_mult = Fraction((n - 1) * parts ** (n - 1))
     if zero_mult > 0:
         pairs.append(EigenPair(0j, zero_mult))
-    n_fact = math.factorial(n)
-    for r in weak_compositions(n, parts):
-        s = sum(rj * w for rj, w in zip(r, powers))
-        mult = Fraction(n_fact, parts)
-        for rj in r:
-            mult /= math.factorial(rj)
-        pairs.append(EigenPair(s**parts, mult))
+    for ms in multisets(parts, n):
+        s = sum(ms.count(j) * w for j, w in enumerate(powers, 1))
+        pairs.append(EigenPair(s**parts, Fraction(multinomial_weight(ms), parts)))
     merged = merge_eigenpairs(pairs)
     if total_multiplicity(merged) != n * parts ** (n - 1):
         raise ArithmeticError("total multiplicity mismatch after merging")
@@ -196,6 +187,8 @@ class NoConvergence(RuntimeError):
 
 
 NQZ_MAX_ITER = 10_000
+# default enclosure width of the NQZ radius for sweeps, rankings and the CLI
+NQZ_TOL = 1e-8
 
 
 def nqz_spectral_radius(
@@ -253,30 +246,16 @@ def nqz_spectral_radius(
 BLOCK_CHECK_MAX_K = 14
 
 
-def binomial_band_matrices(k: int) -> tuple[IntMatrix, IntMatrix]:
-    """The (k-1) x (k-1) strictly triangular binomial bands A and B.
+def block_matrix_K2(k: int) -> IntMatrix:
+    """The 2(k-1) x 2(k-1) block matrix [[A, B+I], [A+I, B]].
 
-    A[i][j] = C(k-1, j-i) above the diagonal; B[i][j] = C(k-1, k-1-(i-j))
-    below it.  A + B + I is the circulant of (C(k-1,0), ..., C(k-1,k-2)).
+    A and B are the strictly triangular binomial bands A[i][j] = C(k-1, j-i)
+    (j > i) and B[i][j] = C(k-1, k-1-(i-j)) (j < i), so this is the
+    Sylvester matrix of D_k(K_2), whose profile is (0, 1, ..., 1, 0).
     """
     if k < 2:
         raise ValueError("order k must be at least 2")
-    m = k - 1
-    a_rows = [[math.comb(k - 1, j - i) if j > i else 0 for j in range(m)] for i in range(m)]
-    b_rows = [[math.comb(k - 1, m - (i - j)) if j < i else 0 for j in range(m)] for i in range(m)]
-    return IntMatrix(a_rows), IntMatrix(b_rows)
-
-
-def block_matrix_K2(k: int) -> IntMatrix:
-    """The 2(k-1) x 2(k-1) block matrix [[A, B+I], [A+I, B]]."""
-    a, b = binomial_band_matrices(k)
-    m = k - 1
-    rows = []
-    for i in range(m):
-        rows.append([a[i, j] for j in range(m)] + [b[i, j] + (i == j) for j in range(m)])
-    for i in range(m):
-        rows.append([a[i, j] + (i == j) for j in range(m)] + [b[i, j] for j in range(m)])
-    return IntMatrix(rows)
+    return sylvester_matrix((0,) + (1,) * (k - 1) + (0,), k)
 
 
 def _poly_from_roots_mpmath(roots) -> list:
@@ -314,4 +293,4 @@ def block_matrix_check(k: int) -> bool:
             if abs(c - n) > mpmath.mpf("0.25"):
                 raise ArithmeticError("root-product coefficient too far from an integer")
             rounded.append(n)
-    return Poly(tuple(rounded)) == exact
+    return tuple(rounded) == exact

@@ -118,7 +118,7 @@ def test_04_charpoly_bridge(capsys):
     ):
         for k in range(2, 9):
             computed = charpoly_D_dim2(k)
-            assert multiset_equal(computed, eigenvalues_K2(k), tol=1e-9), k
+            assert multiset_equal(computed, eigenvalues_K2(k)), k
             const = constant_term(computed)
             det = hyperdet_dim2(build_steiner_hypermatrix(path_graph(2), k))
             assert abs(const.imag) <= 1e-9 * (1 + abs(const)), k

@@ -107,15 +107,44 @@ class TestSpectrum:
     def test_two_vertices_without_the_edge_exit_1(self, capsys, tmp_path):
         gfile = tmp_path / "two.txt"
         gfile.write_text("n 2\n")
-        for extra in ([], ["--method", "closed"]):
-            code, out, err = run(capsys, ["spectrum", "--graph", str(gfile), "--k", "3"] + extra)
-            assert code == 1 and "error:" in err and out == ""
+        code, out, err = run(capsys, ["spectrum", "--graph", str(gfile), "--k", "3"])
+        assert code == 1 and "error:" in err and out == ""
 
-    def test_closed_rejected_off_two_vertices(self, capsys, p3_file):
-        code, _, err = run(
-            capsys, ["spectrum", "--graph", p3_file, "--k", "2", "--method", "closed"]
+    def test_method_is_a_usage_error(self, capsys, p3_file):
+        # the graph picks the method: K2 the closed form, any other graph NQZ
+        code, out, err = run(
+            capsys, ["spectrum", "--graph", p3_file, "--k", "2", "--method", "nqz"]
         )
-        assert code == 1 and "error:" in err
+        assert code == 1 and out == "" and "unrecognized arguments: --method nqz" in err
+
+    # every eigenvalue float of the closed form, signs of zero included
+    K2_JSON = {
+        3: (
+            '{"eigenvalues": [{"im": -0.0,"multiplicity": 3,"re": -1.0},'
+            '{"im": -1.959434878635765e-15,"multiplicity": 1,"re": 3.0}],'
+            '"enclosure": null,"k": 3,"method": "closed","n": 2,"spectral_radius": 3}'
+        ),
+        4: (
+            '{"eigenvalues": [{"im": 9.992007221626409e-16,"multiplicity": 2,"re": -2.0},'
+            '{"im": 0.0,"multiplicity": 3,"re": -1.0},'
+            '{"im": -1.465494392505206e-14,"multiplicity": 1,"re": 6.999999999999995}],'
+            '"enclosure": null,"k": 4,"method": "closed","n": 2,"spectral_radius": 7}'
+        ),
+        7: (
+            '{"eigenvalues": [{"im": 1.0383998506471258e-13,"multiplicity": 2,"re": -28.00000000000004},'
+            '{"im": -1.092141460022596e-92,"multiplicity": 7,"re": -1.0},'
+            '{"im": -3.3306690738754625e-15,"multiplicity": 2,"re": -2.6645352591003757e-15},'
+            '{"im": -1.4921397450962104e-13,"multiplicity": 1,"re": 63.0}],'
+            '"enclosure": null,"k": 7,"method": "closed","n": 2,"spectral_radius": 63}'
+        ),
+    }
+
+    def test_closed_form_json_bytes(self, capsys, tmp_path):
+        gfile = tmp_path / "k2.txt"
+        write_graph(path_graph(2), gfile)
+        for k, want in self.K2_JSON.items():
+            code, out, _ = run(capsys, ["spectrum", "--graph", str(gfile), "--k", str(k), "--json"])
+            assert (code, out) == (0, want + "\n"), k
 
 
 class TestSweep:

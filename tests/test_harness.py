@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import warnings
 
 import pytest
@@ -99,6 +100,27 @@ class TestResultCache:
         path.write_text(good + "\n" + good[:10] + "\n" + good + "\n")
         with pytest.raises(json.JSONDecodeError):
             ResultCache(path)
+
+    def test_json_line_that_is_not_a_record_is_an_error(self, tmp_path, capsys):
+        from steiner_spectra.cli import main
+
+        radius_key = [canonical_key(path_graph(3)), 3, f"radius:{1e-8!r}:{CACHE_VERSION}"]
+        good = json.dumps({"key": ["abc", 3, f"det:{CACHE_VERSION}"], "value": 5})
+        for bad, problem in [
+            ({"a": 1}, "is not [str, int, str]"),
+            ([1, 2], "not a JSON object"),
+            ({"key": radius_key, "value": 5}, "is not an enclosure"),
+            ({"key": ["abc", 3, f"det:{CACHE_VERSION}"], "value": True}, "is not an integer"),
+            ({"key": ["abc", True, f"det:{CACHE_VERSION}"], "value": 5}, "is not [str, int, str]"),
+        ]:
+            path = tmp_path / "c.jsonl"
+            path.write_text(good + "\n" + json.dumps(bad) + "\n")
+            with pytest.raises(ValueError, match=r"c\.jsonl: line 2: .*" + re.escape(problem)):
+                ResultCache(path)
+            argv = ["sweep", "--n", "3", "--k", "3", "--radius", "--cache", str(path)]
+            assert main(argv) == 1, bad
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error:") and "Traceback" not in err
 
 
 class TestCaps:

@@ -171,7 +171,7 @@ class TestSingleRoute:
         # Res = C(0) for det(tI + M) = C(t) det(tI + M'), from exact charpolys
         def trailing(m):
             neg = IntMatrix([[-x for x in m.row(i)] for i in range(m.rows)])
-            coeffs = char_poly_exact(neg, max_size=m.rows).coeffs
+            coeffs = char_poly_exact(neg, max_size=m.rows)
             order = next(i for i, c in enumerate(coeffs) if c)
             return order, coeffs[order]
 
