@@ -1,15 +1,21 @@
 """Exact integer linear algebra: Bareiss determinants, circulants, characteristic polynomials.
 
 Everything here is arbitrary precision, except `char_poly_mod`, which
-works over F_p on int64 arrays: it splits the matrix at the strongly
-connected components of its nonzero pattern and runs a Hessenberg
-reduction on each block of more than one row.  Both charpolys, exact
-(`char_poly_exact`) and modular, are tuples of ascending coefficients.
+works over F_p.  Once per matrix it splits the nonzero pattern into
+strongly connected components; per prime it runs a blocked Hessenberg
+reduction in float64 on each block of more than one row.  Entries stay
+in (-p, p) and every dot product has at most rows + 64 terms, so below
+`_float_exact_bound(rows)`, where p * p * (rows + 64) < 2**53, every
+BLAS product is exact; a larger prime, up to 2**25, goes through
+products that split one operand into 13-bit halves.  Both charpolys,
+exact (`char_poly_exact`) and modular, are tuples of ascending
+coefficients.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 
 import mpmath
@@ -19,7 +25,7 @@ import numpy as np
 class IntMatrix:
     """Dense matrix of exact integers."""
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_data", "_plan")
 
     def __init__(self, data):
         data = [list(row) for row in data]
@@ -40,6 +46,7 @@ class IntMatrix:
         self.rows = len(data)
         self.cols = cols
         self._data = data
+        self._plan = None  # char_poly_mod's set-up, see _charpoly_plan
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -161,7 +168,8 @@ def _is_prime_trial(p: int) -> bool:
     return True
 
 
-# row ceiling of char_poly_mod: its int64 sums must stay below 2**63
+# row ceiling of char_poly_mod: up to here its split float64 products stay
+# below 2**50 and its int64 charpoly products below 2**63
 _MOD_MAX_ROWS = 2000
 
 
@@ -232,71 +240,207 @@ def _strong_components(pattern) -> list:
     return components
 
 
-def _char_poly_hessenberg(h: np.ndarray, p: int) -> np.ndarray:
-    """Ascending coefficients of det(lambda*I - h) over F_p, h reduced mod p.
+# columns per panel of the blocked Hessenberg reduction
+_PANEL = 32
 
-    Similarity reduction of the int64 array h (overwritten) to upper
-    Hessenberg form.  Each pivot is scaled to 1 as it is placed (row j + 1
-    by its inverse, column j + 1 by it), so every subdiagonal entry ends
-    up 1 or 0, and the zero ones split the matrix into diagonal blocks
-    whose charpolys multiply.  Inside a block the
-    leading-principal-minor recurrence
-    p_c = x p_{c-1} - sum_{i <= c} h[i, c] p_{i-1} is one vector-matrix
-    product per step.
+
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """Reduce the float64 integers x (|x| < 2**53) into (-p, p), in place.
+
+    Up to 256 entries, one np.remainder call: exact (it rests on fmod) and
+    cheapest there, but several times slower per entry than the four
+    vector operations of x - p * floor(x / p), which larger arrays take.
+    That uses a true division: the rounded quotient is off by at most one,
+    so the result is the residue or the residue minus p, and a multiple of
+    p gives exactly 0.  A product with a rounded 1/p instead can leave a
+    multiple of p as +-p, which breaks the zero tests of the pivot search.
+    """
+    if x.size <= 256:
+        return np.remainder(x, p, out=x)
+    q = x / p
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+    return x
+
+
+def _product(a: np.ndarray, b: np.ndarray, p: int, split: bool) -> np.ndarray:
+    """a @ b, exact in float64 and congruent to the true product mod p.
+
+    Entries of a and b lie in (-p, p), and a sum has at most 2000 < 2**11
+    terms (the char_poly_mod ceiling).  Without split the caller's prime
+    keeps every sum below 2**53.  With split, b goes in as two halves,
+    b = 8192 * hi + lo with |hi| <= 2**12 and 0 <= lo < 2**13, so every
+    sum stays below 2**49 and the result below 2**50.
+    """
+    if not split:
+        return a @ b
+    hi = np.floor(b / 8192)
+    lo = b - 8192 * hi
+    return _reduce(a @ hi, p) * 8192 + a @ lo
+
+
+def _float_exact_bound(rows: int) -> int:
+    """Primes below this keep p * p * (rows + 2 * _PANEL) < 2**53.
+
+    Every dot product of `_char_poly_hessenberg` on a block of at most
+    `rows` rows has at most rows + 2 * _PANEL terms, each a product of two
+    entries in (-p, p), so below such a prime plain float64 BLAS products
+    are exact.  Capped at 2**25, the char_poly_mod ceiling.
+    """
+    return min(1 << 25, math.isqrt((1 << 53) // (rows + 2 * _PANEL)))
+
+
+def _char_poly_hessenberg(h: np.ndarray, p: int) -> np.ndarray:
+    """Ascending int64 coefficients of det(lambda*I - h) over F_p.
+
+    h is a float64 array of integers in (-p, p), overwritten by its
+    similarity reduction to upper Hessenberg form.  Step j takes as pivot
+    the first entry of column j below the subdiagonal that is nonzero mod
+    p, swaps it onto the subdiagonal and scales it to 1 (row j + 1 by its
+    inverse, column j + 1 by it), then clears the rest of column j with
+    row operations and keeps the transform a similarity with one column
+    addition, col_{j+1} += h[:, j+2:] @ f for the multipliers f.  A column
+    with no pivot leaves a zero subdiagonal, which splits the matrix into
+    diagonal blocks whose charpolys multiply.
+
+    The steps run in panels of _PANEL columns (delayed updates, as in
+    FFLAS-FFPACK).  Inside a panel the columns up to e (the panel's last
+    step j reaches column e = j + 1) are updated at once; the trailing
+    columns are held as A0 - G @ R, A0 their values at the start of the
+    panel, G the multipliers and R the pivot rows of the panel's steps.
+    A step then costs one matrix-vector product with h[:, j+2:] plus thin
+    corrections through G and R, and the panel ends with one product
+    G @ R and one reduction.  The pivot row, and a trailing column swapped
+    in as pivot column, are brought up to date when they are needed.
+
+    Entries stay in (-p, p) (`_reduce`), and every dot product has at most
+    n + 2 * _PANEL terms, so below `_float_exact_bound(n)` all of it is
+    exact float64 arithmetic; above it `_product` splits its right
+    operand.  Inside each diagonal block the leading-principal-minor
+    recurrence p_c = x p_{c-1} - sum_{i <= c} h[i, c] p_{i-1} is one
+    vector-matrix product per step.
     """
     n = h.shape[0]
+    split = p >= _float_exact_bound(n)
     starts = [0]
-    for j in range(n - 1):
-        nz = np.flatnonzero(h[j + 1 :, j])
-        if nz.size == 0:
-            starts.append(j + 1)
-            continue
-        piv = j + 1 + int(nz[0])
-        if piv != j + 1:
-            h[[j + 1, piv], :] = h[[piv, j + 1], :]
-            h[:, [j + 1, piv]] = h[:, [piv, j + 1]]
-        pivot = int(h[j + 1, j])
-        h[j + 1] = h[j + 1] * pow(pivot, p - 2, p) % p
-        h[:, j + 1] = h[:, j + 1] * pivot % p
-        factors = h[j + 2 :, j].copy()
-        if factors.any():
-            # row eliminations below the subdiagonal (columns left of j + 1
-            # are zero there already, column j becomes zero) plus the
-            # compensating column additions that keep the transform a similarity
-            below = h[j + 2 :, j + 1 :]
-            below -= np.outer(factors, h[j + 1, j + 1 :])
-            below %= p
-            h[j + 2 :, j] = 0
-            h[:, j + 1] = (h[:, j + 1] + h[:, j + 2 :] @ factors) % p
+    for c0 in range(0, n - 1, _PANEL):
+        e = min(c0 + _PANEL, n - 1)
+        lazy = n - e - 1  # trailing columns e + 1 .. n - 1
+        g = np.zeros((n, _PANEL))
+        r = np.zeros((_PANEL, lazy))
+        t = 0  # steps of this panel with row operations so far
+        for j in range(c0, e):
+            nz = h[j + 1 :, j].nonzero()[0]
+            if nz.size == 0:
+                starts.append(j + 1)
+                continue
+            piv = j + 1 + int(nz[0])
+            if piv != j + 1:
+                h[[j + 1, piv]] = h[[piv, j + 1]]
+                if t:
+                    g[[j + 1, piv], :t] = g[[piv, j + 1], :t]
+                if piv <= e:
+                    h[:, [j + 1, piv]] = h[:, [piv, j + 1]]
+                else:
+                    col = h[:, piv] - _product(g[:, :t], r[:t, piv - e - 1], p, split)
+                    h[:, piv] = h[:, j + 1]
+                    h[:, j + 1] = _reduce(col, p)
+                    r[:t, piv - e - 1] = 0
+            if t:
+                row = h[j + 1, e + 1 :]
+                row -= _product(r[:t].T, g[j + 1, :t], p, split)
+                _reduce(row, p)
+                g[j + 1, :t] = 0
+            # the pivot becomes 1: row j + 1 is scaled by its inverse now;
+            # scaling column j + 1 by it commutes with the row operations,
+            # so it joins the column addition
+            pivot = int(h[j + 1, j]) % p
+            if pivot != 1:
+                h[j + 1, j:] *= pow(pivot, p - 2, p)
+                _reduce(h[j + 1, j:], p)
+            f = h[j + 2 :, j].copy()
+            if f.any():
+                below = h[j + 2 :, j + 1 : e + 1]
+                below -= f[:, None] * h[j + 1, j + 1 : e + 1]
+                _reduce(below, p)
+                h[j + 2 :, j] = 0
+                col = h[:, j + 1] * pivot + _product(h[:, j + 2 :], f, p, split)
+                if lazy:
+                    g[j + 2 :, t] = f
+                    r[t] = h[j + 1, e + 1 :]
+                    t += 1
+                    rf = _reduce(_product(r[:t], f[e - j - 1 :], p, split), p)
+                    col -= _product(g[:, :t], rf, p, split)
+                h[:, j + 1] = _reduce(col, p)
+            elif pivot != 1:
+                h[:, j + 1] = _reduce(h[:, j + 1] * pivot, p)
+        if t:
+            trailing = h[c0 + 2 :, e + 1 :]
+            trailing -= _product(g[c0 + 2 :, :t], r[:t], p, split)
+            _reduce(trailing, p)
     charpoly = np.ones(1, dtype=np.int64)
     for s, e in zip(starts, starts[1:] + [n]):
         size = e - s
-        polys = np.zeros((size + 1, size + 1), dtype=np.int64)
+        polys = np.zeros((size + 1, size + 1))
         polys[0, 0] = 1
         for c in range(1, size + 1):
             polys[c, 1 : c + 1] = polys[c - 1, :c]
-            polys[c, :c] = (polys[c, :c] - h[s : s + c, s + c - 1] @ polys[:c, :c]) % p
-        charpoly = np.convolve(charpoly, polys[size]) % p
+            polys[c, :c] -= _product(polys[:c, :c].T, h[s : s + c, s + c - 1], p, split)
+            _reduce(polys[c, :c], p)
+        charpoly = np.convolve(charpoly, polys[size].astype(np.int64) % p) % p
     return charpoly
+
+
+def _charpoly_plan(m: IntMatrix) -> tuple:
+    """The prime-independent part of char_poly_mod(m, p), built on first use.
+
+    Returns the product of the 1-row diagonal blocks' charpolys x - m_ii as
+    an ascending tuple of integers, and the larger diagonal blocks as
+    integer arrays (int64 when every entry fits, else Python ints).  The
+    blocks come from the strongly connected components of the integer
+    pattern; an entry that vanishes over Z vanishes mod every p, so the
+    block triangular form holds for every prime.  IntMatrix is never
+    written after construction, so the plan stays valid.
+    """
+    if m._plan is None:
+        try:
+            a = np.array(m._data, dtype=np.int64)
+        except OverflowError:
+            a = np.array(m._data, dtype=object)
+        linear = [1]
+        blocks = []
+        for component in _strong_components(a):
+            if len(component) == 1:
+                d = m._data[component[0]][component[0]]
+                linear = [x - d * y for x, y in zip([0] + linear, linear + [0])]
+            else:
+                blocks.append(a[np.ix_(component, component)])
+        m._plan = (tuple(linear), blocks)
+    return m._plan
 
 
 def char_poly_mod(m: IntMatrix, p: int) -> tuple:
     """Ascending coefficients of det(lambda*I - m) modulo a prime p < 2**25.
 
-    After one reduction mod p, the strongly connected components of the
-    off-diagonal nonzero pattern (`_strong_components`) give a symmetric
-    permutation of m to block upper triangular form, which leaves the
-    charpoly unchanged: it is the product of the diagonal blocks'
-    charpolys.  A 1-row block gives x - m_ii; a larger one goes through
-    Hessenberg reduction over F_p and a leading-principal-minor recurrence
-    (`_char_poly_hessenberg`), whose cost is cubic in the block size.
-    Macaulay matrices are sparse, and their patterns fall apart into many
-    components.
+    The strongly connected components of the off-diagonal nonzero pattern
+    (`_strong_components`) give a symmetric permutation of m to block
+    upper triangular form, which leaves the charpoly unchanged: it is the
+    product of the diagonal blocks' charpolys.  That split, and the
+    product of the 1-row blocks' x - m_ii, are worked out once per matrix
+    (`_charpoly_plan`); per prime only the larger blocks are reduced mod p
+    and go through a blocked Hessenberg reduction in float64 with a
+    leading-principal-minor recurrence (`_char_poly_hessenberg`), whose
+    cost is cubic in the block size.  Macaulay matrices are sparse, and
+    their patterns fall apart into many components.
 
-    Everything runs on int64 numpy arrays.  Every sum, in a block or in
-    the product of the blocks' charpolys, has at most 2000 < 2**11
-    terms, each below p**2 < 2**50, so it stays below 2**61: that is why
-    both the prime ceiling and the 2000-row ceiling are enforced.
+    Every float64 sum stays below 2**53: it has at most rows + 64 terms
+    below p**2, and for a prime at or above `_float_exact_bound(rows)`
+    the products split one operand into 13-bit halves.  So any prime below
+    2**25 works, and a caller that takes primes below that bound gets plain
+    BLAS products.  The blocks' charpolys multiply in int64, with at most
+    2000 < 2**11 terms below p**2 < 2**50 per sum: that is why both the
+    prime ceiling and the 2000-row ceiling are enforced.
     """
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial requires a square matrix")
@@ -305,15 +449,11 @@ def char_poly_mod(m: IntMatrix, p: int) -> tuple:
         raise ValueError(f"matrix size {n} exceeds the modular charpoly cap of {_MOD_MAX_ROWS}")
     if not 2 <= p < (1 << 25) or not _is_prime_trial(p):
         raise ValueError("modulus must be a prime below 2**25")
-    a = (np.array(m._data, dtype=object) % p).astype(np.int64)
-    charpoly = np.ones(1, dtype=np.int64)
-    for component in _strong_components(a):
-        if len(component) == 1:
-            i = component[0]
-            block = np.array([-a[i, i] % p, 1], dtype=np.int64)
-        else:
-            block = _char_poly_hessenberg(a[np.ix_(component, component)], p)
-        charpoly = np.convolve(charpoly, block) % p
+    linear, blocks = _charpoly_plan(m)
+    charpoly = np.array([c % p for c in linear], dtype=np.int64)
+    for block in blocks:
+        h = (block % p).astype(np.float64)
+        charpoly = np.convolve(charpoly, _char_poly_hessenberg(h, p)) % p
     return tuple(int(c) for c in charpoly)
 
 

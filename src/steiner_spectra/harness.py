@@ -40,14 +40,30 @@ def report_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ": "))
 
 
+class CacheLineError(json.JSONDecodeError):
+    """A cache line, not the last one, that is not JSON.
+
+    Its message names the cache file and the line in it; json's own
+    position counts lines within that one line only.
+    """
+
+    def __init__(self, path: str, line: int, exc: json.JSONDecodeError):
+        super().__init__(exc.msg, exc.doc, exc.pos)
+        self.path = path
+        self.line = line
+
+    def __str__(self):
+        return f"{self.path}: line {self.line}: {self.msg}: column {self.colno}"
+
+
 class ResultCache:
     """Append-only JSON-lines store keyed by (canonical form, k, quantity).
 
     A write cut short by a crash leaves a torn final line: loading skips
     it with a warning, and the next `put` truncates it away and starts on
-    a fresh line.  Any other line that is not JSON raises, and a JSON
-    line that is not a record (`_record_problem`) raises ValueError naming
-    the path and the line.
+    a fresh line.  Any other line that is not JSON raises CacheLineError,
+    and a JSON line that is not a record (`_record_problem`) raises
+    ValueError; both name the path and the line.
     """
 
     def __init__(self, path):
@@ -67,9 +83,9 @@ class ResultCache:
             if line.strip():
                 try:
                     rec = json.loads(line)
-                except json.JSONDecodeError:
+                except json.JSONDecodeError as exc:
                     if i < len(lines) - 1:
-                        raise
+                        raise CacheLineError(self.path, i + 1, exc) from None
                     warnings.warn(f"{self.path}: skipped a torn final line", stacklevel=2)
                     self._resume_at = offset
                     break

@@ -19,10 +19,12 @@ t to the diagonal of both matrices, and
 with C(0) the resultant.  Both determinants are monic in t, so the
 identity survives reduction modulo any prime: one pair of charpolys mod p
 gives the resultant mod p, and Chinese remaindering past a norm bound
-gives the integer.  Macaulay matrices of at most 15 rows (on the hyperdet
-path, n = 3 with k = 3) still take the same two charpolys exactly over Z
-(`_gcp_constant`), a remnant that goes once the benchmark's tracer
-self-test stops counting that route.
+gives the integer.  The primes come down from `exact._float_exact_bound`
+of M's row count, about 2**21.9 at 560 rows: below it the float64 BLAS
+products of `char_poly_mod` are exact.  Macaulay matrices of at most 15
+rows (on the hyperdet path, n = 3 with k = 3) still take the same two
+charpolys exactly over Z (`_gcp_constant`), a remnant that goes once the
+benchmark's tracer self-test stops counting that route.
 
 One cap, `check_hyperdet_cap` (k = 2, n = 2, or n <= 4 with k - 1 <= 5),
 bounds `hyperdet` and `macaulay_resultant` alike.
@@ -32,7 +34,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import IntMatrix, _is_prime_trial, char_poly_exact, char_poly_mod, det_exact
+from .exact import (
+    IntMatrix,
+    _float_exact_bound,
+    _is_prime_trial,
+    char_poly_exact,
+    char_poly_mod,
+    det_exact,
+)
 from .hypermatrix import SymmetricHypermatrix, exponent_vectors
 
 MAX_VARS = 4
@@ -155,10 +164,16 @@ def _gcp_constant(matrix: IntMatrix, reduced: list) -> int:
     return c
 
 
-def _modular_primes():
-    """Descending primes just below 2**25, the char_poly_mod ceiling."""
-    p = (1 << 25) - 1
-    while p > (1 << 24):
+def _modular_primes(rows: int):
+    """Descending odd primes below `_float_exact_bound(rows)`, down to half of it.
+
+    Below that bound every float64 product in char_poly_mod of a matrix
+    with at most `rows` rows is exact without splitting: about 2**21.9 at
+    560 rows and 2**21 at the 2000-row ceiling.
+    """
+    top = _float_exact_bound(rows)
+    p = top - 1 if top % 2 == 0 else top - 2
+    while p > top // 2:
         if _is_prime_trial(p):
             yield p
         p -= 2
@@ -184,7 +199,7 @@ def _gcp_constant_modular(matrix: IntMatrix, reduced: list) -> int:
     minor = _nonreduced_minor(matrix, reduced)
     bound = 2 * _eigenvalue_bound(matrix) ** sum(reduced)  # N - N' eigenvalues
     residue, modulus = 0, 1
-    for p in _modular_primes():
+    for p in _modular_primes(matrix.rows):
         pp = char_poly_mod(matrix, p)
         qq = char_poly_mod(minor, p) if minor is not None else (1,)
         terms = _trailing_terms(pp, qq)
@@ -204,8 +219,9 @@ def macaulay_resultant(s: HomogeneousSystem) -> int:
     The Macaulay matrix M is built once.  When M' is empty the resultant
     is det(M).  Otherwise it is C(0) of the perturbation identity, from
     exact charpolys up to GCP_EXACT_MAX_ROWS rows (`_gcp_constant`) and
-    else mod primes from just below 2**25 downward.  Every prime is
-    usable: det(tI + M') is monic, so dividing it out of det(tI + M) is
+    else mod primes (`_modular_primes`), taken downward from the bound
+    below which char_poly_mod of M needs no split products.  Every prime
+    is usable: det(tI + M') is monic, so dividing it out of det(tI + M) is
     exact over F_p as over Z, whether or not M' is singular mod p.  The
     roots of det(tI + M') are among those of det(tI + M), so C(0) is a
     product of N - N' eigenvalues of -M, each at most

@@ -324,6 +324,149 @@ class TestCharPolyMod:
             char_poly_mod(IntMatrix.identity(3), 7)
 
 
+def reference_hessenberg(rows, p):
+    """Eager Hessenberg reduction over F_p in int64 with the kernel's pivot
+    rule and scaling, one full trailing update per step.  Returns the
+    reduced matrix in [0, p) and a trace: (j, pivot row) per step with a
+    pivot, the steps that left a zero subdiagonal, and the steps with
+    nonzero multipliers."""
+    h = np.array(rows, dtype=np.int64) % p
+    n = h.shape[0]
+    pivots, splits, updates = [], [], []
+    for j in range(n - 1):
+        nz = np.flatnonzero(h[j + 1 :, j])
+        if nz.size == 0:
+            splits.append(j)
+            continue
+        piv = j + 1 + int(nz[0])
+        pivots.append((j, piv))
+        h[[j + 1, piv], :] = h[[piv, j + 1], :]
+        h[:, [j + 1, piv]] = h[:, [piv, j + 1]]
+        pivot = int(h[j + 1, j])
+        h[j + 1] = h[j + 1] * pow(pivot, p - 2, p) % p
+        h[:, j + 1] = h[:, j + 1] * pivot % p
+        f = h[j + 2 :, j].copy()
+        if f.any():
+            updates.append(j)
+            h[j + 2 :, j + 1 :] = (h[j + 2 :, j + 1 :] - np.outer(f, h[j + 1, j + 1 :])) % p
+            h[j + 2 :, j] = 0
+            h[:, j + 1] = (h[:, j + 1] + h[:, j + 2 :] @ f) % p
+    return h, pivots, splits, updates
+
+
+def block_triangular(rng, sizes, density):
+    """Random block upper triangular rows: diagonal blocks of the given
+    sizes, each entry kept with the given probability, and a sparse part
+    above the blocks."""
+    n = sum(sizes)
+    block = [b for b, size in enumerate(sizes) for _ in range(size)]
+    rows = [
+        [
+            rng.randint(-3, 3)
+            if (block[i] == block[j] and rng.random() < density)
+            or (block[i] < block[j] and rng.random() < 0.05)
+            else 0
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    return rows, block
+
+
+def blocks_charpoly_mod(rows, block, p):
+    """The product of the diagonal blocks' exact charpolys, reduced mod p."""
+    product = (1,)
+    for b in range(block[-1] + 1):
+        idx = [i for i, x in enumerate(block) if x == b]
+        poly = char_poly_exact(IntMatrix([[rows[i][j] for j in idx] for i in idx]))
+        product = tuple(
+            sum(product[i] * poly[k - i] for i in range(len(product)) if 0 <= k - i < len(poly))
+            for k in range(len(product) + len(poly) - 1)
+        )
+    return tuple(c % p for c in product)
+
+
+def ceiling_prime(rows):
+    """The largest prime below the float-exact bound for `rows` rows."""
+    p = exact._float_exact_bound(rows) - 1
+    while not exact._is_prime_trial(p):
+        p -= 1
+    return p
+
+
+class TestBlockedHessenberg:
+    """The panel kernel on 100-300 rows, where small matrices cannot reach:
+    pivots found in the trailing columns, zero subdiagonals inside a panel
+    and at its edge, and the trailing update at the end of each panel."""
+
+    PANEL = exact._PANEL
+
+    def test_reduce_is_exact(self):
+        # x - p floor(x / p) with a true division maps a multiple of p to 0
+        # and everything else into (-p, p); a product with a rounded 1/p
+        # would leave some multiples at +-p
+        rng = np.random.default_rng(5)
+        for p in (8191, ceiling_prime(560), 33554393):
+            k = rng.integers(-(2**53) // p + 1, 2**53 // p - 1, 3000)
+            r = rng.integers(-p + 1, p, 3000)
+            for x in (k * p, k * p + r):
+                for size in (3000, 100):  # both the large and the small path
+                    got = exact._reduce(x[:size].astype(np.float64), p)
+                    assert np.all(np.abs(got) < p)
+                    assert np.all((x[:size] - got.astype(np.int64)) % p == 0)
+                    assert np.array_equal(got == 0, x[:size] % p == 0)
+
+    def test_same_form_as_eager_reduction(self):
+        # Sparse diagonal blocks of at most 10 rows straddle the panel
+        # edges, so a pivot is often some rows down, past the panel, and
+        # the Krylov space of e_0 closes at many places.
+        seen = {"trailing pivot": 0, "split inside": 0, "split at edge": 0, "update": 0}
+        for seed in range(3):
+            rng = random.Random(seed)
+            rows, block = block_triangular(rng, [rng.randint(3, 10) for _ in range(25)], 0.5)
+            n = len(rows)
+            assert 100 <= n <= 300
+            for p in (ceiling_prime(n), 33554393):
+                want_h, pivots, splits, updates = reference_hessenberg(rows, p)
+                h = (np.array(rows) % p).astype(np.float64)
+                got = exact._char_poly_hessenberg(h, p)
+                assert tuple(int(c) for c in got) == blocks_charpoly_mod(rows, block, p)
+                assert np.array_equal(h.astype(np.int64) % p, want_h)
+            panel = [j // self.PANEL for j in range(n)]
+            for j, piv in pivots:
+                last = min(panel[j] * self.PANEL + self.PANEL, n - 1)
+                if piv > last and any(panel[u] == panel[j] for u in updates if u < j):
+                    seen["trailing pivot"] += 1
+            for j in splits:
+                edge = j % self.PANEL in (0, self.PANEL - 1)
+                seen["split at edge" if edge else "split inside"] += 1
+            seen["update"] += sum(1 for u in updates if u < n - self.PANEL - 1)
+        assert all(seen.values()), seen
+
+    def test_dense_conjugate_through_char_poly_mod(self):
+        # S T S^-1 with T block upper triangular and S unimodular with
+        # S e_0 = e_0 (a product of elementary similarities I + c e_i e_j^T,
+        # j != 0): one strongly connected component, so the kernel runs on
+        # the whole matrix, and the charpoly is the product of T's blocks'.
+        rng = random.Random(23)
+        for n_blocks in (20, 40):
+            t, block = block_triangular(rng, [rng.randint(3, 8) for _ in range(n_blocks)], 1.0)
+            rows = [list(r) for r in t]
+            n = len(rows)
+            for _ in range(2 * n):
+                i, j = rng.sample(range(n), 2)
+                if j == 0:
+                    continue
+                c = rng.choice((-1, 1))
+                rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+                for r in rows:
+                    r[j] -= c * r[i]
+            m = IntMatrix(rows)
+            assert len(exact._strong_components(np.array(rows, dtype=object))) == 1
+            for p in (ceiling_prime(n), 33554393):
+                assert char_poly_mod(m, p) == blocks_charpoly_mod(t, block, p), (n, p)
+
+
 class TestStrongComponents:
     def test_hand_built_pattern(self):
         # 0 <-> 1 -> 2 -> 3 -> 2, 4 alone, 3 -> 5 -> 4; nonzero diagonal

@@ -98,7 +98,7 @@ class TestResultCache:
         path = tmp_path / "c.jsonl"
         good = json.dumps({"key": ["abc", 3, "det"], "value": 5})
         path.write_text(good + "\n" + good[:10] + "\n" + good + "\n")
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(json.JSONDecodeError, match=rf"^{re.escape(str(path))}: line 2: "):
             ResultCache(path)
 
     def test_json_line_that_is_not_a_record_is_an_error(self, tmp_path, capsys):

@@ -1,10 +1,12 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from steiner_spectra import resultant
-from steiner_spectra.exact import IntMatrix, char_poly_exact, det_exact
+from steiner_spectra import exact, resultant
+from steiner_spectra.exact import IntMatrix, char_poly_exact, char_poly_mod, det_exact
 from steiner_spectra.graphs import complete_graph, path_graph, star_graph
 from steiner_spectra.hypermatrix import SymmetricHypermatrix, build_steiner_hypermatrix
 from steiner_spectra.resultant import (
@@ -192,6 +194,35 @@ class TestSingleRoute:
             want = 0 if ord_m > ord_minor else Fraction(lead_m, lead_minor)
             assert macaulay_resultant(s) == want, (g, k)
             assert _gcp_constant_modular(*macaulay_matrix(s)) == want, (g, k)
+
+
+class TestModularPrimes:
+    @pytest.mark.parametrize("rows", [15, 560, 2000])
+    def test_primes_keep_float_products_exact(self, rows):
+        primes = list(itertools.islice(resultant._modular_primes(rows), 300))
+        bound = exact._float_exact_bound(rows)
+        assert primes == sorted(primes, reverse=True)
+        assert all(exact._is_prime_trial(p) for p in primes)
+        assert all(p * p * (rows + 2 * exact._PANEL) < 2**53 for p in primes)
+        # the pool starts at the largest prime below the bound
+        assert not any(exact._is_prime_trial(q) for q in range(primes[0] + 1, bound))
+        assert primes[-1] > bound // 2
+
+    def test_crt_stops_once_the_modulus_passes_the_bound(self, monkeypatch):
+        s = gradient_system(build_steiner_hypermatrix(path_graph(3), 6))
+        matrix, reduced = macaulay_matrix(s)
+        primes = []
+
+        def spy(m, p):
+            if m is matrix:
+                primes.append(p)
+            return char_poly_mod(m, p)
+
+        monkeypatch.setattr(resultant, "char_poly_mod", spy)
+        assert _gcp_constant_modular(matrix, reduced) == 43782435923605828680933188175642624
+        bound = 2 * resultant._eigenvalue_bound(matrix) ** sum(reduced)
+        assert math.prod(primes) > bound >= math.prod(primes[:-1])
+        assert primes == list(itertools.islice(resultant._modular_primes(matrix.rows), len(primes)))
 
 
 class TestVanishingInstances:
