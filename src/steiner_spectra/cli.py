@@ -2,7 +2,7 @@
 
     steiner-spectra <subcommand> [flags]
 
-Subcommands: wendt, classify, det2, hyperdet, spectrum, sweep, gp-check,
+Subcommands: wendt, classify, hyperdet, spectrum, sweep, gp-check,
 extremal.  --json (machine-readable output) is valid on every
 subcommand; --seed (relabel spot checks), --cache (JSON-lines result
 cache) and --jobs (worker processes) only on sweep.
@@ -29,7 +29,6 @@ from .harness import (
 from .hypermatrix import build_steiner_hypermatrix
 from .resultant import hyperdet, hyperdet_route
 from .spectra import NQZ_TOL, charpoly_D_dim2, nqz_spectral_radius, spectral_radius_K2
-from .sylvester2 import hyperdet_dim2
 from .wendt import lehmer_vanishes, theorem1_vanishes, wendt
 
 
@@ -55,26 +54,8 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _load_graph(args, default=None):
-    if args.graph is None:
-        if default is None:
-            raise ValueError("--graph is required")
-        return default
-    return read_graph(args.graph)
-
-
-def _cmd_det2(args) -> int:
-    g = _load_graph(args, default=complete_graph(2))
-    value = hyperdet_dim2(build_steiner_hypermatrix(g, args.k))
-    if args.json:
-        print(report_json({"k": args.k, "n": g.n, "det": value}))
-    else:
-        print(value)
-    return 0
-
-
 def _cmd_hyperdet(args) -> int:
-    a = build_steiner_hypermatrix(_load_graph(args), args.k)
+    a = build_steiner_hypermatrix(read_graph(args.graph), args.k)
     route = hyperdet_route(a)
     value = hyperdet(a)
     if args.json:
@@ -85,7 +66,7 @@ def _cmd_hyperdet(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    g = _load_graph(args)
+    g = read_graph(args.graph)
     # the closed form covers K2 only; every other graph gets the NQZ radius
     closed = g == complete_graph(2)
     out = {"k": args.k, "n": g.n, "method": "closed" if closed else "nqz"}
@@ -175,11 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(fn=_cmd_classify)
-
-    p = sub.add_parser("det2", parents=[common], help="dimension-2 hyperdeterminant")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--graph", default=None, help="edge-list file (default: single edge)")
-    p.set_defaults(fn=_cmd_det2)
 
     p = sub.add_parser("hyperdet", parents=[common], help="exact hyperdeterminant of D_k(G)")
     p.add_argument("--graph", required=True, help="edge-list file")

@@ -4,12 +4,11 @@ Everything here is arbitrary precision, except `char_poly_mod`, which
 works over F_p.  Once per matrix it splits the nonzero pattern into
 strongly connected components; per prime it runs a blocked Hessenberg
 reduction in float64 on each block of more than one row.  Entries stay
-in (-p, p) and every dot product has at most rows + 64 terms, so below
-`_float_exact_bound(rows)`, where p * p * (rows + 64) < 2**53, every
-BLAS product is exact; a larger prime, up to 2**25, goes through
-products that split one operand into 13-bit halves.  Both charpolys,
-exact (`char_poly_exact`) and modular, are tuples of ascending
-coefficients.
+in (-p, p) and every dot product has at most rows + 64 terms, so for the
+primes it accepts, those below `_float_exact_bound(rows)`, where
+p * p * (rows + 64) < 2**53, every BLAS product is exact.  Both
+charpolys, exact (`char_poly_exact`) and modular, are tuples of
+ascending coefficients.
 """
 
 from __future__ import annotations
@@ -168,8 +167,8 @@ def _is_prime_trial(p: int) -> bool:
     return True
 
 
-# row ceiling of char_poly_mod: up to here its split float64 products stay
-# below 2**50 and its int64 charpoly products below 2**63
+# row ceiling of char_poly_mod, a cost ceiling only: its float64 and int64
+# products are exact at any row count once p * p * (rows + 64) < 2**53
 _MOD_MAX_ROWS = 2000
 
 
@@ -264,31 +263,15 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def _product(a: np.ndarray, b: np.ndarray, p: int, split: bool) -> np.ndarray:
-    """a @ b, exact in float64 and congruent to the true product mod p.
-
-    Entries of a and b lie in (-p, p), and a sum has at most 2000 < 2**11
-    terms (the char_poly_mod ceiling).  Without split the caller's prime
-    keeps every sum below 2**53.  With split, b goes in as two halves,
-    b = 8192 * hi + lo with |hi| <= 2**12 and 0 <= lo < 2**13, so every
-    sum stays below 2**49 and the result below 2**50.
-    """
-    if not split:
-        return a @ b
-    hi = np.floor(b / 8192)
-    lo = b - 8192 * hi
-    return _reduce(a @ hi, p) * 8192 + a @ lo
-
-
 def _float_exact_bound(rows: int) -> int:
     """Primes below this keep p * p * (rows + 2 * _PANEL) < 2**53.
 
     Every dot product of `_char_poly_hessenberg` on a block of at most
     `rows` rows has at most rows + 2 * _PANEL terms, each a product of two
     entries in (-p, p), so below such a prime plain float64 BLAS products
-    are exact.  Capped at 2**25, the char_poly_mod ceiling.
+    are exact.
     """
-    return min(1 << 25, math.isqrt((1 << 53) // (rows + 2 * _PANEL)))
+    return math.isqrt((1 << 53) // (rows + 2 * _PANEL))
 
 
 def _char_poly_hessenberg(h: np.ndarray, p: int) -> np.ndarray:
@@ -315,14 +298,13 @@ def _char_poly_hessenberg(h: np.ndarray, p: int) -> np.ndarray:
     in as pivot column, are brought up to date when they are needed.
 
     Entries stay in (-p, p) (`_reduce`), and every dot product has at most
-    n + 2 * _PANEL terms, so below `_float_exact_bound(n)` all of it is
-    exact float64 arithmetic; above it `_product` splits its right
-    operand.  Inside each diagonal block the leading-principal-minor
-    recurrence p_c = x p_{c-1} - sum_{i <= c} h[i, c] p_{i-1} is one
-    vector-matrix product per step.
+    n + 2 * _PANEL terms, so for p below `_float_exact_bound(n)` all of it
+    is exact float64 arithmetic.  Inside each diagonal block the
+    leading-principal-minor recurrence
+    p_c = x p_{c-1} - sum_{i <= c} h[i, c] p_{i-1} is one vector-matrix
+    product per step.
     """
     n = h.shape[0]
-    split = p >= _float_exact_bound(n)
     starts = [0]
     for c0 in range(0, n - 1, _PANEL):
         e = min(c0 + _PANEL, n - 1)
@@ -343,13 +325,13 @@ def _char_poly_hessenberg(h: np.ndarray, p: int) -> np.ndarray:
                 if piv <= e:
                     h[:, [j + 1, piv]] = h[:, [piv, j + 1]]
                 else:
-                    col = h[:, piv] - _product(g[:, :t], r[:t, piv - e - 1], p, split)
+                    col = h[:, piv] - g[:, :t] @ r[:t, piv - e - 1]
                     h[:, piv] = h[:, j + 1]
                     h[:, j + 1] = _reduce(col, p)
                     r[:t, piv - e - 1] = 0
             if t:
                 row = h[j + 1, e + 1 :]
-                row -= _product(r[:t].T, g[j + 1, :t], p, split)
+                row -= r[:t].T @ g[j + 1, :t]
                 _reduce(row, p)
                 g[j + 1, :t] = 0
             # the pivot becomes 1: row j + 1 is scaled by its inverse now;
@@ -365,19 +347,19 @@ def _char_poly_hessenberg(h: np.ndarray, p: int) -> np.ndarray:
                 below -= f[:, None] * h[j + 1, j + 1 : e + 1]
                 _reduce(below, p)
                 h[j + 2 :, j] = 0
-                col = h[:, j + 1] * pivot + _product(h[:, j + 2 :], f, p, split)
+                col = h[:, j + 1] * pivot + h[:, j + 2 :] @ f
                 if lazy:
                     g[j + 2 :, t] = f
                     r[t] = h[j + 1, e + 1 :]
                     t += 1
-                    rf = _reduce(_product(r[:t], f[e - j - 1 :], p, split), p)
-                    col -= _product(g[:, :t], rf, p, split)
+                    rf = _reduce(r[:t] @ f[e - j - 1 :], p)
+                    col -= g[:, :t] @ rf
                 h[:, j + 1] = _reduce(col, p)
             elif pivot != 1:
                 h[:, j + 1] = _reduce(h[:, j + 1] * pivot, p)
         if t:
             trailing = h[c0 + 2 :, e + 1 :]
-            trailing -= _product(g[c0 + 2 :, :t], r[:t], p, split)
+            trailing -= g[c0 + 2 :, :t] @ r[:t]
             _reduce(trailing, p)
     charpoly = np.ones(1, dtype=np.int64)
     for s, e in zip(starts, starts[1:] + [n]):
@@ -386,7 +368,7 @@ def _char_poly_hessenberg(h: np.ndarray, p: int) -> np.ndarray:
         polys[0, 0] = 1
         for c in range(1, size + 1):
             polys[c, 1 : c + 1] = polys[c - 1, :c]
-            polys[c, :c] -= _product(polys[:c, :c].T, h[s : s + c, s + c - 1], p, split)
+            polys[c, :c] -= polys[:c, :c].T @ h[s : s + c, s + c - 1]
             _reduce(polys[c, :c], p)
         charpoly = np.convolve(charpoly, polys[size].astype(np.int64) % p) % p
     return charpoly
@@ -421,7 +403,8 @@ def _charpoly_plan(m: IntMatrix) -> tuple:
 
 
 def char_poly_mod(m: IntMatrix, p: int) -> tuple:
-    """Ascending coefficients of det(lambda*I - m) modulo a prime p < 2**25.
+    """Ascending coefficients of det(lambda*I - m) modulo a prime p below
+    `_float_exact_bound(m.rows)`.
 
     The strongly connected components of the off-diagonal nonzero pattern
     (`_strong_components`) give a symmetric permutation of m to block
@@ -434,21 +417,19 @@ def char_poly_mod(m: IntMatrix, p: int) -> tuple:
     cost is cubic in the block size.  Macaulay matrices are sparse, and
     their patterns fall apart into many components.
 
-    Every float64 sum stays below 2**53: it has at most rows + 64 terms
-    below p**2, and for a prime at or above `_float_exact_bound(rows)`
-    the products split one operand into 13-bit halves.  So any prime below
-    2**25 works, and a caller that takes primes below that bound gets plain
-    BLAS products.  The blocks' charpolys multiply in int64, with at most
-    2000 < 2**11 terms below p**2 < 2**50 per sum: that is why both the
-    prime ceiling and the 2000-row ceiling are enforced.
+    Every sum, float64 in the reduction of a block and int64 where the
+    blocks' charpolys multiply, has at most rows + 64 terms below p**2, so
+    below that bound it stays under 2**53 and the arithmetic is exact.
+    Other moduli are refused.
     """
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial requires a square matrix")
     n = m.rows
     if n > _MOD_MAX_ROWS:
         raise ValueError(f"matrix size {n} exceeds the modular charpoly cap of {_MOD_MAX_ROWS}")
-    if not 2 <= p < (1 << 25) or not _is_prime_trial(p):
-        raise ValueError("modulus must be a prime below 2**25")
+    bound = _float_exact_bound(n)
+    if not 2 <= p < bound or not _is_prime_trial(p):
+        raise ValueError(f"modulus must be a prime below {bound} for {n} rows")
     linear, blocks = _charpoly_plan(m)
     charpoly = np.array([c % p for c in linear], dtype=np.int64)
     for block in blocks:

@@ -57,19 +57,6 @@ class Graph:
     def is_connected(self) -> bool:
         return -1 not in _bfs_dist(self.adjacency(), 1, self.n)[1:]
 
-    def is_forest(self) -> bool:
-        # acyclic iff |E| = |V| - (number of components)
-        adj = self.adjacency()
-        seen = [False] * (self.n + 1)
-        comps = 0
-        for v in range(1, self.n + 1):
-            if not seen[v]:
-                comps += 1
-                for u, d in enumerate(_bfs_dist(adj, v, self.n)):
-                    if d >= 0:
-                        seen[u] = True
-        return len(self.edges) == self.n - comps
-
     def is_tree(self) -> bool:
         return len(self.edges) == self.n - 1 and self.is_connected()
 

@@ -17,7 +17,6 @@ Macaulay matrix (`resultant.macaulay_matrix`) both list monomials so.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections import Counter
 
@@ -153,35 +152,6 @@ class SymmetricHypermatrix:
             raise ValueError("profile is defined only for dimension 2")
         k = self.order
         return tuple(self.entries[(1,) * (k - t) + (2,) * t] for t in range(k + 1))
-
-    # -- serialization --------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "dim": self.dim,
-            "entries": [[list(k), int(v)] for k, v in sorted(self.entries.items())],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "SymmetricHypermatrix":
-        """Inverse of `to_json_dict`: order, dim, indices and values must be
-        JSON integers, since entries are exact and nothing is rounded."""
-        entries = {tuple(map(_json_int, k)): _json_int(v) for k, v in obj["entries"]}
-        return cls(_json_int(obj["order"]), _json_int(obj["dim"]), entries)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SymmetricHypermatrix":
-        return cls.from_json_dict(json.loads(text))
-
-
-def _json_int(x) -> int:
-    if type(x) is not int:  # the exact type: bool is an int subclass
-        raise ValueError(f"expected a JSON integer, got {x!r}")
-    return x
 
 
 def build_steiner_hypermatrix(g: Graph, k: int) -> SymmetricHypermatrix:

@@ -18,13 +18,15 @@ t to the diagonal of both matrices, and
 
 with C(0) the resultant.  Both determinants are monic in t, so the
 identity survives reduction modulo any prime: one pair of charpolys mod p
-gives the resultant mod p, and Chinese remaindering past a norm bound
-gives the integer.  The primes come down from `exact._float_exact_bound`
-of M's row count, about 2**21.9 at 560 rows: below it the float64 BLAS
-products of `char_poly_mod` are exact.  Macaulay matrices of at most 15
-rows (on the hyperdet path, n = 3 with k = 3) still take the same two
-charpolys exactly over Z (`_gcp_constant`), a remnant that goes once the
-benchmark's tracer self-test stops counting that route.
+gives the resultant mod p, and Chinese remaindering past
+2 ||M||_inf^(N - N') gives the integer, with ||M||_inf read off the
+forms.  The primes come down from `exact._float_exact_bound` of M's row
+count, about 2**21.9 at 560 rows, the bound below which `char_poly_mod`
+takes them: there its float64 BLAS products are exact.  Macaulay
+matrices of at most 15 rows (on the hyperdet path, n = 3 with k = 3)
+still take the same two charpolys exactly over Z (`_gcp_constant`), a
+remnant that goes once the benchmark's tracer self-test stops counting
+that route.
 
 One cap, `check_hyperdet_cap` (k = 2, n = 2, or n <= 4 with k - 1 <= 5),
 bounds `hyperdet` and `macaulay_resultant` alike.
@@ -122,7 +124,7 @@ def macaulay_matrix(s: HomogeneousSystem) -> tuple[IntMatrix, list]:
 def _nonreduced_minor(matrix: IntMatrix, reduced: list) -> IntMatrix | None:
     """M', the principal minor on the non-reduced rows, or None when empty."""
     keep = [i for i, r in enumerate(reduced) if not r]
-    return IntMatrix([[matrix[i, j] for j in keep] for i in keep]) if keep else None
+    return IntMatrix([[row[j] for j in keep] for row in map(matrix.row, keep)]) if keep else None
 
 
 def _trailing_terms(pp, qq):
@@ -167,9 +169,8 @@ def _gcp_constant(matrix: IntMatrix, reduced: list) -> int:
 def _modular_primes(rows: int):
     """Descending odd primes below `_float_exact_bound(rows)`, down to half of it.
 
-    Below that bound every float64 product in char_poly_mod of a matrix
-    with at most `rows` rows is exact without splitting: about 2**21.9 at
-    560 rows and 2**21 at the 2000-row ceiling.
+    char_poly_mod takes exactly these primes for a matrix of `rows` rows,
+    or fewer: about 2**21.9 at 560 rows and 2**21 at the 2000-row ceiling.
     """
     top = _float_exact_bound(rows)
     p = top - 1 if top % 2 == 0 else top - 2
@@ -180,24 +181,19 @@ def _modular_primes(rows: int):
     raise ArithmeticError("prime pool exhausted")  # pragma: no cover
 
 
-def _eigenvalue_bound(m: IntMatrix) -> int:
-    """min(||m||_1, ||m||_inf): no eigenvalue of m is larger in absolute value."""
-    rows = m.to_lists()
-    return min(
-        max(sum(map(abs, r)) for r in rows),
-        max(sum(map(abs, c)) for c in zip(*rows)),
-    )
-
-
-def _gcp_constant_modular(matrix: IntMatrix, reduced: list) -> int:
-    """C(0) from det(tI + M) = C(t) det(tI + M'), remaindered over primes.
+def _gcp_constant_modular(s: HomogeneousSystem, matrix: IntMatrix, reduced: list) -> int:
+    """C(0) from det(tI + M) = C(t) det(tI + M'), remaindered over primes,
+    for M = macaulay_matrix(s).
 
     Mod p, C(0) is 0 when det(tI + M) vanishes to a higher order in t than
     det(tI + M'), else the signed ratio of their trailing coefficients
     (`_trailing_terms`).
     """
     minor = _nonreduced_minor(matrix, reduced)
-    bound = 2 * _eigenvalue_bound(matrix) ** sum(reduced)  # N - N' eigenvalues
+    # ||M||_inf: a row of M is one form's coefficients in distinct columns,
+    # and every form owns at least the row of x_i^D
+    norm = max(sum(map(abs, f.values())) for f in s.polys)
+    bound = 2 * norm ** sum(reduced)  # N - N' eigenvalues
     residue, modulus = 0, 1
     for p in _modular_primes(matrix.rows):
         pp = char_poly_mod(matrix, p)
@@ -220,14 +216,13 @@ def macaulay_resultant(s: HomogeneousSystem) -> int:
     is det(M).  Otherwise it is C(0) of the perturbation identity, from
     exact charpolys up to GCP_EXACT_MAX_ROWS rows (`_gcp_constant`) and
     else mod primes (`_modular_primes`), taken downward from the bound
-    below which char_poly_mod of M needs no split products.  Every prime
-    is usable: det(tI + M') is monic, so dividing it out of det(tI + M) is
-    exact over F_p as over Z, whether or not M' is singular mod p.  The
-    roots of det(tI + M') are among those of det(tI + M), so C(0) is a
-    product of N - N' eigenvalues of -M, each at most
-    B = min(||M||_1, ||M||_inf) in absolute value; remaindering stops once
-    the modulus exceeds 2 * B^(N - N'), and the symmetric residue is the
-    resultant.
+    below which char_poly_mod of M accepts them.  Every prime is usable:
+    det(tI + M') is monic, so dividing it out of det(tI + M) is exact over
+    F_p as over Z, whether or not M' is singular mod p.  The roots of
+    det(tI + M') are among those of det(tI + M), so C(0) is a product of
+    N - N' eigenvalues of -M, each at most B = ||M||_inf = max_i ||F_i||_1
+    in absolute value; remaindering stops once the modulus exceeds
+    2 * B^(N - N'), and the symmetric residue is the resultant.
     """
     check_hyperdet_cap(s.nvars, s.degree + 1)
     if any(not p for p in s.polys):
@@ -237,7 +232,7 @@ def macaulay_resultant(s: HomogeneousSystem) -> int:
         return det_exact(matrix)
     if matrix.rows <= GCP_EXACT_MAX_ROWS:
         return _gcp_constant(matrix, reduced)
-    return _gcp_constant_modular(matrix, reduced)
+    return _gcp_constant_modular(s, matrix, reduced)
 
 
 def check_hyperdet_cap(n: int, k: int) -> None:

@@ -6,8 +6,8 @@ second index.  Its hyperdeterminant is the determinant of a 2(k-1) square
 Sylvester-style matrix built from two binomial-weighted bands: the
 paper's dimension-2 formula.  `hyperdet` reaches the same matrix as the
 Macaulay matrix of the gradient system; this module keeps the formula
-for the `det2` command, as an independent test reference, and as the
-builder of the K_2 block matrix of `spectra.block_matrix_K2`.
+for the demos, as an independent test reference, and as the builder of
+the K_2 block matrix of `spectra.block_matrix_K2`.
 """
 
 from __future__ import annotations

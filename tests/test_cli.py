@@ -53,16 +53,6 @@ class TestClassify:
         assert err.startswith("error:")
 
 
-class TestDet2:
-    def test_default_single_edge(self, capsys):
-        code, out, _ = run(capsys, ["det2", "--k", "3"])
-        assert code == 0 and out.strip() == "-3"
-
-    def test_rejects_wider_graph(self, capsys, p3_file):
-        code, _, err = run(capsys, ["det2", "--k", "3", "--graph", p3_file])
-        assert code == 1 and "error:" in err
-
-
 class TestHyperdet:
     def test_route_and_value(self, capsys, p3_file):
         code, out, _ = run(capsys, ["hyperdet", "--graph", p3_file, "--k", "3"])

@@ -181,7 +181,6 @@ class TestCharPoly:
 class TestCharPolyMod:
     def test_matches_exact_reduction(self):
         rng = random.Random(15)
-        p = 33554393
         for _ in range(60):
             n = rng.randint(1, 7)
             style = rng.randint(0, 2)
@@ -198,6 +197,7 @@ class TestCharPolyMod:
                     for _ in range(n)
                 ]
             m = IntMatrix(rows)
+            p = ceiling_prime(n)
             exact = char_poly_exact(m)
             got = char_poly_mod(m, p)
             assert got == tuple(c % p for c in exact) + (0,) * (len(got) - len(exact))
@@ -211,7 +211,6 @@ class TestCharPolyMod:
         # would meet a zero subdiagonal as well; that split is tested inside
         # one component by test_hessenberg_split_inside_one_component.
         rng = random.Random(17)
-        p = 33554393
         for _ in range(30):
             sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 4))]
             n = sum(sizes)
@@ -226,11 +225,11 @@ class TestCharPolyMod:
             perm[0], perm[first] = perm[first], perm[0]
             m = IntMatrix([[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
             exact = char_poly_exact(m)
+            p = ceiling_prime(n)
             assert char_poly_mod(m, p) == tuple(c % p for c in exact)
 
     def test_many_small_components_under_permutation(self):
         rng = random.Random(18)
-        p = 33554393
         for _ in range(4):
             sizes = [1] * 15 + [2, 3, 4]
             rng.shuffle(sizes)
@@ -253,6 +252,7 @@ class TestCharPolyMod:
             components = exact._strong_components(np.array(m.to_lists()))
             assert sorted(map(len, components)) == sorted(sizes)
             want = char_poly_exact(m)
+            p = ceiling_prime(n)
             assert char_poly_mod(m, p) == tuple(c % p for c in want)
 
     def test_hessenberg_split_inside_one_component(self):
@@ -262,10 +262,10 @@ class TestCharPolyMod:
         # connected component.  S is a product of unimodular elementary
         # similarities E = I + c e_i e_j^T with j != 0.
         rng = random.Random(19)
-        p = 33554393
         for _ in range(10):
             a, b = rng.randint(2, 3), rng.randint(2, 3)
             n = a + b
+            p = ceiling_prime(n)
             rows = [
                 [
                     rng.choice((-1, 1)) * rng.randint(1, 5)
@@ -297,7 +297,7 @@ class TestCharPolyMod:
         assert (matrix.rows, minor.rows) == (36, sum(not r for r in reduced))
         for m in (matrix, minor):
             want = char_poly_exact(m, max_size=m.rows)
-            for p in (33554393, 8191):
+            for p in (ceiling_prime(m.rows), 8191):
                 assert char_poly_mod(m, p) == tuple(c % p for c in want)
 
     def test_small_moduli(self):
@@ -322,6 +322,21 @@ class TestCharPolyMod:
         monkeypatch.setattr(exact, "_MOD_MAX_ROWS", 2)
         with pytest.raises(ValueError, match="cap"):
             char_poly_mod(IntMatrix.identity(3), 7)
+
+    def test_primes_end_at_the_float_exact_bound(self):
+        # the largest prime taken keeps every float64 product exact; the
+        # first prime past the bound is refused, not worked around
+        rng = random.Random(20)
+        rows = [[rng.randint(-9, 9) for _ in range(8)] for _ in range(8)]
+        m = IntMatrix(rows)
+        want = char_poly_exact(m)
+        p = ceiling_prime(8)
+        assert char_poly_mod(m, p) == tuple(c % p for c in want)
+        q = exact._float_exact_bound(8)
+        while not exact._is_prime_trial(q):
+            q += 1
+        with pytest.raises(ValueError, match="prime below"):
+            char_poly_mod(m, q)
 
 
 def reference_hessenberg(rows, p):
@@ -426,12 +441,12 @@ class TestBlockedHessenberg:
             rows, block = block_triangular(rng, [rng.randint(3, 10) for _ in range(25)], 0.5)
             n = len(rows)
             assert 100 <= n <= 300
-            for p in (ceiling_prime(n), 33554393):
-                want_h, pivots, splits, updates = reference_hessenberg(rows, p)
-                h = (np.array(rows) % p).astype(np.float64)
-                got = exact._char_poly_hessenberg(h, p)
-                assert tuple(int(c) for c in got) == blocks_charpoly_mod(rows, block, p)
-                assert np.array_equal(h.astype(np.int64) % p, want_h)
+            p = ceiling_prime(n)
+            want_h, pivots, splits, updates = reference_hessenberg(rows, p)
+            h = (np.array(rows) % p).astype(np.float64)
+            got = exact._char_poly_hessenberg(h, p)
+            assert tuple(int(c) for c in got) == blocks_charpoly_mod(rows, block, p)
+            assert np.array_equal(h.astype(np.int64) % p, want_h)
             panel = [j // self.PANEL for j in range(n)]
             for j, piv in pivots:
                 last = min(panel[j] * self.PANEL + self.PANEL, n - 1)
@@ -463,8 +478,8 @@ class TestBlockedHessenberg:
                     r[j] -= c * r[i]
             m = IntMatrix(rows)
             assert len(exact._strong_components(np.array(rows, dtype=object))) == 1
-            for p in (ceiling_prime(n), 33554393):
-                assert char_poly_mod(m, p) == blocks_charpoly_mod(t, block, p), (n, p)
+            p = ceiling_prime(n)
+            assert char_poly_mod(m, p) == blocks_charpoly_mod(t, block, p), (n, p)
 
 
 class TestStrongComponents:

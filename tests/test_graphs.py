@@ -103,7 +103,6 @@ class TestGraphBasics:
         assert path_graph(5).is_tree()
         assert not complete_graph(3).is_tree()
         assert not Graph.from_edges(4, [(1, 2), (3, 4)]).is_connected()
-        assert Graph.from_edges(4, [(1, 2), (3, 4)]).is_forest()
 
     def test_relabel(self):
         g = relabel_graph(path_graph(3), {1: 3, 2: 1, 3: 2})

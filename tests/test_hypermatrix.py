@@ -1,4 +1,3 @@
-import json
 import math
 import random
 from fractions import Fraction
@@ -171,29 +170,3 @@ class TestRelabel:
         a = SymmetricHypermatrix.all_ones(2, 3)
         with pytest.raises(ValueError):
             a.relabel({1: 1, 2: 2, 3: 2})
-
-
-class TestJson:
-    def test_round_trip(self):
-        a = build_steiner_hypermatrix(star_graph(4), 3)
-        b = SymmetricHypermatrix.from_json(a.to_json())
-        assert b == a
-
-    def test_dict_shape(self):
-        a = SymmetricHypermatrix.all_ones(2, 2)
-        obj = a.to_json_dict()
-        assert obj["order"] == 2 and obj["dim"] == 2
-        json.dumps(obj)  # must be serializable as-is
-
-    def test_rejects_values_that_are_not_json_integers(self):
-        good = SymmetricHypermatrix.all_ones(2, 2).to_json_dict()
-        assert SymmetricHypermatrix.from_json_dict(good) == SymmetricHypermatrix.all_ones(2, 2)
-        bad_entries = [1.7, 1.0, "0", True, None]
-        variants = [dict(good, entries=[[[1, 1], v]] + good["entries"][1:]) for v in bad_entries]
-        variants += [dict(good, order=2.9), dict(good, order=2.0), dict(good, dim=True)]
-        variants.append(dict(good, entries=[[[1.0, 1], 1]] + good["entries"][1:]))
-        for obj in variants:
-            with pytest.raises(ValueError, match="JSON integer"):
-                SymmetricHypermatrix.from_json_dict(obj)
-        with pytest.raises(ValueError, match="JSON integer"):
-            SymmetricHypermatrix.from_json(json.dumps(good).replace('"order": 2', '"order": 2.5'))

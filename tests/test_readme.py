@@ -1,10 +1,15 @@
-"""README's library example runs as written and shows what it returns."""
+"""README's library example runs as written and shows what it returns, and
+its command-line section names the parser's subcommands."""
 
+import argparse
 import ast
 import re
 from pathlib import Path
 
+from steiner_spectra.cli import build_parser
+
 README = Path(__file__).resolve().parent.parent / "README.md"
+NUMBER_WORDS = "zero one two three four five six seven eight nine ten eleven twelve".split()
 
 
 def library_block() -> str:
@@ -33,3 +38,15 @@ def test_library_example():
             )
             shown += 1
     assert shown >= 3
+
+
+def test_command_line_section_matches_parser():
+    # one example line per subcommand, and the count in words
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    examples = re.findall(r"^steiner-spectra (\S+)", section, re.M)
+    assert sorted(examples) == sorted(sub.choices)
+    count = re.search(r"\b(\w+) subcommands\b", section).group(1)
+    assert NUMBER_WORDS.index(count) == len(sub.choices)

@@ -165,7 +165,7 @@ class TestSingleRoute:
             ratio = Fraction(det_exact(matrix), det_minor)
             assert ratio.denominator == 1
             assert macaulay_resultant(s) == ratio
-            assert _gcp_constant_modular(*macaulay_matrix(s)) == ratio
+            assert _gcp_constant_modular(s, *macaulay_matrix(s)) == ratio
             checked += 1
         assert checked >= 3
 
@@ -193,7 +193,12 @@ class TestSingleRoute:
             assert ord_m >= ord_minor
             want = 0 if ord_m > ord_minor else Fraction(lead_m, lead_minor)
             assert macaulay_resultant(s) == want, (g, k)
-            assert _gcp_constant_modular(*macaulay_matrix(s)) == want, (g, k)
+            assert _gcp_constant_modular(s, *macaulay_matrix(s)) == want, (g, k)
+
+
+def form_norm(s):
+    """max_i ||F_i||_1, the norm the CRT bound reads off the forms."""
+    return max(sum(map(abs, f.values())) for f in s.polys)
 
 
 class TestModularPrimes:
@@ -219,10 +224,42 @@ class TestModularPrimes:
             return char_poly_mod(m, p)
 
         monkeypatch.setattr(resultant, "char_poly_mod", spy)
-        assert _gcp_constant_modular(matrix, reduced) == 43782435923605828680933188175642624
-        bound = 2 * resultant._eigenvalue_bound(matrix) ** sum(reduced)
+        assert _gcp_constant_modular(s, matrix, reduced) == 43782435923605828680933188175642624
+        bound = 2 * form_norm(s) ** sum(reduced)
         assert math.prod(primes) > bound >= math.prod(primes[:-1])
         assert primes == list(itertools.islice(resultant._modular_primes(matrix.rows), len(primes)))
+
+
+class TestCrtNorm:
+    """The CRT bound's B = max_i ||F_i||_1 is ||M||_inf of the Macaulay
+    matrix, so reading it off the forms changes no prime count; on these
+    systems it is also at most ||M||_1, the other norm the bound could use."""
+
+    @staticmethod
+    def assert_form_norm_is_row_norm(s):
+        rows = macaulay_matrix(s)[0].to_lists()
+        row_norm = max(sum(map(abs, r)) for r in rows)
+        column_norm = max(sum(map(abs, c)) for c in zip(*rows))
+        assert form_norm(s) == row_norm <= column_norm
+
+    @pytest.mark.parametrize("n, k", [(3, 3), (3, 4), (3, 5), (3, 6), (4, 3), (4, 4), (4, 5)])
+    def test_tree_classes(self, n, k):
+        trees = [path_graph(n)] + ([star_graph(n)] if n == 4 else [])
+        for g in trees:
+            self.assert_form_norm_is_row_norm(gradient_system(build_steiner_hypermatrix(g, k)))
+
+    def test_forms_without_a_pure_power(self):
+        # no form has an x1^2 term, yet each still owns the row of x_i^D
+        s = HomogeneousSystem(
+            3,
+            2,
+            (
+                {(0, 1, 1): 3, (1, 0, 1): -1},
+                {(0, 2, 0): -2, (1, 1, 0): 5, (0, 0, 2): 1},
+                {(1, 0, 1): 7, (0, 1, 1): -1},
+            ),
+        )
+        self.assert_form_norm_is_row_norm(s)
 
 
 class TestVanishingInstances:
