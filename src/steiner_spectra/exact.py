@@ -2,13 +2,14 @@
 
 Everything here is arbitrary precision, except `char_poly_mod`, which
 works over F_p.  Once per matrix it splits the nonzero pattern into
-strongly connected components; per prime it runs a blocked Hessenberg
-reduction in float64 on each block of more than one row.  Entries stay
-in (-p, p) and every dot product has at most rows + 64 terms, so for the
-primes it accepts, those below `_float_exact_bound(rows)`, where
-p * p * (rows + 64) < 2**53, every BLAS product is exact.  Both
-charpolys, exact (`char_poly_exact`) and modular, are tuples of
-ascending coefficients.
+strongly connected components, read off the reachability closure of the
+pattern (repeated squaring of a 0/1 matrix); per prime it runs a blocked
+Hessenberg reduction in float64 on each block of more than one row.
+Entries stay in (-p, p) and every dot product has at most rows + 64
+terms, so for the primes it accepts, those below
+`_float_exact_bound(rows)`, where p * p * (rows + 64) < 2**53, every
+BLAS product is exact.  Both charpolys, exact (`char_poly_exact`) and
+modular, are tuples of ascending coefficients.
 """
 
 from __future__ import annotations
@@ -176,67 +177,32 @@ def _strong_components(pattern) -> list:
     """Strongly connected components of the nonzero pattern of a square array.
 
     The digraph has an edge i -> j for every nonzero off-diagonal entry
-    pattern[i, j]; diagonal entries are ignored.  Each component is a
-    sorted list of indices, and the components come in reverse topological
-    order (Tarjan), so listing them last to first permutes the matrix to
-    block upper triangular form.  The depth-first search keeps its own
-    stack, so a long chain costs no recursion depth.
+    pattern[i, j]; diagonal entries are ignored.  i and j share a
+    component when each reaches the other.  Reachability is the closure
+    of the 0/1 pattern with a unit diagonal, squared until it stops
+    growing: at most ceil(log2 n) + 1 float32 products, each clipped back
+    to 0/1, so its sums stay at most n < 2**24 and are exact.  Each
+    component is a sorted list of indices, filed under the least index it
+    holds.  A component reaches strictly more vertices than any component
+    it has an edge to, so sorting by reach count, fewest first (ties by
+    least index), puts them in reverse topological order: listing them
+    last to first permutes the matrix to block upper triangular form.
     """
-    n = pattern.shape[0]
-    nonzero = pattern != 0
-    np.fill_diagonal(nonzero, False)
-    rows, cols = np.nonzero(nonzero)
-    # successors of v are succ[first[v]:first[v + 1]] (rows come out sorted)
-    first = np.searchsorted(rows, np.arange(n + 1)).tolist()
-    succ = cols.tolist()
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    components = []
-    counter = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        path = [(root, first[root])]  # vertex and its next unexplored edge
-        while path:
-            v, e = path[-1]
-            end = first[v + 1]
-            while e < end:
-                w = succ[e]
-                e += 1
-                if index[w] < 0:
-                    break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                path.pop()
-                if path:
-                    u = path[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                if low[v] == index[v]:
-                    component = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        component.append(w)
-                        if w == v:
-                            break
-                    component.sort()
-                    components.append(component)
-                continue
-            path[-1] = (v, e)
-            index[w] = low[w] = counter
-            counter += 1
-            stack.append(w)
-            on_stack[w] = True
-            path.append((w, first[w]))
-    return components
+    reach = (pattern != 0).astype(np.float32)
+    np.fill_diagonal(reach, 1)
+    count = np.count_nonzero(reach)
+    while True:
+        reach = reach @ reach
+        np.minimum(reach, 1, out=reach)
+        grown = np.count_nonzero(reach)  # the closure only grows
+        if grown == count:
+            break
+        count = grown
+    reaches = np.count_nonzero(reach, axis=1).tolist()
+    components = {}
+    for v, least in enumerate(np.logical_and(reach, reach.T).argmax(axis=1).tolist()):
+        components.setdefault(least, []).append(v)
+    return sorted(components.values(), key=lambda c: reaches[c[0]])
 
 
 # columns per panel of the blocked Hessenberg reduction
@@ -380,8 +346,9 @@ def _charpoly_plan(m: IntMatrix) -> tuple:
     Returns the product of the 1-row diagonal blocks' charpolys x - m_ii as
     an ascending tuple of integers, and the larger diagonal blocks as
     integer arrays (int64 when every entry fits, else Python ints).  The
-    blocks come from the strongly connected components of the integer
-    pattern; an entry that vanishes over Z vanishes mod every p, so the
+    blocks are the strongly connected components of the integer pattern
+    (`_strong_components`, a few BLAS products on the reachability
+    closure); an entry that vanishes over Z vanishes mod every p, so the
     block triangular form holds for every prime.  IntMatrix is never
     written after construction, so the plan stays valid.
     """

@@ -85,23 +85,13 @@ def gradient_system(a: SymmetricHypermatrix) -> HomogeneousSystem:
     return HomogeneousSystem(a.dim, a.order - 1, polys)
 
 
-def _class_index(m, d: int) -> int:
-    for i, e in enumerate(m):
-        if e >= d:
-            return i
-    raise AssertionError(f"no coordinate of {m} reaches {d}")
-
-
-def _is_reduced(m, d: int) -> bool:
-    return sum(1 for e in m if e >= d) == 1
-
-
 def macaulay_matrix(s: HomogeneousSystem) -> tuple[IntMatrix, list]:
     """The Macaulay matrix at the critical degree and the reduced-row flags.
 
     Rows and columns are indexed by the degree-D monomials, D = n(d-1)+1,
     in `exponent_vectors` order; the row of monomial m is (m / x_i^d) * F_i
-    where i is the least index with x_i^d dividing m.
+    where i is the least index with x_i^d dividing m, and it is reduced
+    when no other x_j^d divides m.
     """
     n, d = s.nvars, s.degree
     mons = exponent_vectors(n, n * (d - 1) + 1)
@@ -109,7 +99,9 @@ def macaulay_matrix(s: HomogeneousSystem) -> tuple[IntMatrix, list]:
     rows = []
     reduced = []
     for m in mons:
-        i = _class_index(m, d)
+        # D > n(d - 1), so some x_i^d divides m
+        divisible = [i for i, e in enumerate(m) if e >= d]
+        i = divisible[0]
         quotient = list(m)
         quotient[i] -= d
         row = [0] * len(mons)
@@ -117,7 +109,7 @@ def macaulay_matrix(s: HomogeneousSystem) -> tuple[IntMatrix, list]:
             target = tuple(q + e for q, e in zip(quotient, expo))
             row[col[target]] = c
         rows.append(row)
-        reduced.append(_is_reduced(m, d))
+        reduced.append(len(divisible) == 1)
     return IntMatrix(rows), reduced
 
 

@@ -199,7 +199,10 @@ def nqz_spectral_radius(
     Power iteration x <- normalize(contract(a, x)^(1/(k-1))) from the
     all-ones vector.  Each step yields lo = min_i y_i/x_i^{k-1} and
     hi = max_i; the true radius always lies in [lo, hi], and the width
-    shrinks monotonically.  Stops when hi - lo < tol.
+    shrinks monotonically.  Stops when hi - lo < tol.  Raises
+    NoConvergence after max_iter steps, or as soon as the width stops
+    shrinking while tol is at most 8 ulp of hi: below the float64
+    resolution of the radius, more steps cannot close the gap.
     """
     if not tol > 0:  # also rejects NaN
         raise ValueError("tol must be positive")
@@ -230,10 +233,17 @@ def nqz_spectral_radius(
         # certified bounds can only tighten; tiny slack absorbs roundoff
         if width > prev_width + 1e-9 * (1.0 + abs(hi)):
             raise ArithmeticError(f"enclosure widened at iteration {it}: {width} > {prev_width}")
+        stalled = width >= prev_width
         prev_width = width
         history.append((lo, hi))
         if width < tol:
             return RadiusEnclosure((lo + hi) / 2, lo, hi, it, history)
+        if stalled and tol <= 8 * math.ulp(hi):
+            raise NoConvergence(
+                f"tol {tol} is below the float64 resolution of the radius {hi}: "
+                f"the width stalled at {width} after {it} iterations",
+                RadiusEnclosure((lo + hi) / 2, lo, hi, it, history),
+            )
         x = y ** (1.0 / km1)
         x /= x.max()
     last = RadiusEnclosure((history[-1][0] + history[-1][1]) / 2, *history[-1], max_iter, history)

@@ -13,7 +13,7 @@ from steiner_spectra.exact import (
     circulant_det_oracle,
     det_exact,
 )
-from steiner_spectra.graphs import path_graph
+from steiner_spectra.graphs import path_graph, star_graph
 from steiner_spectra.hypermatrix import build_steiner_hypermatrix
 from steiner_spectra.resultant import _nonreduced_minor, gradient_system, macaulay_matrix
 
@@ -508,6 +508,73 @@ class TestStrongComponents:
         pattern = np.zeros((n, n), dtype=np.int64)
         pattern[np.arange(n - 1), np.arange(1, n)] = 1
         assert exact._strong_components(pattern) == [[v] for v in reversed(range(n))]
+
+
+def mutual_reachability_components(pattern):
+    """Reference SCCs: BFS from every vertex, then group by mutual reach.
+
+    Returns the components as sorted lists and the set each vertex reaches.
+    """
+    n = len(pattern)
+    succ = [[j for j in range(n) if j != i and pattern[i][j] != 0] for i in range(n)]
+    reach = []
+    for source in range(n):
+        seen = {source}
+        queue = [source]
+        for v in queue:
+            for w in succ[v]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        reach.append(seen)
+    components = {tuple(v for v in sorted(reach[s]) if s in reach[v]) for s in range(n)}
+    return sorted(map(list, components)), reach
+
+
+class TestStrongComponentsProperties:
+    def test_matches_breadth_first_reference(self):
+        rng = random.Random(31)
+        for trial in range(60):
+            n = rng.choice((1, 2, 3, rng.randint(4, 30), rng.randint(31, 200)))
+            # from a forest of single vertices to a few large components
+            density = rng.uniform(0.3, 3.0) / n
+            big = trial % 2 == 1
+            rows = [
+                [
+                    rng.choice((-1, 1)) * (rng.randint(1, 9) << (70 if big else 0))
+                    if i == j or rng.random() < density
+                    else 0
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ]
+            pattern = np.array(rows, dtype=object if big else np.int64)
+            components = exact._strong_components(pattern)
+            want, reach = mutual_reachability_components(rows)
+            assert sorted(components) == want, (trial, n)
+            assert all(c == sorted(c) for c in components)
+            # reverse topological: a component comes after all it reaches
+            order = {v: c for c, comp in enumerate(components) for v in comp}
+            for i in range(n):
+                for j in reach[i]:
+                    assert order[i] >= order[j], (trial, i, j)
+
+    @pytest.mark.parametrize(
+        "graph, k, sizes, minor_sizes",
+        [
+            (path_graph(3), 6, [95], [8, 6, 4, 2]),
+            (path_graph(4), 4, [182, 6, 6, 6], [26, 18, 9, 6, 6, 6, 4, 4, 4, 3, 2, 2, 2]),
+            (star_graph(4), 4, [182, 6, 6, 6], [26, 18, 9, 6, 6, 6, 4, 4, 4, 3, 2, 2, 2]),
+        ],
+    )
+    def test_tree_macaulay_blocks(self, graph, k, sizes, minor_sizes):
+        # the blocks each prime pays for: a coarser split slows every prime
+        matrix, reduced = macaulay_matrix(gradient_system(build_steiner_hypermatrix(graph, k)))
+        minor = _nonreduced_minor(matrix, reduced)
+        for m, want in ((matrix, sizes), (minor, minor_sizes)):
+            linear, blocks = exact._charpoly_plan(m)
+            assert sorted((b.shape[0] for b in blocks), reverse=True) == want
+            assert len(linear) - 1 + sum(want) == m.rows
 
 
 class TestCirculantOracle:

@@ -213,6 +213,18 @@ class TestNQZ:
         assert enc.iterations == 5
         assert enc.lo <= 1 + math.sqrt(3) <= enc.hi
 
+    def test_tol_below_float_resolution_stops_at_the_stall(self):
+        # rho(D_17(P_3)) is about 8.6e7, where 1e-8 is under 8 ulp: the
+        # width stalls at a few ulp, so the iteration gives up at once
+        # instead of running out its 10,000 steps
+        a = build_steiner_hypermatrix(path_graph(3), 17)
+        with pytest.raises(NoConvergence, match="below the float64 resolution") as exc:
+            nqz_spectral_radius(a, tol=1e-8)
+        enc = exc.value.enclosure
+        assert enc.iterations == len(enc.history) < 100
+        assert 1e-8 <= 8 * math.ulp(enc.hi)
+        assert enc.lo <= enc.value <= enc.hi
+
 
 class TestBlockMatrices:
     def test_block_k3_layout(self):
