@@ -1,10 +1,12 @@
 """Exact integer linear algebra: Bareiss determinants, circulants, characteristic polynomials.
 
-Everything here is arbitrary precision, except `char_poly_mod`, which
-works over F_p.  Once per matrix it splits the nonzero pattern into
-strongly connected components, read off the reachability closure of the
-pattern (repeated squaring of a 0/1 matrix); per prime it runs a blocked
-Hessenberg reduction in float64 on each block of more than one row.
+`IntMatrix` holds each matrix as one read-only numpy array: int64 when
+every entry fits, else dtype object of Python ints.  Everything here is
+arbitrary precision, except `char_poly_mod`, which works over F_p.  Once
+per matrix it splits the nonzero pattern into strongly connected
+components, read off the reachability closure of the pattern (repeated
+squaring of a 0/1 matrix); per prime it runs a blocked Hessenberg
+reduction in float64 on each block of more than one row.
 Entries stay in (-p, p) and every dot product has at most rows + 64
 terms, so for the primes it accepts, those below
 `_float_exact_bound(rows)`, where p * p * (rows + 64) < 2**53, every
@@ -23,59 +25,56 @@ import numpy as np
 
 
 class IntMatrix:
-    """Dense matrix of exact integers."""
+    """Dense matrix of exact integers: one read-only numpy array, int64 when
+    every entry fits, else dtype object of Python ints.  Only the
+    constructor picks the dtype; entries leave as Python ints.
+    """
 
-    __slots__ = ("rows", "cols", "_data", "_plan")
+    __slots__ = ("rows", "cols", "_a", "_plan")
 
     def __init__(self, data):
-        data = [list(row) for row in data]
-        if not data or not data[0]:
-            raise ValueError("matrix must be nonempty")
-        cols = len(data[0])
-        if any(len(row) != cols for row in data):
-            raise ValueError("ragged rows")
-        for row in data:
-            for j, v in enumerate(row):
-                # floats would silently break the exact eliminations downstream,
-                # and numpy integers would wrap there, so other integral types
-                # become int; the exact type test skips the ABC check for ints
+        a = np.array(data)
+        if a.ndim != 2 or not a.size:
+            raise ValueError("matrix must be a nonempty 2-d array of rows")
+        if np.can_cast(a.dtype, np.int64) or (a.dtype == np.uint64 and a.max() < 2**63):
+            a = a.astype(np.int64, copy=False)
+        else:
+            # numpy's promotion can round (-1 beside 2**63 gives float64), so
+            # the entries are read again as given; floats would silently break
+            # the exact eliminations downstream, other integral types become int
+            entries = np.array(data, dtype=object).ravel().tolist()
+            for i, v in enumerate(entries):
                 if type(v) is not int:
                     if not isinstance(v, numbers.Integral):
                         raise ValueError(f"non-integer entry: {v!r}")
-                    row[j] = int(v)
-        self.rows = len(data)
-        self.cols = cols
-        self._data = data
+                    entries[i] = int(v)
+            try:
+                a = np.array(entries, dtype=np.int64).reshape(a.shape)
+            except OverflowError:
+                a = np.array(entries, dtype=object).reshape(a.shape)
+        a.flags.writeable = False  # so _charpoly_plan may keep what it reads off a
+        self.rows, self.cols = a.shape
+        self._a = a
         self._plan = None  # char_poly_mod's set-up, see _charpoly_plan
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls(np.eye(n, dtype=np.int64))
 
     def __getitem__(self, ij):
-        i, j = ij
-        return self._data[i][j]
+        return int(self._a[ij])
 
     def row(self, i: int) -> list:
-        return list(self._data[i])
+        return self._a[i].tolist()
 
     def to_lists(self) -> list:
-        return [list(row) for row in self._data]
+        return self._a.tolist()
 
     def __eq__(self, other):
-        return (
-            isinstance(other, IntMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and all(
-                self._data[i][j] == other._data[i][j]
-                for i in range(self.rows)
-                for j in range(self.cols)
-            )
-        )
+        return isinstance(other, IntMatrix) and np.array_equal(self._a, other._a)
 
     def __repr__(self):
-        return f"IntMatrix({self._data!r})"
+        return f"IntMatrix({self.to_lists()!r})"
 
 
 def circulant(first_row) -> IntMatrix:
@@ -96,7 +95,7 @@ def det_exact(m: IntMatrix):
     if m.rows != m.cols:
         raise ValueError("determinant requires a square matrix")
     n = m.rows
-    a = [list(row) for row in m._data]
+    a = m.to_lists()
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -138,7 +137,7 @@ def char_poly_exact(m: IntMatrix, max_size: int = 40) -> tuple:
     n = m.rows
     if n > max_size:
         raise ValueError(f"matrix size {n} exceeds the charpoly cap of {max_size}")
-    a = m._data
+    a = m.to_lists()
     # M_1 = I, c_1 = -tr(A); M_{j+1} = A M_j + c_j I, c_{j+1} = -tr(A M_{j+1})/(j+1)
     mk = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     coeffs = [1]  # leading coefficient of lambda^n
@@ -345,26 +344,22 @@ def _charpoly_plan(m: IntMatrix) -> tuple:
 
     Returns the product of the 1-row diagonal blocks' charpolys x - m_ii as
     an ascending tuple of integers, and the larger diagonal blocks as
-    integer arrays (int64 when every entry fits, else Python ints).  The
-    blocks are the strongly connected components of the integer pattern
+    slices of m's array, in the dtype IntMatrix chose for it.  The blocks
+    are the strongly connected components of the integer pattern
     (`_strong_components`, a few BLAS products on the reachability
     closure); an entry that vanishes over Z vanishes mod every p, so the
-    block triangular form holds for every prime.  IntMatrix is never
-    written after construction, so the plan stays valid.
+    block triangular form holds for every prime.  IntMatrix's array is
+    read-only, so the plan stays valid.
     """
     if m._plan is None:
-        try:
-            a = np.array(m._data, dtype=np.int64)
-        except OverflowError:
-            a = np.array(m._data, dtype=object)
         linear = [1]
         blocks = []
-        for component in _strong_components(a):
+        for component in _strong_components(m._a):
             if len(component) == 1:
-                d = m._data[component[0]][component[0]]
+                d = m[component[0], component[0]]
                 linear = [x - d * y for x, y in zip([0] + linear, linear + [0])]
             else:
-                blocks.append(a[np.ix_(component, component)])
+                blocks.append(m._a[np.ix_(component, component)])
         m._plan = (tuple(linear), blocks)
     return m._plan
 

@@ -28,13 +28,16 @@ still take the same two charpolys exactly over Z (`_gcp_constant`), a
 remnant that goes once the benchmark's tracer self-test stops counting
 that route.
 
-One cap, `check_hyperdet_cap` (k = 2, n = 2, or n <= 4 with k - 1 <= 5),
-bounds `hyperdet` and `macaulay_resultant` alike.
+One cap, `check_hyperdet_cap` (k = 2, n <= 2, or n <= 4 with k - 1 <= 5),
+bounds `hyperdet` and `macaulay_resultant` alike.  At n = 1, M is the
+single coefficient of the one form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .exact import (
     IntMatrix,
@@ -115,8 +118,8 @@ def macaulay_matrix(s: HomogeneousSystem) -> tuple[IntMatrix, list]:
 
 def _nonreduced_minor(matrix: IntMatrix, reduced: list) -> IntMatrix | None:
     """M', the principal minor on the non-reduced rows, or None when empty."""
-    keep = [i for i, r in enumerate(reduced) if not r]
-    return IntMatrix([[row[j] for j in keep] for row in map(matrix.row, keep)]) if keep else None
+    keep = np.flatnonzero(np.logical_not(reduced))
+    return IntMatrix(matrix._a[np.ix_(keep, keep)]) if keep.size else None
 
 
 def _trailing_terms(pp, qq):
@@ -229,9 +232,9 @@ def macaulay_resultant(s: HomogeneousSystem) -> int:
 
 def check_hyperdet_cap(n: int, k: int) -> None:
     """Refuse an (n, k) beyond desk scale, for hyperdet and macaulay_resultant alike."""
-    if not (k == 2 or n == 2 or (n <= MAX_VARS and k - 1 <= MAX_DEGREE)):
+    if not (k == 2 or n <= 2 or (n <= MAX_VARS and k - 1 <= MAX_DEGREE)):
         raise ValueError(
-            f"hyperdet cap: need k = 2, n = 2, or n <= {MAX_VARS} with "
+            f"hyperdet cap: need k = 2, n <= 2, or n <= {MAX_VARS} with "
             f"k - 1 <= {MAX_DEGREE}; got n={n}, k={k}"
         )
 

@@ -65,6 +65,13 @@ class TestHyperdet:
         assert code == 0
         assert obj == {"k": 2, "n": 3, "route": "matrix-det", "value": 4}
 
+    def test_one_vertex_past_the_degree_cap(self, capsys, tmp_path):
+        gfile = tmp_path / "k1.txt"
+        gfile.write_text("n 1\n")
+        code, out, _ = run(capsys, ["hyperdet", "--graph", str(gfile), "--k", "7"])
+        assert code == 0
+        assert out.strip() == "0 (route: macaulay)"
+
     def test_missing_file_exit_1(self, capsys, tmp_path):
         code, _, err = run(capsys, ["hyperdet", "--graph", str(tmp_path / "nope"), "--k", "2"])
         assert code == 1 and "error:" in err

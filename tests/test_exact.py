@@ -91,6 +91,53 @@ class TestIntMatrix:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             IntMatrix([])
+        with pytest.raises(ValueError):
+            IntMatrix([[]])
+
+    def test_storage_is_int64_when_every_entry_fits(self):
+        assert IntMatrix([[1, -2], [3, 2**63 - 1]])._a.dtype == np.int64
+        assert IntMatrix([[True, np.uint32(7)]])._a.dtype == np.int64
+        assert IntMatrix(np.array([[2**63 - 1]], dtype=np.uint64))._a.dtype == np.int64
+        assert IntMatrix([[1, 2**70]])._a.dtype == object
+        # numpy alone would round these: -1 beside 2**63 promotes to float64
+        m = IntMatrix([[-1, 2**63], [np.uint64(2**64 - 1), 0]])
+        assert m._a.dtype == object
+        assert m.to_lists() == [[-1, 2**63], [2**64 - 1, 0]]
+
+    def test_array_is_read_only(self):
+        for rows in ([[1, 2], [3, 4]], [[1, 2**70], [3, 4]]):
+            m = IntMatrix(rows)
+            with pytest.raises(ValueError):
+                m._a[0, 0] = 1
+            assert m.to_lists() == rows
+
+    def test_input_array_is_copied(self):
+        src = np.array([[1, 2], [3, 4]])
+        m = IntMatrix(src)
+        src[0, 0] = 9
+        assert m[0, 0] == 1
+
+    def test_entries_leave_as_python_ints_under_both_storages(self):
+        for big in (5, 2**70):
+            m = IntMatrix([[1, big], [np.int8(-3), 4]])
+            assert type(m[0, 0]) is int and type(m[1, 0]) is int
+            assert m[0, 1] == big
+            assert [type(v) for v in m.row(1)] == [int, int]
+            assert {type(v) for row in m.to_lists() for v in row} == {int}
+
+    def test_equal_across_storages(self):
+        small = IntMatrix([[1, 2], [3, 4]])
+        # the constructor gives entries that fit int64 storage whatever the
+        # input's dtype, so an object-stored twin is made by hand
+        assert IntMatrix(np.array(small.to_lists(), dtype=object))._a.dtype == np.int64
+        wide = IntMatrix([[2**70, 2], [3, 4]])
+        assert wide._a.dtype == object
+        wide._a = np.array(small.to_lists(), dtype=object)
+        assert small == wide and wide == small
+        assert IntMatrix([[1, 2**70]]) == IntMatrix([[1, 2**70]])
+        assert IntMatrix([[1, 2**70]]) != IntMatrix([[1, 2**70 + 1]])
+        assert small != IntMatrix([[1, 2]])
+        assert small != [[1, 2], [3, 4]]
 
 
 class TestCirculant:

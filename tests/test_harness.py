@@ -125,7 +125,7 @@ class TestResultCache:
 
 class TestCaps:
     def test_hyperdet_cap(self):
-        for n, k in [(10, 2), (2, 16), (4, 6)]:
+        for n, k in [(10, 2), (2, 16), (4, 6), (1, 7), (1, 40)]:
             check_hyperdet_cap(n, k)
         for n, k in [(5, 3), (3, 7)]:
             with pytest.raises(ValueError, match="cap"):
@@ -283,6 +283,14 @@ class TestSweepTrees:
         assert hashlib.sha256(report.encode()).hexdigest() == (
             "f6d992fd9dce4a0e367045864b6ee0d2a95dc95873d5174af3671415503381f8"
         )
+
+    def test_crt_det_report_is_pinned(self):
+        # the CRT route: P_3 at k = 6 is a 95-row Macaulay block per prime
+        report = sweep_trees(3, 6, det=True, seed=5).to_json()
+        assert hashlib.sha256(report.encode()).hexdigest() == (
+            "11a8889b5e0b9bd80ceeba77892a3ec1a3e43e3ea4c4b9a535452fafe05d325d"
+        )
+        assert sweep_trees(3, 6, det=True, seed=5, jobs=2).to_json() == report
 
     def test_seed_recorded(self):
         rep = sweep_trees(3, 2, det=True, seed=7)

@@ -22,7 +22,7 @@ from steiner_spectra.resultant import (
     macaulay_resultant,
 )
 from steiner_spectra.sylvester2 import hyperdet_dim2
-from steiner_spectra.wendt import wendt
+from steiner_spectra.wendt import theorem1_vanishes, wendt
 
 from props import random_hypermatrix
 
@@ -152,6 +152,19 @@ def _minor(matrix, reduced):
     return IntMatrix([[matrix[i, j] for j in keep] for i in keep])
 
 
+@pytest.mark.parametrize(
+    "graph, k",
+    [(path_graph(3), k) for k in range(3, 7)]
+    + [(g, k) for g in (path_graph(4), star_graph(4)) for k in range(3, 6)],
+)
+def test_nonreduced_minor_matches_entrywise_reference(graph, k):
+    # every tree class at n = 3 and n = 4; matrices only, no charpolys
+    matrix, reduced = macaulay_matrix(gradient_system(build_steiner_hypermatrix(graph, k)))
+    minor = resultant._nonreduced_minor(matrix, reduced)
+    assert minor == _minor(matrix, reduced)
+    assert minor.rows == reduced.count(False)
+
+
 class TestSingleRoute:
     def test_matches_bareiss_ratio_when_minor_is_nonsingular(self):
         rng = random.Random(56)
@@ -278,6 +291,13 @@ class TestVanishingInstances:
     def test_path3_order4_is_nonzero(self):
         a = build_steiner_hypermatrix(path_graph(3), 4)
         assert hyperdet(a) != 0
+
+    def test_one_vertex_is_zero_at_every_order(self):
+        # D_k(K_1) is the one entry 0: its one form vanishes, M has one row
+        for k in range(2, 21):
+            verdict = theorem1_vanishes(k, 1)
+            assert verdict.vanishes and verdict.branch == "n=1"
+            assert hyperdet(build_steiner_hypermatrix(complete_graph(1), k)) == 0, k
 
 
 class TestPinnedValues:
