@@ -36,12 +36,13 @@ class IntMatrix:
         a = np.array(data)
         if a.ndim != 2 or not a.size:
             raise ValueError("matrix must be a nonempty 2-d array of rows")
-        if np.can_cast(a.dtype, np.int64) or (a.dtype == np.uint64 and a.max() < 2**63):
+        if np.can_cast(a.dtype, np.int64):
             a = a.astype(np.int64, copy=False)
         else:
             # numpy's promotion can round (-1 beside 2**63 gives float64), so
-            # the entries are read again as given; floats would silently break
-            # the exact eliminations downstream, other integral types become int
+            # the entries are read again as given, uint64 among them; floats
+            # would silently break the exact eliminations downstream, other
+            # integral types become int
             entries = np.array(data, dtype=object).ravel().tolist()
             for i, v in enumerate(entries):
                 if type(v) is not int:
@@ -57,15 +58,8 @@ class IntMatrix:
         self._a = a
         self._plan = None  # char_poly_mod's set-up, see _charpoly_plan
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(np.eye(n, dtype=np.int64))
-
     def __getitem__(self, ij):
         return int(self._a[ij])
-
-    def row(self, i: int) -> list:
-        return self._a[i].tolist()
 
     def to_lists(self) -> list:
         return self._a.tolist()
@@ -116,10 +110,8 @@ def det_exact(m: IntMatrix):
                 ai[k + 1 :] = [
                     (pk * ai[j] - aik * ak[j]) // prev for j in range(k + 1, n)
                 ]
-            elif prev != 1:
+            elif pk != prev:
                 ai[k + 1 :] = [pk * v // prev for v in ai[k + 1 :]]
-            elif pk != 1:
-                ai[k + 1 :] = [pk * v for v in ai[k + 1 :]]
         prev = pk
     return int(sign * a[n - 1][n - 1])
 
@@ -400,18 +392,22 @@ def char_poly_mod(m: IntMatrix, p: int) -> tuple:
     return tuple(int(c) for c in charpoly)
 
 
-def circulant_det_oracle(first_row, dps: int = 60) -> int:
+def circulant_det_oracle(first_row) -> int:
     """Independent floating oracle for circulant determinants.
 
     Evaluates the eigenvalue product ``prod_j sum_i row[i] w^{ij}`` over the
-    m-th roots of unity at `dps` decimal digits and rounds to the nearest
-    integer.  Raises if the result is not convincingly close to an integer.
+    m-th roots of unity and rounds to the nearest integer.  The working
+    precision is the digit count of Hadamard's bound (sum_i row[i]^2)^{m/2}
+    on |det| (every row of a circulant has the same norm), plus 20 guard
+    digits for the rounding in the m sums and the m-fold product.  Raises
+    if the result is not convincingly close to an integer.
     """
     row = list(first_row)
     m = len(row)
     if m == 0:
         raise ValueError("empty row")
-    with mpmath.workdps(dps):
+    hadamard = math.isqrt(sum(v * v for v in row) ** m) + 1
+    with mpmath.workdps(len(str(hadamard)) + 20):
         prod = mpmath.mpc(1)
         for j in range(m):
             w = mpmath.exp(2j * mpmath.pi * j / m)

@@ -80,15 +80,6 @@ def complete_graph(n: int) -> Graph:
     return Graph.from_edges(n, itertools.combinations(range(1, n + 1), 2))
 
 
-def relabel_graph(g: Graph, perm: dict) -> Graph:
-    """Apply a vertex permutation {old: new} to a graph."""
-    if sorted(perm) != list(range(1, g.n + 1)) or sorted(perm.values()) != list(
-        range(1, g.n + 1)
-    ):
-        raise ValueError("perm must be a bijection on 1..n")
-    return Graph.from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges))
-
-
 # ---------------------------------------------------------------------------
 # Steiner distance
 # ---------------------------------------------------------------------------
@@ -306,13 +297,6 @@ def tree_key(n: int, edges) -> str:
         subs[a].append(fb)
         subs[b].append(fa)
     return f"tree:n{n}:{min(form(c) for c in layer)}"
-
-
-def tree_canonical_form(g: Graph) -> str:
-    """Center-rooted AHU encoding; equal strings iff trees are isomorphic."""
-    if not g.is_tree():
-        raise ValueError("AHU canonical form requires a tree")
-    return tree_key(g.n, g.edges).rpartition(":")[2]
 
 
 def graph_canonical_form(g: Graph) -> str:

@@ -7,7 +7,8 @@ multiplicities), the two-vertex family D_k(K_2) obtained from it by a
 shift of -1, and the block-matrix route that reaches the same eigenvalues
 through a 2(k-1) x 2(k-1) integer matrix: the Sylvester matrix of
 D_k(K_2) (`sylvester2.sylvester_matrix`), whose determinant is also the
-hyperdeterminant.
+hyperdeterminant.  Its integer characteristic polynomial equals that of
+-I_{k-1} (+) Wendt's circulant W_{k-1}, checked exactly.
 
 Numerics: an NQZ-style power iteration producing certified enclosures of
 the spectral radius of any nonnegative symmetric hypermatrix whose slices
@@ -22,12 +23,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-import mpmath
 import numpy as np
 
 from .exact import IntMatrix, char_poly_exact
 from .hypermatrix import SymmetricHypermatrix, multinomial_weight, multisets
 from .sylvester2 import sylvester_matrix
+from .wendt import wendt_matrix
 
 MERGE_TOL = 1e-9
 
@@ -253,8 +254,6 @@ def nqz_spectral_radius(
 # ---------------------------------------------------------------------------
 # Block-matrix route to the K_2 spectrum
 
-BLOCK_CHECK_MAX_K = 14
-
 
 def block_matrix_K2(k: int) -> IntMatrix:
     """The 2(k-1) x 2(k-1) block matrix [[A, B+I], [A+I, B]].
@@ -268,39 +267,21 @@ def block_matrix_K2(k: int) -> IntMatrix:
     return sylvester_matrix((0,) + (1,) * (k - 1) + (0,), k)
 
 
-def _poly_from_roots_mpmath(roots) -> list:
-    coeffs = [mpmath.mpc(1)]
-    for r in roots:
-        nxt = [mpmath.mpc(0)] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] += c
-            nxt[i] -= r * c
-        coeffs = nxt
-    return coeffs
-
 def block_matrix_check(k: int) -> bool:
     """Confirm the block matrix [[A, B+I],[A+I, B]] carries the closed-form spectrum.
 
-    Compares the exact integer characteristic polynomial of the block
-    matrix against the monic polynomial rebuilt at high precision from
-    the closed-form roots: -1 (multiplicity k-1) and (1+w^j)^{k-1} - 1.
+    Compares two exact integer characteristic polynomials: that of the
+    block matrix and that of the direct sum -I_{k-1} (+) W, W = the Wendt
+    circulant `wendt_matrix(k - 1)`.  A circulant's eigenvalues are the
+    discrete Fourier transform of its first row, so W's are
+    (1+w^j)^{k-1} - 1, and the direct sum has the closed-form spectrum:
+    -1 (multiplicity k-1) and those values.  Its constant term is
+    (-1)^{k-1} W_{k-1}, and W's Perron root, its row sum, is 2^{k-1} - 1.
+    Reaches as far as `char_poly_exact`'s 40-row cap: k <= 21.
     """
     if k < 2:
         raise ValueError("order k must be at least 2")
-    if k > BLOCK_CHECK_MAX_K:
-        raise ValueError(f"exact char poly path capped at k = {BLOCK_CHECK_MAX_K}")
-    exact = char_poly_exact(block_matrix_K2(k))
-    m = k - 1
-    with mpmath.workdps(50):
-        roots = [mpmath.mpc(-1)] * m
-        for j in range(m):
-            w = mpmath.exp(2j * mpmath.pi * j / m)
-            roots.append((1 + w) ** m - 1)
-        coeffs = _poly_from_roots_mpmath(roots)
-        rounded = []
-        for c in coeffs:
-            n = int(mpmath.nint(mpmath.re(c)))
-            if abs(c - n) > mpmath.mpf("0.25"):
-                raise ArithmeticError("root-product coefficient too far from an integer")
-            rounded.append(n)
-    return tuple(rounded) == exact
+    wendt = wendt_matrix(k - 1)._a
+    zero = np.zeros_like(wendt)
+    direct_sum = np.block([[-np.eye(k - 1, dtype=wendt.dtype), zero], [zero, wendt]])
+    return char_poly_exact(block_matrix_K2(k)) == char_poly_exact(IntMatrix(direct_sum))

@@ -25,11 +25,12 @@ def wendt(m: int) -> int:
     return det_exact(wendt_matrix(m))
 
 
-def wendt_float_oracle(m: int, dps: int = 60) -> int:
-    """Independent W_m via the circulant eigenvalue product at high precision."""
+def wendt_float_oracle(m: int) -> int:
+    """Independent W_m via the circulant eigenvalue product, at the precision
+    `circulant_det_oracle` takes from Hadamard's bound on |W_m|."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    return circulant_det_oracle([math.comb(m, j) for j in range(m)], dps=dps)
+    return circulant_det_oracle([math.comb(m, j) for j in range(m)])
 
 
 def lehmer_vanishes(m: int) -> bool:

@@ -18,11 +18,9 @@ from steiner_spectra.graphs import (
     parse_graph,
     path_graph,
     read_graph,
-    relabel_graph,
     star_graph,
     steiner_distance,
     steiner_distances,
-    tree_canonical_form,
     tree_from_prufer,
     tree_key,
     write_graph,
@@ -105,10 +103,9 @@ class TestGraphBasics:
         assert not Graph.from_edges(4, [(1, 2), (3, 4)]).is_connected()
 
     def test_relabel(self):
-        g = relabel_graph(path_graph(3), {1: 3, 2: 1, 3: 2})
+        perm = {1: 3, 2: 1, 3: 2}
+        g = Graph.from_edges(3, [(perm[u], perm[v]) for u, v in path_graph(3).edges])
         assert g.sorted_edges() == [(1, 2), (1, 3)]
-        with pytest.raises(ValueError):
-            relabel_graph(path_graph(3), {1: 1, 2: 2, 3: 4})
 
 
 class TestSteinerDistance:
@@ -266,8 +263,8 @@ class TestCanonicalForms:
             g = tree_from_prufer(tuple(rng.randint(1, n) for _ in range(n - 2)))
             perm = list(range(1, n + 1))
             rng.shuffle(perm)
-            h = relabel_graph(g, dict(zip(range(1, n + 1), perm)))
-            assert tree_canonical_form(g) == tree_canonical_form(h)
+            h = Graph.from_edges(n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
+            assert tree_key(n, g.edges) == tree_key(n, h.edges)
 
     def test_tree_key_matches_dict_of_sets_reference(self):
         # every labeled tree for n <= 7
@@ -280,12 +277,10 @@ class TestCanonicalForms:
         for _, g in enumerate_labeled_trees(6):
             key = canonical_key(g)
             assert key == tree_key(6, g.edges)
-            assert key == f"tree:n6:{tree_canonical_form(g)}"
-        with pytest.raises(ValueError, match="tree"):
-            tree_canonical_form(complete_graph(3))
+        assert canonical_key(complete_graph(3)).startswith("graph:")
 
     def test_path_and_star_differ(self):
-        assert tree_canonical_form(path_graph(4)) != tree_canonical_form(star_graph(4))
+        assert tree_key(4, path_graph(4).edges) != tree_key(4, star_graph(4).edges)
         assert canonical_key(path_graph(4)) != canonical_key(star_graph(4))
 
     def test_unlabeled_tree_counts(self):

@@ -1,4 +1,5 @@
-"""Every third-party module the package imports is a declared dependency."""
+"""Every third-party module the package imports is a declared dependency, and
+the package exports exactly the names its `__init__` imports."""
 
 import ast
 import re
@@ -29,3 +30,17 @@ def imported_top_level_modules() -> set:
 def test_third_party_imports_are_declared():
     third_party = imported_top_level_modules() - sys.stdlib_module_names
     assert third_party == declared_dependencies() == {"numpy", "mpmath"}
+
+
+def test_all_lists_exactly_the_imported_names():
+    import steiner_spectra
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert len(steiner_spectra.__all__) == len(set(steiner_spectra.__all__))
+    assert set(steiner_spectra.__all__) == imported

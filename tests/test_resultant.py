@@ -185,7 +185,7 @@ class TestSingleRoute:
     def test_matches_exact_perturbed_charpolys_on_small_trees(self):
         # Res = C(0) for det(tI + M) = C(t) det(tI + M'), from exact charpolys
         def trailing(m):
-            neg = IntMatrix([[-x for x in m.row(i)] for i in range(m.rows)])
+            neg = IntMatrix([[-x for x in row] for row in m.to_lists()])
             coeffs = char_poly_exact(neg, max_size=m.rows)
             order = next(i for i, c in enumerate(coeffs) if c)
             return order, coeffs[order]

@@ -12,7 +12,6 @@ from steiner_spectra.hypermatrix import (
     exponent_vectors,
 )
 from steiner_spectra.spectra import (
-    BLOCK_CHECK_MAX_K,
     EigenPair,
     NoConvergence,
     RadiusEnclosure,
@@ -260,8 +259,20 @@ class TestBlockMatrices:
         for k in range(2, 9):
             assert block_matrix_check(k), k
 
+    def test_check_reaches_the_charpoly_cap(self):
+        # 2(k-1) rows: k = 21 is the last order under char_poly_exact's 40
+        assert block_matrix_check(15)
+        assert block_matrix_check(21)
+
+    def test_radius_is_an_exact_root(self):
+        # the n = 2 spectral radius 2^(k-1) - 1, in integers
+        for k in range(2, 17):
+            p = char_poly_exact(block_matrix_K2(k))
+            r = spectral_radius_K2(k)
+            assert sum(c * r**i for i, c in enumerate(p)) == 0, k
+
     def test_check_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            block_matrix_check(BLOCK_CHECK_MAX_K + 1)
+        with pytest.raises(ValueError, match="cap"):
+            block_matrix_check(22)
         with pytest.raises(ValueError):
             block_matrix_check(1)

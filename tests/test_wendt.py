@@ -25,7 +25,7 @@ class TestWendtMatrix:
         ]
 
     def test_first_row_is_binomials(self):
-        assert wendt_matrix(5).row(0) == [1, 5, 10, 10, 5]
+        assert wendt_matrix(5).to_lists()[0] == [1, 5, 10, 10, 5]
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -40,7 +40,8 @@ class TestWendtValues:
         assert wendt(12) == 0
 
     def test_against_float_oracle(self):
-        for m in range(1, 13):
+        # the oracle's precision grows with Hadamard's bound on |W_m|
+        for m in range(1, 26):
             assert wendt(m) == wendt_float_oracle(m), m
 
     def test_growth_sanity(self):
