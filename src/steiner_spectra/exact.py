@@ -116,19 +116,22 @@ def det_exact(m: IntMatrix):
     return int(sign * a[n - 1][n - 1])
 
 
-def char_poly_exact(m: IntMatrix, max_size: int = 40) -> tuple:
+CHARPOLY_EXACT_MAX_ROWS = 40
+
+
+def char_poly_exact(m: IntMatrix) -> tuple:
     """Ascending coefficients of det(lambda*I - m), by the Faddeev-LeVerrier
     recurrence, all-integer: the same format as `char_poly_mod`.
 
     The per-step divisions are exact for integer input, so no rationals
-    appear.  Cost is n matrix products; `max_size` guards against runaway
-    inputs and can be raised by callers that accept the quartic cost.
+    appear.  Cost is n Python-int matrix products, O(n^4), so matrices of
+    more than `CHARPOLY_EXACT_MAX_ROWS` rows are refused.
     """
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial requires a square matrix")
     n = m.rows
-    if n > max_size:
-        raise ValueError(f"matrix size {n} exceeds the charpoly cap of {max_size}")
+    if n > CHARPOLY_EXACT_MAX_ROWS:
+        raise ValueError(f"matrix size {n} exceeds the charpoly cap of {CHARPOLY_EXACT_MAX_ROWS}")
     a = m.to_lists()
     # M_1 = I, c_1 = -tr(A); M_{j+1} = A M_j + c_j I, c_{j+1} = -tr(A M_{j+1})/(j+1)
     mk = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

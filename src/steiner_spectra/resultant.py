@@ -91,29 +91,25 @@ def gradient_system(a: SymmetricHypermatrix) -> HomogeneousSystem:
 def macaulay_matrix(s: HomogeneousSystem) -> tuple[IntMatrix, list]:
     """The Macaulay matrix at the critical degree and the reduced-row flags.
 
-    Rows and columns are indexed by the degree-D monomials, D = n(d-1)+1,
-    in `exponent_vectors` order; the row of monomial m is (m / x_i^d) * F_i
-    where i is the least index with x_i^d dividing m, and it is reduced
-    when no other x_j^d divides m.
+    Rows and columns are the degree-D monomials, D = n(d-1)+1, in
+    `exponent_vectors` order; the row of m is (m / x_i^d) * F_i for the
+    least i with x_i^d | m, reduced when no other x_j^d divides m.  Each
+    F_i fills its rows at once, in one int64 array (object on overflow).
     """
     n, d = s.nvars, s.degree
     mons = exponent_vectors(n, n * (d - 1) + 1)
     col = {m: j for j, m in enumerate(mons)}
-    rows = []
-    reduced = []
-    for m in mons:
-        # D > n(d - 1), so some x_i^d divides m
-        divisible = [i for i, e in enumerate(m) if e >= d]
-        i = divisible[0]
-        quotient = list(m)
-        quotient[i] -= d
-        row = [0] * len(mons)
-        for expo, c in s.polys[i].items():
-            target = tuple(q + e for q, e in zip(quotient, expo))
-            row[col[target]] = c
-        rows.append(row)
-        reduced.append(len(divisible) == 1)
-    return IntMatrix(rows), reduced
+    exps = np.array(mons)
+    divides = exps >= d
+    owner = divides.argmax(axis=1)  # the least i; D > n(d - 1), so some x_i^d divides m
+    fits = all(-(2**63) <= c < 2**63 for form in s.polys for c in form.values())
+    matrix = np.zeros((len(mons), len(mons)), dtype=np.int64 if fits else object)
+    for i, form in enumerate(s.polys):
+        rows = np.flatnonzero(owner == i)
+        shifts = np.array(list(form), dtype=int).reshape(-1, n) - d * (np.arange(n) == i)
+        cols = [[col[tuple(t)] for t in ts] for ts in (exps[rows, None] + shifts).tolist()]
+        matrix[rows[:, None], cols] = np.array(list(form.values()), dtype=matrix.dtype)
+    return IntMatrix(matrix), (divides.sum(axis=1) == 1).tolist()
 
 
 def _nonreduced_minor(matrix: IntMatrix, reduced: list) -> IntMatrix | None:

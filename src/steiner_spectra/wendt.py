@@ -3,7 +3,7 @@
 W_m is the determinant of the m x m circulant whose first row is
 (C(m,0), C(m,1), ..., C(m,m-1)).  It vanishes exactly when 6 divides m,
 which drives the full classification of when the order-k Steiner
-distance hyperdeterminant of a connected graph on n vertices is zero.
+distance hyperdeterminant of a tree on n vertices is zero.
 """
 
 from __future__ import annotations
@@ -63,9 +63,9 @@ class VanishingVerdict:
 def theorem1_vanishes(k: int, n: int) -> VanishingVerdict:
     """Decide vanishing of the order-k Steiner distance hyperdeterminant.
 
-    Holds for every connected graph on n vertices: the answer depends only
-    on (k, n).  Zero cases: n = 1; odd k with n >= 3; and n = 2 with
-    k = 1 (mod 6), where the value is a signed Wendt determinant.
+    Holds for every tree on n vertices (not for K_3 at k = 3): the answer
+    depends only on (k, n).  Zero cases: n = 1; odd k with n >= 3; and
+    n = 2 with k = 1 (mod 6), where the value is a signed Wendt determinant.
     """
     if k < 2:
         raise ValueError("order k must be at least 2")

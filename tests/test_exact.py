@@ -224,7 +224,6 @@ class TestCharPoly:
         big = IntMatrix(np.eye(41, dtype=np.int64))
         with pytest.raises(ValueError):
             char_poly_exact(big)
-        assert horner(char_poly_exact(big, max_size=41), 1) == 0
 
 
 class TestCharPolyMod:
@@ -345,7 +344,7 @@ class TestCharPolyMod:
         minor = _nonreduced_minor(matrix, reduced)
         assert (matrix.rows, minor.rows) == (36, sum(not r for r in reduced))
         for m in (matrix, minor):
-            want = char_poly_exact(m, max_size=m.rows)
+            want = char_poly_exact(m)
             for p in (ceiling_prime(m.rows), 8191):
                 assert char_poly_mod(m, p) == tuple(c % p for c in want)
 

@@ -3,12 +3,17 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from steiner_spectra import exact, resultant
 from steiner_spectra.exact import IntMatrix, char_poly_exact, char_poly_mod, det_exact
 from steiner_spectra.graphs import complete_graph, path_graph, star_graph
-from steiner_spectra.hypermatrix import SymmetricHypermatrix, build_steiner_hypermatrix
+from steiner_spectra.hypermatrix import (
+    SymmetricHypermatrix,
+    build_steiner_hypermatrix,
+    exponent_vectors,
+)
 from steiner_spectra.resultant import (
     MAX_DEGREE,
     MAX_VARS,
@@ -74,13 +79,31 @@ class TestGradientSystem:
                 assert eval_poly(s.polys[i], x) == contracted[i]
 
 
+def macaulay_by_definition(s):
+    """Rows of the Macaulay matrix entry by entry: the row of monomial m is
+    (m / x_i^d) F_i, i the least index with x_i^d | m, reduced when i is the
+    only such index."""
+    n, d = s.nvars, s.degree
+    mons = exponent_vectors(n, n * (d - 1) + 1)
+    rows, reduced = [], []
+    for m in mons:
+        owners = [i for i in range(n) if m[i] >= d]
+        quotient = [e - d * (j == owners[0]) for j, e in enumerate(m)]
+        form = s.polys[owners[0]]
+        expos = [tuple(t - q for t, q in zip(target, quotient)) for target in mons]
+        rows.append([form.get(e, 0) for e in expos])
+        reduced.append(len(owners) == 1)
+    return rows, reduced
+
+
 class TestMacaulayMatrix:
     def test_monomial_order_k3_n2(self):
         s = gradient_system(build_steiner_hypermatrix(complete_graph(2), 3))
         matrix, reduced = macaulay_matrix(s)
         # D = 2(2-1)+1 = 3: monomials x^3, x^2 y, x y^2, y^3
-        assert matrix.rows == 4
-        assert reduced == [False, False, False, False] or len(reduced) == 4
+        assert matrix.to_lists() == [[0, 2, 1, 0], [0, 0, 2, 1], [1, 2, 0, 0], [0, 1, 2, 0]]
+        # at n = 2 no degree-3 monomial is divisible by both x^2 and y^2
+        assert reduced == [True] * 4
 
     def test_n2_matches_sylvester_matrix(self):
         from steiner_spectra.sylvester2 import sylvester_matrix
@@ -89,6 +112,32 @@ class TestMacaulayMatrix:
             a = build_steiner_hypermatrix(complete_graph(2), k)
             m, _ = macaulay_matrix(gradient_system(a))
             assert m.to_lists() == sylvester_matrix(a.dim2_profile(), k).to_lists()
+
+    def test_matches_entrywise_definition(self):
+        rng = random.Random(61)
+        systems = [gradient_system(build_steiner_hypermatrix(path_graph(70), 2))]
+        for _ in range(60):
+            n, d = rng.randint(1, 4), rng.randint(1, 4)
+            terms = exponent_vectors(n, d)
+            polys = []
+            for _ in range(n):
+                # an empty form, small, at the int64 limits, beyond int64
+                coeffs = rng.choice(
+                    [[], [-9, -1, 1, 9], [-(2**63), 2**63 - 1, -1], [2**63, -(2**70), 1]]
+                )
+                picks = rng.sample(terms, rng.randint(1, len(terms))) if coeffs else []
+                polys.append({e: rng.choice(coeffs) for e in picks})
+            systems.append(HomogeneousSystem(n, d, tuple(polys)))
+        kinds = {"int64": 0, "object": 0}
+        for s in systems:
+            want, want_reduced = macaulay_by_definition(s)
+            fits = all(-(2**63) <= c < 2**63 for row in want for c in row)
+            matrix, reduced = macaulay_matrix(s)
+            assert matrix.to_lists() == want
+            assert matrix._a.dtype == (np.int64 if fits else object)
+            assert reduced == want_reduced and all(type(r) is bool for r in reduced)
+            kinds[matrix._a.dtype.name] += 1
+        assert min(kinds.values()) >= 5
 
     def test_k2_is_coefficient_matrix(self):
         a = build_steiner_hypermatrix(path_graph(3), 2)
@@ -182,11 +231,14 @@ class TestSingleRoute:
             checked += 1
         assert checked >= 3
 
-    def test_matches_exact_perturbed_charpolys_on_small_trees(self):
-        # Res = C(0) for det(tI + M) = C(t) det(tI + M'), from exact charpolys
+    def test_matches_exact_perturbed_charpolys_on_small_trees(self, monkeypatch):
+        # Res = C(0) for det(tI + M) = C(t) det(tI + M'), from exact charpolys;
+        # S_4 at k = 3 has 56 Macaulay rows, above the exact charpoly's cap
+        monkeypatch.setattr(exact, "CHARPOLY_EXACT_MAX_ROWS", 56)
+
         def trailing(m):
             neg = IntMatrix([[-x for x in row] for row in m.to_lists()])
-            coeffs = char_poly_exact(neg, max_size=m.rows)
+            coeffs = char_poly_exact(neg)
             order = next(i for i, c in enumerate(coeffs) if c)
             return order, coeffs[order]
 

@@ -2,6 +2,9 @@ import json
 
 import pytest
 
+from steiner_spectra.graphs import Graph, complete_graph, path_graph
+from steiner_spectra.hypermatrix import build_steiner_hypermatrix
+from steiner_spectra.resultant import hyperdet
 from steiner_spectra.wendt import (
     BRANCH_NONZERO,
     BRANCH_ODD_ORDER,
@@ -79,6 +82,19 @@ class TestClassifier:
         # k odd with n = 2 is not covered by the odd-order branch
         assert not theorem1_vanishes(3, 2).vanishes
         assert theorem1_vanishes(3, 3).vanishes
+
+    def test_scope_is_trees_not_connected_graphs(self):
+        # the verdict for (3, n) holds on the paths but not on K_3 or K_4
+        cycle4 = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+        for g, want in [
+            (path_graph(3), 0),
+            (complete_graph(3), -2160),
+            (path_graph(4), 0),
+            (complete_graph(4), -20925489375),
+            (cycle4, 0),
+        ]:
+            assert theorem1_vanishes(3, g.n).vanishes
+            assert hyperdet(build_steiner_hypermatrix(g, 3)) == want, g
 
     def test_singleton_wins_over_other_branches(self):
         assert theorem1_vanishes(7, 1).branch == BRANCH_SINGLETON
