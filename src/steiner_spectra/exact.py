@@ -2,11 +2,12 @@
 
 `IntMatrix` holds each matrix as one read-only numpy array: int64 when
 every entry fits, else dtype object of Python ints.  Everything here is
-arbitrary precision, except `char_poly_mod`, which works over F_p.  Once
-per matrix it splits the nonzero pattern into strongly connected
-components, read off the reachability closure of the pattern (repeated
-squaring of a 0/1 matrix); per prime it runs a blocked Hessenberg
-reduction in float64 on each block of more than one row.
+arbitrary precision, the circulant oracle's resultant included, except
+`char_poly_mod`, which works over F_p.  Once per matrix it splits the
+nonzero pattern into strongly connected components, read off the
+reachability closure of the pattern (repeated squaring of a 0/1 matrix);
+per prime it runs a blocked Hessenberg reduction in float64 on each
+block of more than one row.
 Entries stay in (-p, p) and every dot product has at most rows + 64
 terms, so for the primes it accepts, those below
 `_float_exact_bound(rows)`, where p * p * (rows + 64) < 2**53, every
@@ -19,8 +20,8 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 
@@ -396,29 +397,32 @@ def char_poly_mod(m: IntMatrix, p: int) -> tuple:
 
 
 def circulant_det_oracle(first_row) -> int:
-    """Independent floating oracle for circulant determinants.
+    """Independent exact oracle for circulant determinants.
 
-    Evaluates the eigenvalue product ``prod_j sum_i row[i] w^{ij}`` over the
-    m-th roots of unity and rounds to the nearest integer.  The working
-    precision is the digit count of Hadamard's bound (sum_i row[i]^2)^{m/2}
-    on |det| (every row of a circulant has the same norm), plus 20 guard
-    digits for the rounding in the m sums and the m-fold product.  Raises
-    if the result is not convincingly close to an integer.
+    The determinant is the eigenvalue product prod_j c(w^j) over the m-th
+    roots of unity, c(x) = sum_i row[i] x^i, which is the resultant
+    Res(x^m - 1, c).  Euclid's algorithm over Fractions computes it:
+    Res(f, g) = (-1)^(ab) lc(g)^(a - deg r) Res(g, r) for r = f mod g,
+    a = deg f and b = deg g; it is 0 when r = 0, and g^a when g is a
+    constant.  No determinant routine is involved.
     """
     row = list(first_row)
-    m = len(row)
-    if m == 0:
+    if not row:
         raise ValueError("empty row")
-    hadamard = math.isqrt(sum(v * v for v in row) ** m) + 1
-    with mpmath.workdps(len(str(hadamard)) + 20):
-        prod = mpmath.mpc(1)
-        for j in range(m):
-            w = mpmath.exp(2j * mpmath.pi * j / m)
-            prod *= mpmath.fsum(row[i] * w**i for i in range(m))
-        nearest = int(mpmath.nint(prod.real))
-        err = abs(prod - nearest)
-        if err >= 0.5:
-            raise ArithmeticError(
-                f"circulant eigenproduct {prod} is not within 0.5 of an integer"
-            )
-    return nearest
+    for v in row:
+        if not isinstance(v, numbers.Integral):
+            raise ValueError(f"non-integer entry: {v!r}")
+    f = [1] + [0] * (len(row) - 1) + [-1]  # x^m - 1, coefficients descending
+    g = np.trim_zeros([Fraction(int(v)) for v in reversed(row)], "f")
+    det = Fraction(1)
+    while len(g) > 1:
+        a, b = len(f) - 1, len(g) - 1
+        r = list(f)
+        for i in range(a - b + 1):
+            q = r[i] / g[0]
+            for j in range(b + 1):
+                r[i + j] -= q * g[j]
+        r = np.trim_zeros(r[a - b + 1 :], "f")
+        det *= (-1) ** (a * b) * g[0] ** (a - len(r) + 1)
+        f, g = g, r
+    return int(det * g[0] ** (len(f) - 1)) if g else 0

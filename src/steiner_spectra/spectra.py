@@ -7,8 +7,9 @@ multiplicities), the two-vertex family D_k(K_2) obtained from it by a
 shift of -1, and the block-matrix route that reaches the same eigenvalues
 through a 2(k-1) x 2(k-1) integer matrix: the Sylvester matrix of
 D_k(K_2) (`sylvester2.sylvester_matrix`), whose determinant is also the
-hyperdeterminant.  Its integer characteristic polynomial equals that of
--I_{k-1} (+) Wendt's circulant W_{k-1}, checked exactly.
+hyperdeterminant.  An explicit unimodular similarity takes it to block
+lower triangular form with diagonal blocks -I_{k-1} and Wendt's circulant
+W_{k-1}, checked exactly in integers at every k.
 
 Numerics: an NQZ-style power iteration producing certified enclosures of
 the spectral radius of any nonnegative symmetric hypermatrix whose slices
@@ -25,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import IntMatrix, char_poly_exact
+from .exact import IntMatrix
 from .hypermatrix import SymmetricHypermatrix, multinomial_weight, multisets
 from .sylvester2 import sylvester_matrix
 from .wendt import wendt_matrix
@@ -260,7 +261,8 @@ def block_matrix_K2(k: int) -> IntMatrix:
 
     A and B are the strictly triangular binomial bands A[i][j] = C(k-1, j-i)
     (j > i) and B[i][j] = C(k-1, k-1-(i-j)) (j < i), so this is the
-    Sylvester matrix of D_k(K_2), whose profile is (0, 1, ..., 1, 0).
+    Sylvester matrix of D_k(K_2), whose profile is (0, 1, ..., 1, 0), and
+    A + B + I is Wendt's circulant W_{k-1}.
     """
     if k < 2:
         raise ValueError("order k must be at least 2")
@@ -268,20 +270,22 @@ def block_matrix_K2(k: int) -> IntMatrix:
 
 
 def block_matrix_check(k: int) -> bool:
-    """Confirm the block matrix [[A, B+I],[A+I, B]] carries the closed-form spectrum.
+    """Confirm the block matrix S = [[A, B+I],[A+I, B]] carries the closed-form spectrum.
 
-    Compares two exact integer characteristic polynomials: that of the
-    block matrix and that of the direct sum -I_{k-1} (+) W, W = the Wendt
-    circulant `wendt_matrix(k - 1)`.  A circulant's eigenvalues are the
-    discrete Fourier transform of its first row, so W's are
-    (1+w^j)^{k-1} - 1, and the direct sum has the closed-form spectrum:
-    -1 (multiplicity k-1) and those values.  Its constant term is
-    (-1)^{k-1} W_{k-1}, and W's Perron root, its row sum, is 2^{k-1} - 1.
-    Reaches as far as `char_poly_exact`'s 40-row cap: k <= 21.
+    With the unimodular P = [[I, -I], [0, I]], P S P^-1 = [[-I, 0], [A+I, A+B+I]]:
+    the check makes those two block additions on S's array and compares the
+    upper block row and the lower right block, which must be Wendt's
+    circulant W = `wendt_matrix(k - 1)`, exactly, so it holds at every k.
+    Hence charpoly(S) = (lambda + 1)^{k-1} charpoly(W).  W's eigenvalues, the
+    discrete Fourier transform of its first row, are (1+w^j)^{k-1} - 1; S's
+    constant term is (-1)^{k-1} W_{k-1}, and W's Perron root, its row sum,
+    is 2^{k-1} - 1.
     """
     if k < 2:
         raise ValueError("order k must be at least 2")
-    wendt = wendt_matrix(k - 1)._a
-    zero = np.zeros_like(wendt)
-    direct_sum = np.block([[-np.eye(k - 1, dtype=wendt.dtype), zero], [zero, wendt]])
-    return char_poly_exact(block_matrix_K2(k)) == char_poly_exact(IntMatrix(direct_sum))
+    m = k - 1
+    s = block_matrix_K2(k)._a.copy()
+    s[:m] -= s[m:]
+    s[:, m:] += s[:, :m]
+    upper = np.eye(m, 2 * m, dtype=int)  # the block row [I, 0]
+    return np.array_equal(s[:m], -upper) and np.array_equal(s[m:, m:], wendt_matrix(m)._a)

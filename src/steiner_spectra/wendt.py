@@ -25,9 +25,9 @@ def wendt(m: int) -> int:
     return det_exact(wendt_matrix(m))
 
 
-def wendt_float_oracle(m: int) -> int:
-    """Independent W_m via the circulant eigenvalue product, at the precision
-    `circulant_det_oracle` takes from Hadamard's bound on |W_m|."""
+def wendt_oracle(m: int) -> int:
+    """Independent W_m: the circulant eigenvalue product as the exact
+    resultant Res(x^m - 1, sum_{j<m} C(m, j) x^j) of `circulant_det_oracle`."""
     if m < 1:
         raise ValueError("m must be at least 1")
     return circulant_det_oracle([math.comb(m, j) for j in range(m)])

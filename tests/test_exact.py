@@ -142,11 +142,15 @@ class TestCirculant:
         assert m.to_lists() == [[1, 2, 3], [3, 1, 2], [2, 3, 1]]
 
     def test_det_matches_eigenproduct_oracle(self):
+        # the oracle is the resultant Res(x^m - 1, c), not a determinant;
+        # rows mix zeros, small entries and +-2**80 (object storage)
         rng = random.Random(5)
-        for _ in range(25):
-            n = rng.randint(1, 6)
-            row = [rng.randint(-9, 9) for _ in range(n)]
-            assert det_exact(circulant(row)) == circulant_det_oracle(row)
+        rows = [[0] * 4, [7], [0], [2**80]]
+        for _ in range(1000):
+            m = rng.randint(1, 10)
+            rows.append([rng.choice([0, rng.randint(-9, 9), 2**80, -(2**80)]) for _ in range(m)])
+        for row in rows:
+            assert det_exact(circulant(row)) == circulant_det_oracle(row), row
 
 
 class TestDetExact:
@@ -631,5 +635,11 @@ class TestCirculantOracle:
         assert circulant_det_oracle([1, 2]) == -3  # det [[1,2],[2,1]]
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty row"):
             circulant_det_oracle([])
+
+    def test_rejects_non_integer_entries(self):
+        with pytest.raises(ValueError, match="non-integer entry: 1.5"):
+            circulant_det_oracle([1.5, 2])
+        with pytest.raises(ValueError, match="non-integer entry"):
+            circulant_det_oracle([1, Fraction(1, 2)])

@@ -1,8 +1,10 @@
-"""Every third-party module the package imports is a declared dependency, and
-the package exports exactly the names its `__init__` imports."""
+"""Every third-party module the package imports is a declared dependency,
+importing the package loads no mpmath, and the package exports exactly the
+names its `__init__` imports."""
 
 import ast
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -29,7 +31,21 @@ def imported_top_level_modules() -> set:
 
 def test_third_party_imports_are_declared():
     third_party = imported_top_level_modules() - sys.stdlib_module_names
-    assert third_party == declared_dependencies() == {"numpy", "mpmath"}
+    assert third_party == declared_dependencies() == {"numpy"}
+
+
+def test_import_loads_no_mpmath():
+    # a fresh interpreter: the test session itself may have loaded mpmath
+    code = "import sys, steiner_spectra; print('mpmath' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=ROOT / "src",
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_all_lists_exactly_the_imported_names():

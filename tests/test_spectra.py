@@ -2,9 +2,11 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from steiner_spectra.exact import char_poly_exact
+from steiner_spectra import spectra
+from steiner_spectra.exact import IntMatrix, char_poly_exact, circulant
 from steiner_spectra.graphs import complete_graph, path_graph, star_graph
 from steiner_spectra.hypermatrix import (
     SymmetricHypermatrix,
@@ -28,6 +30,7 @@ from steiner_spectra.spectra import (
     total_multiplicity,
 )
 from steiner_spectra.sylvester2 import hyperdet_dim2
+from steiner_spectra.wendt import wendt_matrix
 
 
 def pairs_as_dict(pairs, ndigits=9):
@@ -259,10 +262,31 @@ class TestBlockMatrices:
         for k in range(2, 9):
             assert block_matrix_check(k), k
 
-    def test_check_reaches_the_charpoly_cap(self):
-        # 2(k-1) rows: k = 21 is the last order under char_poly_exact's 40
-        assert block_matrix_check(15)
-        assert block_matrix_check(21)
+    def test_check_at_large_orders(self):
+        # binomials C(k-1, j) pass 2**63 at k = 68, so storage turns object
+        assert block_matrix_K2(67)._a.dtype == np.int64
+        assert block_matrix_K2(68)._a.dtype == object
+        for k in range(9, 71):
+            assert block_matrix_check(k), k
+
+    def test_check_rejects_a_wrong_circulant(self, monkeypatch):
+        # one binomial off by one in the expected lower right block
+        def off_by_one(m):
+            row = [math.comb(m, j) for j in range(m)]
+            row[m // 2] += 1
+            return circulant(row)
+
+        monkeypatch.setattr(spectra, "wendt_matrix", off_by_one)
+        for k in (2, 3, 7, 21, 68):
+            assert not block_matrix_check(k), k
+
+    def test_charpoly_equals_that_of_minus_identity_plus_wendt(self):
+        # the charpoly equality the similarity implies, checked directly
+        for k in range(2, 13):
+            w = wendt_matrix(k - 1)._a
+            zero = np.zeros_like(w)
+            direct_sum = np.block([[-np.eye(k - 1, dtype=w.dtype), zero], [zero, w]])
+            assert char_poly_exact(block_matrix_K2(k)) == char_poly_exact(IntMatrix(direct_sum)), k
 
     def test_radius_is_an_exact_root(self):
         # the n = 2 spectral radius 2^(k-1) - 1, in integers
@@ -272,7 +296,5 @@ class TestBlockMatrices:
             assert sum(c * r**i for i, c in enumerate(p)) == 0, k
 
     def test_check_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="cap"):
-            block_matrix_check(22)
         with pytest.raises(ValueError):
             block_matrix_check(1)

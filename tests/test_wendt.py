@@ -14,7 +14,7 @@ from steiner_spectra.wendt import (
     lehmer_vanishes,
     theorem1_vanishes,
     wendt,
-    wendt_float_oracle,
+    wendt_oracle,
     wendt_matrix,
 )
 
@@ -42,10 +42,10 @@ class TestWendtValues:
     def test_next_vanishing_at_12(self):
         assert wendt(12) == 0
 
-    def test_against_float_oracle(self):
-        # the oracle's precision grows with Hadamard's bound on |W_m|
-        for m in range(1, 26):
-            assert wendt(m) == wendt_float_oracle(m), m
+    def test_against_resultant_oracle(self):
+        # Res(x^m - 1, sum_j C(m, j) x^j) by Euclid, independent of Bareiss
+        for m in range(1, 41):
+            assert wendt(m) == wendt_oracle(m), m
 
     def test_growth_sanity(self):
         # |W_m| grows fast away from the vanishing multiples of six
