@@ -1,6 +1,9 @@
 # Which tree maximizes the Steiner spectral radius? Rank every tree
 # class by NQZ radius and emit (degree sequence, radius) rows as CSV
-# for external plotting. The path tops every ranking tried so far.
+# for external plotting. The path tops every ranking tried so far;
+# "top_is_path" is a sweep's question-2 verdict, so an enclosure that
+# overlaps the top's counts for the path, and only a strict non-path
+# maximizer is reported.
 
 import csv
 import sys

@@ -12,13 +12,14 @@ tree of each class.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 import random
 import sys
 import threading
 import warnings
 from dataclasses import dataclass, field
-from multiprocessing import Pool
 
 from .exact import IntMatrix, det_exact
 from .graphs import (
@@ -122,8 +123,9 @@ def _record_problem(rec) -> str | None:
     A record is {"key": [canonical, k, quantity], "value": v}.  Sweeps
     read only quantities of the current CACHE_VERSION, so only there is v
     checked: an int for "det:", and for "radius:" the enclosure object
-    {"value", "lo", "hi", "iterations"} (numbers, iterations an int).  The
-    type tests are exact, because bool is an int subclass.
+    {"value", "lo", "hi", "iterations"} (finite lo <= value <= hi, since
+    json reads NaN and Infinity, and iterations an int >= 1).  The type
+    tests are exact, because bool is an int subclass.
     """
     if not isinstance(rec, dict):
         return "not a JSON object"
@@ -147,6 +149,8 @@ def _record_problem(rec) -> str | None:
             isinstance(value, dict)
             and all(type(value.get(f)) in (int, float) for f in ("value", "lo", "hi"))
             and type(value.get("iterations")) is int
+            and -math.inf < value["lo"] <= value["value"] <= value["hi"] < math.inf
+            and value["iterations"] >= 1
         ):
             return f"radius value {value!r} is not an enclosure"
     return None
@@ -220,7 +224,7 @@ def _evaluate_classes(n, items, k, det, radius, tol, jobs=1, cache=None):
     Returns `labeled`, the (label, key) pairs in item order; `reps`, the
     first item per class as key -> (label, Graph), the only Graphs built;
     and each class's {"det", "radius"} values: cache hits first, then one
-    `_class_job` per miss, serial or in a worker pool.
+    `_class_job` per miss, serial or pooled, each cached as soon as it is done.
     """
     labeled, reps = [], {}
     for label, edges, key in items:
@@ -244,16 +248,17 @@ def _evaluate_classes(n, items, k, det, radius, tol, jobs=1, cache=None):
         if missing:
             pending.append((ckey, (g, k, "det" in missing, "radius" in missing, tol)))
 
-    if jobs > 1 and pending:
-        with Pool(processes=min(jobs, len(pending))) as pool:
-            results = pool.map(_class_job, [args for _, args in pending])
-    else:
-        results = [_class_job(args) for _, args in pending]
-    for (ckey, _), out in zip(pending, results):
-        values[ckey].update(out)
-        if cache is not None:
-            for q, value in out.items():
-                cache.put(ckey, k, names[q], value)
+    with contextlib.ExitStack() as stack:
+        run = map  # like Pool.imap, it yields in task order
+        if jobs > 1 and pending:
+            from multiprocessing import Pool  # loaded only when a pool runs
+
+            run = stack.enter_context(Pool(processes=min(jobs, len(pending)))).imap
+        for (ckey, _), out in zip(pending, run(_class_job, [args for _, args in pending])):
+            values[ckey].update(out)
+            if cache is not None:
+                for q, value in out.items():
+                    cache.put(ckey, k, names[q], value)
     return labeled, reps, values
 
 
@@ -351,15 +356,14 @@ def _by_radius(r) -> tuple:
     return (-r.radius["value"], r.canonical)
 
 
-def _radius_ties(records, top) -> list:
-    """Canonical keys, in record order, whose enclosure reaches the top's lower end."""
-    return [r.canonical for r in records if r.radius["hi"] >= top.radius["lo"]]
-
-
 def _radius_verdicts(records, n: int) -> dict:
-    ties = sorted(set(_radius_ties(records, min(records, key=_by_radius))))
-    path_key = canonical_key(path_graph(n))
-    verdicts = {"question2": path_key in ties}
+    """Question 2 for sweeps and rankings alike: is the path among the top's ties?
+
+    Ties: the classes whose enclosure reaches the top's lower end, by canonical key.
+    """
+    top = min(records, key=_by_radius)
+    ties = sorted({r.canonical for r in records if r.radius["hi"] >= top.radius["lo"]})
+    verdicts = {"question2": canonical_key(path_graph(n)) in ties}
     if len(ties) > 1:
         verdicts["question2_ties"] = ties
     return verdicts
@@ -434,8 +438,8 @@ EXTREMAL_GRAPH_CAP = 5
 def extremal_radius(n: int, k: int, scope: str = "trees", tol: float = NQZ_TOL) -> dict:
     """NQZ spectral radii over all trees (or connected graphs), ranked descending.
 
-    Evidence report: flags whether a path sits on top, lists degree
-    sequences alongside the radii, and never asserts the open question.
+    Evidence report: degree sequences alongside the radii, and question 2
+    as a sweep decides it (`_radius_verdicts`); never asserts the open question.
     """
     if scope == "trees":
         if not 2 <= n <= EXTREMAL_TREE_CAP:
@@ -451,7 +455,7 @@ def extremal_radius(n: int, k: int, scope: str = "trees", tol: float = NQZ_TOL) 
     _, reps, values = _evaluate_classes(n, items, k, False, True, tol)
     records = [SweepRecord(label, c, radius=values[c]["radius"]) for c, (label, _) in reps.items()]
     ranked = sorted(records, key=_by_radius)
-    ties = _radius_ties(ranked, ranked[0])
+    verdicts = _radius_verdicts(ranked, n)
     path_key = canonical_key(path_graph(n))
     entries = []
     for r in ranked:
@@ -472,6 +476,6 @@ def extremal_radius(n: int, k: int, scope: str = "trees", tol: float = NQZ_TOL) 
         "scope": scope,
         "tol": tol,
         "entries": entries,
-        "top_is_path": entries[0]["is_path"],
-        "ties": ties if len(ties) > 1 else [],
+        "top_is_path": verdicts["question2"],
+        "ties": verdicts.get("question2_ties", []),
     }

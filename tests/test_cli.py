@@ -4,7 +4,7 @@ import json
 import pytest
 
 from steiner_spectra.cli import main
-from steiner_spectra.graphs import path_graph, star_graph, write_graph
+from steiner_spectra.graphs import canonical_key, path_graph, star_graph, write_graph
 
 
 @pytest.fixture
@@ -19,6 +19,19 @@ def star4_file(tmp_path):
     path = tmp_path / "star4.txt"
     write_graph(star_graph(4), path)
     return str(path)
+
+
+def fix_radii(monkeypatch, path, star):
+    """Make each class job at n = 4 return a fixed enclosure (lo, hi): `star` for the star."""
+    import steiner_spectra.harness as harness
+
+    star_key = canonical_key(star_graph(4))
+
+    def fixed(args):
+        lo, hi = star if canonical_key(args[0]) == star_key else path
+        return {"radius": {"value": (lo + hi) / 2, "lo": lo, "hi": hi, "iterations": 1}}
+
+    monkeypatch.setattr(harness, "_class_job", fixed)
 
 
 def run(capsys, argv):
@@ -248,29 +261,35 @@ class TestExtremal:
         assert "(path)" in out
         assert "top_is_path: True" in out
 
+    def test_overlap_with_the_top_counts_for_the_path(self, capsys, monkeypatch):
+        # the star's value is on top, but the path's enclosure reaches its
+        # lower end: extremal judges the tie as sweep does
+        fix_radii(monkeypatch, path=(4.5, 5.0), star=(4.0, 6.0))
+        code, out, _ = run(capsys, ["sweep", "--n", "4", "--k", "3", "--radius", "--json"])
+        verdicts = json.loads(out)["verdicts"]
+        assert code == 0 and verdicts["question2"] is True
+        keys = [canonical_key(path_graph(4)), canonical_key(star_graph(4))]
+        assert verdicts["question2_ties"] == sorted(keys)
+        code, out, err = run(capsys, ["extremal", "--n", "4", "--k", "3", "--json"])
+        ranking = json.loads(out)
+        assert code == 0 and err == ""
+        assert ranking["entries"][0]["is_path"] is False
+        assert ranking["top_is_path"] is True
+        assert ranking["ties"] == verdicts["question2_ties"]
+
     def test_non_path_top_exits_2(self, capsys, monkeypatch):
-        import steiner_spectra.cli as cli
-
-        def fake_extremal(n, k, scope="trees", tol=1e-8):
-            return {
-                "n": n,
-                "k": k,
-                "scope": scope,
-                "tol": tol,
-                "entries": [
-                    {"canonical": "s", "is_path": False, "degree_sequence": [3, 1, 1, 1],
-                     "radius": {"value": 9.0, "lo": 9.0, "hi": 9.0, "iterations": 3}},
-                ],
-                "top_is_path": False,
-                "ties": [],
-            }
-
-        monkeypatch.setattr(cli, "extremal_radius", fake_extremal)
+        # the star's enclosure lies strictly above the path's
+        fix_radii(monkeypatch, path=(4.0, 5.0), star=(6.0, 7.0))
         code, out, err = run(capsys, ["extremal", "--n", "4", "--k", "3", "--json"])
         assert code == 2
-        witness = json.loads(err)
-        assert witness["verdict"] == "question2"
-        assert witness["witness"][0]["canonical"] == "s"
+        ranking = json.loads(out)
+        assert ranking["top_is_path"] is False and ranking["ties"] == []
+        assert json.loads(err) == {"verdict": "question2", "witness": [ranking["entries"][0]]}
+        star_key = canonical_key(star_graph(4))
+        assert ranking["entries"][0]["canonical"] == star_key
+        code, out, _ = run(capsys, ["sweep", "--n", "4", "--k", "3", "--radius", "--json"])
+        assert code == 2
+        assert json.loads(out)["witness"]["witness"][0]["canonical"] == star_key
 
     def test_connected_graph_json_is_pinned(self, capsys):
         # all 728 connected graphs on 5 vertices: Dreyfus-Wagner, pair

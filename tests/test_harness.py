@@ -14,6 +14,7 @@ from steiner_spectra.harness import (
     ResultCache,
     SweepRecord,
     SweepReport,
+    _class_job,
     extremal_radius,
     falsifying_witness,
     graham_pollak_check,
@@ -25,6 +26,16 @@ from steiner_spectra.hypermatrix import build_steiner_hypermatrix
 from steiner_spectra.resultant import check_hyperdet_cap
 from steiner_spectra.spectra import nqz_spectral_radius
 from steiner_spectra.wendt import wendt
+
+
+def _fail_on_double_star(args):
+    """`_class_job`, except that it raises on the double star, the third class at n = 6.
+
+    Defined at module level so that a worker pool can pickle it.
+    """
+    if sorted(map(len, args[0].adjacency()[1:])) == [1, 1, 1, 1, 3, 3]:
+        raise RuntimeError("job failed on the double star")
+    return _class_job(args)
 
 
 class TestReportJson:
@@ -105,6 +116,10 @@ class TestResultCache:
         from steiner_spectra.cli import main
 
         radius_key = [canonical_key(path_graph(3)), 3, f"radius:{1e-8!r}:{CACHE_VERSION}"]
+
+        def enclosure(value, lo, hi, iterations=1):
+            return {"value": value, "lo": lo, "hi": hi, "iterations": iterations}
+
         good = json.dumps({"key": ["abc", 3, f"det:{CACHE_VERSION}"], "value": 5})
         for bad, problem in [
             ({"a": 1}, "is not [str, int, str]"),
@@ -112,6 +127,12 @@ class TestResultCache:
             ({"key": radius_key, "value": 5}, "is not an enclosure"),
             ({"key": ["abc", 3, f"det:{CACHE_VERSION}"], "value": True}, "is not an integer"),
             ({"key": ["abc", True, f"det:{CACHE_VERSION}"], "value": 5}, "is not [str, int, str]"),
+            # json reads NaN and Infinity; an enclosure is finite, ordered and iterated
+            ({"key": radius_key, "value": enclosure(math.nan, 4.0, 7.0)}, "is not an enclosure"),
+            ({"key": radius_key, "value": enclosure(5.0, -math.inf, 7.0)}, "is not an enclosure"),
+            ({"key": radius_key, "value": enclosure(5.0, 4.0, math.inf)}, "is not an enclosure"),
+            ({"key": radius_key, "value": enclosure(5.0, 6.0, 7.0)}, "is not an enclosure"),
+            ({"key": radius_key, "value": enclosure(5.0, 4.0, 6.0, 0)}, "is not an enclosure"),
         ]:
             path = tmp_path / "c.jsonl"
             path.write_text(good + "\n" + json.dumps(bad) + "\n")
@@ -238,6 +259,23 @@ class TestSweepTrees:
         tight = width * (1 - 1e-9)
         fresh = sweep_trees(4, 3, radius=True, tol=tight).to_json()
         assert sweep_trees(4, 3, radius=True, tol=tight, cache=cache).to_json() == fresh
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_classes_done_before_a_failure_stay_cached(self, tmp_path, monkeypatch, jobs):
+        import steiner_spectra.harness as harness
+
+        classes = sweep_trees(6, 3, radius=True, mode="unlabeled").records
+        monkeypatch.setattr(harness, "_class_job", _fail_on_double_star)
+        path = tmp_path / "c.jsonl"
+        with pytest.raises(RuntimeError, match="double star"):
+            sweep_trees(6, 3, radius=True, jobs=jobs, cache=ResultCache(path))
+        assert len(path.read_text().splitlines()) == 2
+        cache = ResultCache(path)
+        quantity = f"radius:{1e-8!r}:{CACHE_VERSION}"
+        assert [cache.get(r.canonical, 3, quantity) for r in classes] == [
+            classes[0].radius,
+            classes[1].radius,
+        ] + [None] * 4
 
     def test_jobs_do_not_change_report(self):
         serial = sweep_trees(4, 3, det=True, radius=True, jobs=1)
