@@ -7,7 +7,7 @@ from steiner_spectra import (
     charpoly_D_dim2,
     constant_term,
     eigenvalues_K2,
-    hyperdet_dim2,
+    hyperdet,
     multiset_equal,
     nqz_spectral_radius,
     path_graph,
@@ -23,7 +23,7 @@ for k in (3, 4, 5, 6):
         v = p.value
         shown = f"{v.real:+.6f}" if abs(v.imag) < 1e-12 else f"{v:+.6f}"
         print(f"  eigenvalue {shown}  multiplicity {p.multiplicity}")
-    det = hyperdet_dim2(build_steiner_hypermatrix(path_graph(2), k))
+    det = hyperdet(build_steiner_hypermatrix(path_graph(2), k))
     print(f"  constant term {constant_term(bridged).real:+.1f}  (hyperdet {det})")
     print(f"  spectral radius 2^{k-1} - 1 = {spectral_radius_K2(k)}")
     print()

@@ -8,7 +8,7 @@ Lehmer's "6 divides m" criterion wearing a different hat.
 
 from steiner_spectra import (
     build_steiner_hypermatrix,
-    hyperdet_dim2,
+    hyperdet,
     lehmer_vanishes,
     path_graph,
     wendt,
@@ -21,7 +21,7 @@ for m in range(1, 17):
 print()
 print(f"{'k':>3}  {'hyperdet D_k(K2)':>24}  {'(-1)^(k-1) W_(k-1)':>24}")
 for k in range(2, 15):
-    d = hyperdet_dim2(build_steiner_hypermatrix(path_graph(2), k))
+    d = hyperdet(build_steiner_hypermatrix(path_graph(2), k))
     signed = (-1) ** (k - 1) * wendt(k - 1)
     assert d == signed
     print(f"{k:>3}  {d:>24}  {signed:>24}")

@@ -146,13 +146,6 @@ class SymmetricHypermatrix:
             moved[tuple(sorted(perm[i] for i in key))] = val
         return SymmetricHypermatrix(self.order, self.dim, moved)
 
-    def dim2_profile(self) -> tuple:
-        """Profile (a_0, ..., a_k) with a_t the entry whose index holds t twos."""
-        if self.dim != 2:
-            raise ValueError("profile is defined only for dimension 2")
-        k = self.order
-        return tuple(self.entries[(1,) * (k - t) + (2,) * t] for t in range(k + 1))
-
 
 def build_steiner_hypermatrix(g: Graph, k: int) -> SymmetricHypermatrix:
     """Order-k Steiner distance hypermatrix: entry at (v_1..v_k) is d({v_1..v_k}).

@@ -6,11 +6,11 @@ is the symmetric hyperdeterminant, and every hyperdet is computed so.
 Macaulay's formula gives it as det(M)/det(M') at the critical degree,
 where M' is the minor on the non-reduced rows.  M is indexed by the
 monomials of `hypermatrix.exponent_vectors`, the enumerator the gradient
-table uses too.  At k = 2 (M is the hypermatrix) and n = 2 (M is
-the Sylvester matrix of `sylvester2`, which for D_k(K_2) is the block
-matrix of `spectra.block_matrix_K2`) every row is reduced, M' is empty
-and the resultant is det(M).  For every Steiner tree case at
-n = 3, 4 the minor is singular and the ratio is 0/0.  Perturbing each
+table uses too.  At k = 2 (M is the hypermatrix) and n = 2 (M is the
+Sylvester matrix of the paper's dimension-2 formula, and for D_k(K_2) the
+block matrix that `spectra.block_matrix_check` certifies) every row is
+reduced, M' is empty and the resultant is det(M).  For every Steiner tree
+case at n = 3, 4 the minor is singular and the ratio is 0/0.  Perturbing each
 form F_i by t*x_i^d (Canny's generalized characteristic polynomial) adds
 t to the diagonal of both matrices, and
 
@@ -95,6 +95,8 @@ def macaulay_matrix(s: HomogeneousSystem) -> tuple[IntMatrix, list]:
     `exponent_vectors` order; the row of m is (m / x_i^d) * F_i for the
     least i with x_i^d | m, reduced when no other x_j^d divides m.  Each
     F_i fills its rows at once, in one int64 array (object on overflow).
+    At n = 2 the rows of F_1 and of F_2 are the paper's two Sylvester
+    bands, each shifted one column right per row.
     """
     n, d = s.nvars, s.degree
     mons = exponent_vectors(n, n * (d - 1) + 1)
@@ -250,7 +252,8 @@ def hyperdet(a: SymmetricHypermatrix):
     """Qi's symmetric hyperdeterminant, exact: the resultant of the gradient system.
 
     Coincides with the ordinary determinant at k = 2 and with the
-    dimension-2 Sylvester formula at n = 2: there M is a or that matrix.
+    dimension-2 Sylvester formula at n = 2: there the resultant is det(M),
+    M being a or the Sylvester matrix (`block_matrix_K2(k)` for D_k(K_2)).
     """
     hyperdet_route(a)
     return macaulay_resultant(gradient_system(a))

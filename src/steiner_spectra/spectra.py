@@ -5,11 +5,11 @@ J_n^k (eigenvalues indexed by weak compositions of n into k-1 parts, the
 count vectors of the size-n multisets over 1..k-1, with rational
 multiplicities), the two-vertex family D_k(K_2) obtained from it by a
 shift of -1, and the block-matrix route that reaches the same eigenvalues
-through a 2(k-1) x 2(k-1) integer matrix: the Sylvester matrix of
-D_k(K_2) (`sylvester2.sylvester_matrix`), whose determinant is also the
-hyperdeterminant.  An explicit unimodular similarity takes it to block
-lower triangular form with diagonal blocks -I_{k-1} and Wendt's circulant
-W_{k-1}, checked exactly in integers at every k.
+through a 2(k-1) x 2(k-1) integer matrix: the very Macaulay matrix of
+D_k(K_2) whose determinant `hyperdet` takes.  An explicit unimodular
+similarity takes it to block lower triangular form with diagonal blocks
+-I_{k-1} and Wendt's circulant W_{k-1}, checked exactly in integers at
+every k, so hyperdet(D_k(K_2)) = (-1)^{k-1} W_{k-1}.
 
 Numerics: an NQZ-style power iteration producing certified enclosures of
 the spectral radius of any nonnegative symmetric hypermatrix whose slices
@@ -27,8 +27,14 @@ from typing import Sequence
 import numpy as np
 
 from .exact import IntMatrix
-from .hypermatrix import SymmetricHypermatrix, multinomial_weight, multisets
-from .sylvester2 import sylvester_matrix
+from .graphs import complete_graph
+from .hypermatrix import (
+    SymmetricHypermatrix,
+    build_steiner_hypermatrix,
+    multinomial_weight,
+    multisets,
+)
+from .resultant import gradient_system, macaulay_matrix
 from .wendt import wendt_matrix
 
 MERGE_TOL = 1e-9
@@ -257,16 +263,15 @@ def nqz_spectral_radius(
 
 
 def block_matrix_K2(k: int) -> IntMatrix:
-    """The 2(k-1) x 2(k-1) block matrix [[A, B+I], [A+I, B]].
+    """The 2(k-1) x 2(k-1) block matrix [[A, B+I], [A+I, B]]: the Macaulay
+    matrix of D_k(K_2), whose determinant `hyperdet` takes.
 
-    A and B are the strictly triangular binomial bands A[i][j] = C(k-1, j-i)
-    (j > i) and B[i][j] = C(k-1, k-1-(i-j)) (j < i), so this is the
-    Sylvester matrix of D_k(K_2), whose profile is (0, 1, ..., 1, 0), and
-    A + B + I is Wendt's circulant W_{k-1}.
+    D_k(K_2) has profile (0, 1, ..., 1, 0), so its Sylvester bands give the
+    strictly triangular binomial blocks A[i][j] = C(k-1, j-i) (j > i) and
+    B[i][j] = C(k-1, k-1-(i-j)) (j < i), and A + B + I is Wendt's
+    circulant W_{k-1}.
     """
-    if k < 2:
-        raise ValueError("order k must be at least 2")
-    return sylvester_matrix((0,) + (1,) * (k - 1) + (0,), k)
+    return macaulay_matrix(gradient_system(build_steiner_hypermatrix(complete_graph(2), k)))[0]
 
 
 def block_matrix_check(k: int) -> bool:

@@ -30,7 +30,6 @@ from steiner_spectra import (
     extremal_radius,
     graham_pollak_check,
     hyperdet,
-    hyperdet_dim2,
     hyperdet_route,
     multiset_equal,
     nqz_spectral_radius,
@@ -83,7 +82,7 @@ def test_02_wendt_identity(capsys):
     ):
         zeros = set()
         for k in range(2, 17):
-            d = hyperdet_dim2(build_steiner_hypermatrix(path_graph(2), k))
+            d = hyperdet(build_steiner_hypermatrix(path_graph(2), k))
             assert d == (-1) ** (k - 1) * wendt(k - 1), k
             if d == 0:
                 zeros.add(k)
@@ -122,7 +121,7 @@ def test_04_charpoly_bridge(capsys):
             computed = charpoly_D_dim2(k)
             assert multiset_equal(computed, eigenvalues_K2(k)), k
             const = constant_term(computed)
-            det = hyperdet_dim2(build_steiner_hypermatrix(path_graph(2), k))
+            det = hyperdet(build_steiner_hypermatrix(path_graph(2), k))
             assert abs(const.imag) <= 1e-9 * (1 + abs(const)), k
             assert round(const.real) == det, (k, const, det)
 

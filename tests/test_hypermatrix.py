@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from steiner_spectra import graphs
-from steiner_spectra.graphs import Graph, all_connected_graphs, complete_graph, path_graph, star_graph
+from steiner_spectra.graphs import Graph, all_connected_graphs, path_graph, star_graph
 from steiner_spectra.hypermatrix import (
     SymmetricHypermatrix,
     build_steiner_hypermatrix,
@@ -72,12 +72,6 @@ class TestSteinerEntries:
         assert a.entry((1, 2, 3)) == 2
         assert a.entry((2, 2, 3)) == 2  # repeated index collapses to a pair
         assert a.entry((4, 4, 4)) == 0
-
-    def test_k2_profile(self):
-        a = build_steiner_hypermatrix(complete_graph(2), 3)
-        assert a.dim2_profile() == (0, 1, 1, 0)
-        with pytest.raises(ValueError):
-            build_steiner_hypermatrix(path_graph(3), 3).dim2_profile()
 
     def test_build_validations(self):
         with pytest.raises(ValueError):

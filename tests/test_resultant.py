@@ -26,7 +26,6 @@ from steiner_spectra.resultant import (
     macaulay_matrix,
     macaulay_resultant,
 )
-from steiner_spectra.sylvester2 import hyperdet_dim2
 from steiner_spectra.wendt import theorem1_vanishes, wendt
 
 from props import random_hypermatrix
@@ -96,6 +95,24 @@ def macaulay_by_definition(s):
     return rows, reduced
 
 
+def sylvester_by_formula(profile):
+    """The paper's dimension-2 matrix of the profile (a_0, ..., a_k), a_t the
+    entry with t indices equal to 2: rows 1..k-1 shift the band
+    (C(k-1, t) a_t), t < k, one column right per row, and rows k..2(k-1)
+    do the same with the band (C(k-1, t) a_(t+1))."""
+    k = len(profile) - 1
+    rows = []
+    for band in (profile[:-1], profile[1:]):
+        weighted = [math.comb(k - 1, t) * a for t, a in enumerate(band)]
+        rows += [[0] * shift + weighted + [0] * (k - 2 - shift) for shift in range(k - 1)]
+    return rows
+
+
+def dim2_hypermatrix(profile):
+    k = len(profile) - 1
+    return SymmetricHypermatrix.from_function(k, 2, lambda ms: profile[ms.count(2)])
+
+
 class TestMacaulayMatrix:
     def test_monomial_order_k3_n2(self):
         s = gradient_system(build_steiner_hypermatrix(complete_graph(2), 3))
@@ -106,12 +123,15 @@ class TestMacaulayMatrix:
         assert reduced == [True] * 4
 
     def test_n2_matches_sylvester_matrix(self):
-        from steiner_spectra.sylvester2 import sylvester_matrix
-
-        for k in (3, 4, 5):
-            a = build_steiner_hypermatrix(complete_graph(2), k)
-            m, _ = macaulay_matrix(gradient_system(a))
-            assert m.to_lists() == sylvester_matrix(a.dim2_profile(), k).to_lists()
+        m, _ = macaulay_matrix(gradient_system(dim2_hypermatrix((5, 7, 11))))
+        assert m.to_lists() == [[5, 7], [7, 11]]
+        rng = random.Random(57)
+        for k in range(2, 10):
+            for _ in range(5):
+                profile = tuple(rng.randint(-3, 3) for _ in range(k + 1))
+                m, _ = macaulay_matrix(gradient_system(dim2_hypermatrix(profile)))
+                assert m.rows == 2 * (k - 1)
+                assert m.to_lists() == sylvester_by_formula(profile), profile
 
     def test_matches_entrywise_definition(self):
         rng = random.Random(61)
@@ -151,7 +171,7 @@ class TestMacaulayMatrix:
 class TestMacaulayResultant:
     def test_k2_equals_determinant(self):
         rng = random.Random(53)
-        for n in [rng.randint(2, 4) for _ in range(10)] + [5, 6, 7]:
+        for n in [rng.randint(2, 4) for _ in range(10)] + [5, 6, 7, 2]:
             a = random_hypermatrix(rng, 2, n, lo=-4, hi=4)
             got = macaulay_resultant(gradient_system(a))
             rows = [[a.entry((i, j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
@@ -159,11 +179,12 @@ class TestMacaulayResultant:
 
     def test_n2_matches_sylvester_formula(self):
         rng = random.Random(54)
-        for k in (3, 4, 5):
+        for k in range(2, 7):
             for _ in range(5):
-                a = random_hypermatrix(rng, k, 2, lo=-3, hi=3)
+                profile = tuple(rng.randint(-3, 3) for _ in range(k + 1))
+                a = dim2_hypermatrix(profile)
                 got = macaulay_resultant(gradient_system(a))
-                assert got == hyperdet_dim2(a), k
+                assert got == hyperdet(a) == det_exact(IntMatrix(sylvester_by_formula(profile)))
 
     def test_edge_is_det_of_sylvester_and_signed_wendt(self, monkeypatch):
         # every Macaulay row is reduced at n = 2: det(M), no charpoly
@@ -175,7 +196,7 @@ class TestMacaulayResultant:
         for k in range(2, 17):
             a = build_steiner_hypermatrix(complete_graph(2), k)
             got = macaulay_resultant(gradient_system(a))
-            assert got == hyperdet_dim2(a) == (-1) ** (k - 1) * wendt(k - 1), k
+            assert got == hyperdet(a) == (-1) ** (k - 1) * wendt(k - 1), k
 
     def test_cap_is_the_hyperdet_cap(self):
         for nvars, degree in [(5, 2), (3, 6)]:
@@ -394,16 +415,17 @@ class TestHyperdetDispatch:
         assert hyperdet(a) == -3
 
     def test_scalar_homogeneity(self):
-        # hyperdet(c*A) = c^(n (k-1)^(n-1)) hyperdet(A)
+        # hyperdet(c*A) = c^(n (k-1)^(n-1)) hyperdet(A); c^(2k-2) at n = 2
         rng = random.Random(55)
-        a = random_hypermatrix(rng, 3, 3, lo=0, hi=3)
-        c = 2
-        scaled = SymmetricHypermatrix.from_function(
-            3, 3, lambda ms: c * a.entries[ms]
-        )
-        d = hyperdet(a)
-        ds = hyperdet(scaled)
-        assert ds == c ** (3 * 2**2) * d
+        for a, c in [
+            (random_hypermatrix(rng, 3, 3, lo=0, hi=3), 2),
+            (build_steiner_hypermatrix(complete_graph(2), 4), 3),
+        ]:
+            k, n = a.order, a.dim
+            scaled = SymmetricHypermatrix.from_function(k, n, lambda ms: c * a.entries[ms])
+            d = hyperdet(a)
+            assert d != 0
+            assert hyperdet(scaled) == c ** (n * (k - 1) ** (n - 1)) * d
 
     def test_relabel_invariance_small(self):
         a = build_steiner_hypermatrix(path_graph(4), 3)

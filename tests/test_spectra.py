@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from steiner_spectra import spectra
-from steiner_spectra.exact import IntMatrix, char_poly_exact, circulant
+from steiner_spectra import resultant, spectra
+from steiner_spectra.exact import IntMatrix, char_poly_exact, circulant, det_exact
 from steiner_spectra.graphs import complete_graph, path_graph, star_graph
 from steiner_spectra.hypermatrix import (
     SymmetricHypermatrix,
@@ -29,7 +29,7 @@ from steiner_spectra.spectra import (
     spectral_radius_K2,
     total_multiplicity,
 )
-from steiner_spectra.sylvester2 import hyperdet_dim2
+from steiner_spectra.resultant import hyperdet
 from steiner_spectra.wendt import wendt_matrix
 
 
@@ -129,7 +129,7 @@ class TestK2Spectra:
         for k in range(2, 9):
             a = build_steiner_hypermatrix(complete_graph(2), k)
             ct = constant_term(charpoly_D_dim2(k))
-            assert round(ct.real) == hyperdet_dim2(a), k
+            assert round(ct.real) == hyperdet(a), k
             assert abs(ct.imag) < 1e-6
 
 
@@ -237,12 +237,20 @@ class TestBlockMatrices:
             [0, 1, 2, 0],
         ]
 
-    def test_block_equals_sylvester_for_single_edge(self):
-        from steiner_spectra.sylvester2 import sylvester_matrix
+    def test_hyperdet_takes_the_det_of_the_block_matrix(self, monkeypatch):
+        # the similarity of block_matrix_check certifies the very matrix
+        # whose determinant hyperdet(D_k(K_2)) is
+        seen = []
 
-        for k in range(2, 9):
-            a = build_steiner_hypermatrix(complete_graph(2), k)
-            assert block_matrix_K2(k) == sylvester_matrix(a.dim2_profile(), k)
+        def recorder(m):
+            seen.append(m)
+            return det_exact(m)
+
+        monkeypatch.setattr(resultant, "det_exact", recorder)
+        for k in range(2, 17):
+            seen.clear()
+            hyperdet(build_steiner_hypermatrix(complete_graph(2), k))
+            assert seen == [block_matrix_K2(k)], k
 
     def test_block_charpoly_roots(self):
         # k=3 block matrix has char poly (x+1)^3 (x-3)
