@@ -379,7 +379,7 @@ def falsifying_witness(report: SweepReport) -> dict | None:
     if v.get("conjecture1") is False:
         trees = [
             {"prufer": list(r.prufer), "det": r.det, "canonical": r.canonical}
-            for _, r in sorted(by_det.items(), key=lambda kv: str(kv[0]))
+            for _, r in sorted(by_det.items())
         ]
         return {"verdict": "conjecture1", "witness": trees}
     if v.get("conjecture2") is False:

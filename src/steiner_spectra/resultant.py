@@ -17,8 +17,9 @@ t to the diagonal of both matrices, and
     det(tI + M) = C(t) * det(tI + M')   in Z[t],
 
 with C(0) the resultant.  Both determinants are monic in t, so the
-identity survives reduction modulo any prime: one pair of charpolys mod p
-gives the resultant mod p, and Chinese remaindering past
+identity survives reduction modulo any prime: C(t) mod p is the exact
+quotient of one pair of charpolys mod p, a nonzero remainder is an
+error, and Chinese remaindering of C(0) past
 2 ||M||_inf^(N - N') gives the integer, with ||M||_inf read off the
 forms.  The primes come down from `exact._float_exact_bound` of M's row
 count, about 2**21.9 at 560 rows, the bound below which `char_poly_mod`
@@ -120,21 +121,27 @@ def _nonreduced_minor(matrix: IntMatrix, reduced: list) -> IntMatrix | None:
     return IntMatrix(matrix._a[np.ix_(keep, keep)]) if keep.size else None
 
 
-def _trailing_terms(pp, qq):
-    """Trailing coefficients (a, b) of charpoly_M and charpoly_M' at one
-    order, signed so that C(0) = a / b, or None when charpoly_M vanishes to
-    a higher order (C(0) = 0).
+def _charpoly_quotient(pp, qq, p=None) -> np.ndarray:
+    """Ascending coefficients of Q = charpoly_M / charpoly_M', over Z
+    (Python ints) or, given p, over F_p (int64 residues).
 
-    det(tI + M) = (-1)^N charpoly_M(-t), so its t^r coefficient is
-    (-1)^(N + r) times that of charpoly_M, and C(0) = (-1)^(N - N') a / b:
-    no negated copy of M is needed, and N - N' is read off the lengths.
+    charpoly_M' is monic, so the long division needs no inverse, and a
+    nonzero remainder means the perturbation identity failed: it raises
+    ArithmeticError.  Mod p the residues are reduced only where a quotient
+    coefficient is read and where the remainder is tested; in between an
+    entry takes at most N updates, each below p**2, well inside int64.
+    det(tI + M) = (-1)^N charpoly_M(-t), so C(t) = (-1)^(N - N') Q(-t).
     """
-    ord_p = next(i for i, c in enumerate(pp) if c)
-    ord_q = next(i for i, c in enumerate(qq) if c)
-    if ord_p < ord_q:  # impossible when the Z[t] identity holds
+    r = np.array(pp, dtype=np.int64 if p else object)
+    q = np.array(qq, dtype=r.dtype)
+    dq = q.size - 1
+    quot = np.zeros(r.size - dq, dtype=r.dtype)
+    for i in reversed(range(quot.size)):
+        quot[i] = r[i + dq] % p if p else r[i + dq]
+        r[i : i + dq + 1] -= quot[i] * q
+    if any(r[:dq] % p if p else r[:dq]):
         raise ArithmeticError("perturbed Macaulay ratio is not a polynomial")
-    sign = -1 if (len(pp) - len(qq)) % 2 else 1
-    return None if ord_p > ord_q else (sign * pp[ord_p], qq[ord_q])
+    return quot
 
 
 # At or below this many Macaulay rows (on the hyperdet path, n = 3 with
@@ -146,17 +153,10 @@ GCP_EXACT_MAX_ROWS = 15
 
 
 def _gcp_constant(matrix: IntMatrix, reduced: list) -> int:
-    """C(0) from det(tI + M) = C(t) det(tI + M'), with exact charpolys."""
-    minor = _nonreduced_minor(matrix, reduced)
-    pp = char_poly_exact(matrix)
-    qq = char_poly_exact(minor) if minor is not None else (1,)
-    terms = _trailing_terms(pp, qq)
-    if terms is None:
-        return 0
-    c, rem = divmod(terms[0], terms[1])
-    if rem:
-        raise ArithmeticError("perturbed Macaulay ratio is not a polynomial")
-    return c
+    """C(0) from det(tI + M) = C(t) det(tI + M'), with exact charpolys,
+    for a nonempty M'."""
+    qq = char_poly_exact(_nonreduced_minor(matrix, reduced))
+    return (-1) ** sum(reduced) * _charpoly_quotient(char_poly_exact(matrix), qq)[0]
 
 
 def _modular_primes(rows: int):
@@ -176,23 +176,19 @@ def _modular_primes(rows: int):
 
 def _gcp_constant_modular(s: HomogeneousSystem, matrix: IntMatrix, reduced: list) -> int:
     """C(0) from det(tI + M) = C(t) det(tI + M'), remaindered over primes,
-    for M = macaulay_matrix(s).
-
-    Mod p, C(0) is 0 when det(tI + M) vanishes to a higher order in t than
-    det(tI + M'), else the signed ratio of their trailing coefficients
-    (`_trailing_terms`).
+    for M = macaulay_matrix(s): mod p, C(0) is (-1)^(N - N') Q(0) for the
+    quotient Q of the two charpolys (`_charpoly_quotient`).
     """
     minor = _nonreduced_minor(matrix, reduced)
     # ||M||_inf: a row of M is one form's coefficients in distinct columns,
     # and every form owns at least the row of x_i^D
     norm = max(sum(map(abs, f.values())) for f in s.polys)
     bound = 2 * norm ** sum(reduced)  # N - N' eigenvalues
-    residue, modulus = 0, 1
+    sign, residue, modulus = (-1) ** sum(reduced), 0, 1
     for p in _modular_primes(matrix.rows):
         pp = char_poly_mod(matrix, p)
         qq = char_poly_mod(minor, p) if minor is not None else (1,)
-        terms = _trailing_terms(pp, qq)
-        c = 0 if terms is None else terms[0] * pow(terms[1], p - 2, p) % p
+        c = sign * int(_charpoly_quotient(pp, qq, p)[0])
         residue += modulus * ((c - residue) * pow(modulus, -1, p) % p)
         modulus *= p
         if modulus > bound:
@@ -210,16 +206,17 @@ def macaulay_resultant(s: HomogeneousSystem) -> int:
     exact charpolys up to GCP_EXACT_MAX_ROWS rows (`_gcp_constant`) and
     else mod primes (`_modular_primes`), taken downward from the bound
     below which char_poly_mod of M accepts them.  Every prime is usable:
-    det(tI + M') is monic, so dividing it out of det(tI + M) is exact over
-    F_p as over Z, whether or not M' is singular mod p.  The roots of
-    det(tI + M') are among those of det(tI + M), so C(0) is a product of
-    N - N' eigenvalues of -M, each at most B = ||M||_inf = max_i ||F_i||_1
-    in absolute value; remaindering stops once the modulus exceeds
-    2 * B^(N - N'), and the symmetric residue is the resultant.
+    det(tI + M') is monic, so C(t) is the exact quotient over F_p as over
+    Z, whether or not M' is singular mod p, and a nonzero remainder is an
+    error.  The roots of det(tI + M') are among those of det(tI + M), so
+    C(0) is a product of N - N' eigenvalues of -M, each at most
+    B = ||M||_inf = max_i ||F_i||_1 in absolute value; remaindering stops
+    once the modulus exceeds 2 * B^(N - N'), and the symmetric residue is
+    the resultant.  A zero form leaves its rows of M zero, so it needs no
+    special case: det(M) and C(0) vanish, and with every form zero B = 0
+    and one prime closes.
     """
     check_hyperdet_cap(s.nvars, s.degree + 1)
-    if any(not p for p in s.polys):
-        return 0  # a vanishing form forces a nontrivial common root
     matrix, reduced = macaulay_matrix(s)
     if all(reduced):
         return det_exact(matrix)

@@ -350,12 +350,19 @@ class TestFalsifyingWitness:
             records=[
                 SweepRecord((1,), "a", det=5),
                 SweepRecord((2,), "b", det=7),
+                SweepRecord((3,), "c", det=9),
+                SweepRecord((4,), "d", det=10),
+                SweepRecord((5,), "e", det=-5),
+                SweepRecord((6,), "f", det=-40),
+                SweepRecord((7,), "g", det=9),
             ],
             verdicts={"conjecture1": False},
         )
         w = falsifying_witness(rep)
         assert w["verdict"] == "conjecture1"
-        assert {t["det"] for t in w["witness"]} == {5, 7}
+        # one tree per distinct determinant, the first seen, in numeric order
+        assert [t["det"] for t in w["witness"]] == [-40, -5, 5, 7, 9, 10]
+        assert [t["prufer"] for t in w["witness"]] == [[6], [5], [1], [2], [3], [4]]
 
     def test_conjecture2_witness(self):
         rep = SweepReport(

@@ -207,9 +207,27 @@ class TestMacaulayResultant:
                 macaulay_resultant(s)
             assert str(got.value) == str(want.value)
 
-    def test_zero_system_shortcut(self):
+    def test_vanishing_forms_give_zero_on_every_route(self, monkeypatch):
+        # a zero form fills none of its Macaulay rows, so det(M) and C(0)
+        # are 0 with no special case
         a = SymmetricHypermatrix.from_function(3, 2, lambda ms: 0)
         assert macaulay_resultant(gradient_system(a)) == 0
+        primes = []
+
+        def spy(m, p):
+            primes.append(p)
+            return char_poly_mod(m, p)
+
+        monkeypatch.setattr(resultant, "char_poly_mod", spy)
+        # n = 3, degree 3: 36 rows, the CRT route, with the second form zero
+        cubes = {e: 1 + e[0] for e in exponent_vectors(3, 3)}
+        partial = HomogeneousSystem(3, 3, (cubes, {}, cubes))
+        assert macaulay_resultant(partial) == 0
+        assert primes
+        # n = 4, all forms zero: the CRT bound is 0, so one prime closes
+        primes.clear()
+        assert macaulay_resultant(HomogeneousSystem(4, 2, ({},) * 4)) == 0
+        assert len(primes) == 2  # charpolys of M and M' at one prime
 
     def test_returns_int_when_possible(self):
         a = build_steiner_hypermatrix(complete_graph(2), 3)
@@ -280,6 +298,71 @@ class TestSingleRoute:
             want = 0 if ord_m > ord_minor else Fraction(lead_m, lead_minor)
             assert macaulay_resultant(s) == want, (g, k)
             assert _gcp_constant_modular(s, *macaulay_matrix(s)) == want, (g, k)
+
+
+class TestCharpolyQuotient:
+    """C(t) is the whole quotient charpoly_M / charpoly_M': every
+    coefficient is checked, not only the trailing ones."""
+
+    @staticmethod
+    def exact_quotient(g, k):
+        matrix, reduced = macaulay_matrix(gradient_system(build_steiner_hypermatrix(g, k)))
+        minor = resultant._nonreduced_minor(matrix, reduced)
+        return resultant._charpoly_quotient(char_poly_exact(matrix), char_poly_exact(minor))
+
+    def test_path3_order3_is_a_monic_degree_12_quotient(self):
+        q = [int(c) for c in self.exact_quotient(path_graph(3), 3)]
+        assert len(q) == 13 and q[12] == 1  # N - N' = 15 - 3
+        assert q[11] == 0  # the trace term
+        assert q[:2] == [0, 0] and q[2] == -1728  # 0 is a double root
+
+    def test_exact_quotient_reduces_to_the_modular_one(self):
+        s = gradient_system(build_steiner_hypermatrix(path_graph(3), 4))
+        matrix, reduced = macaulay_matrix(s)
+        minor = resultant._nonreduced_minor(matrix, reduced)
+        assert (matrix.rows, minor.rows) == (36, 9)
+        q = self.exact_quotient(path_graph(3), 4)
+        assert (-1) ** sum(reduced) * q[0] == -q[0] == 8023601152  # H(3, 4)
+        for p in itertools.islice(resultant._modular_primes(matrix.rows), 3):
+            got = resultant._charpoly_quotient(char_poly_mod(matrix, p), char_poly_mod(minor, p), p)
+            assert [int(c) for c in got] == [c % p for c in q], p
+
+    def test_perturbed_residue_raises_on_the_crt_route(self, monkeypatch):
+        # H(3, 6): 105 Macaulay rows, M' of 30; one coefficient of
+        # charpoly_M between its trailing order and N' is off by one at
+        # the second prime only
+        s = gradient_system(build_steiner_hypermatrix(path_graph(3), 6))
+        matrix, reduced = macaulay_matrix(s)
+        minor_rows = reduced.count(False)
+        second = list(itertools.islice(resultant._modular_primes(matrix.rows), 2))[1]
+
+        def perturbed(m, p):
+            coeffs = list(char_poly_mod(m, p))
+            if m.rows == matrix.rows and p == second:
+                order = next(i for i, c in enumerate(coeffs) if c)
+                assert (order, minor_rows) == (10, 30)
+                coeffs[order + 1] = (coeffs[order + 1] + 1) % p
+            return tuple(coeffs)
+
+        monkeypatch.setattr(resultant, "char_poly_mod", perturbed)
+        with pytest.raises(ArithmeticError):
+            macaulay_resultant(s)
+
+    def test_perturbed_coefficient_raises_on_the_exact_route(self, monkeypatch):
+        # D_3(K_3): 15 Macaulay rows, M' of 3, charpoly_M of trailing order 1
+        s = gradient_system(build_steiner_hypermatrix(complete_graph(3), 3))
+        assert macaulay_resultant(s) == -2160
+
+        def perturbed(m):
+            coeffs = list(char_poly_exact(m))
+            if m.rows == 15:
+                assert coeffs[0] == 0 != coeffs[1]  # trailing order 1 < 2 < N' = 3
+                coeffs[2] += 1
+            return tuple(coeffs)
+
+        monkeypatch.setattr(resultant, "char_poly_exact", perturbed)
+        with pytest.raises(ArithmeticError):
+            macaulay_resultant(s)
 
 
 def form_norm(s):
