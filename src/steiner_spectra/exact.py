@@ -11,8 +11,9 @@ block of more than one row.
 Entries stay in (-p, p) and every dot product has at most rows + 64
 terms, so for the primes it accepts, those below
 `_float_exact_bound(rows)`, where p * p * (rows + 64) < 2**53, every
-BLAS product is exact.  Both charpolys, exact (`char_poly_exact`) and
-modular, are tuples of ascending coefficients.
+BLAS product is exact; `_modular_primes(rows)` lists them downward.
+Both charpolys, exact (`char_poly_exact`) and modular, are tuples of
+ascending coefficients.
 """
 
 from __future__ import annotations
@@ -233,6 +234,21 @@ def _float_exact_bound(rows: int) -> int:
     are exact.
     """
     return math.isqrt((1 << 53) // (rows + 2 * _PANEL))
+
+
+def _modular_primes(rows: int):
+    """Descending odd primes below `_float_exact_bound(rows)`, down to half of it.
+
+    char_poly_mod takes exactly these primes for a matrix of `rows` rows,
+    or fewer: about 2**21.9 at 560 rows and 2**21 at the 2000-row ceiling.
+    """
+    top = _float_exact_bound(rows)
+    p = top - 1 if top % 2 == 0 else top - 2
+    while p > top // 2:
+        if _is_prime_trial(p):
+            yield p
+        p -= 2
+    raise ArithmeticError("prime pool exhausted")  # pragma: no cover
 
 
 def _char_poly_hessenberg(h: np.ndarray, p: int) -> np.ndarray:

@@ -21,12 +21,11 @@ identity survives reduction modulo any prime: C(t) mod p is the exact
 quotient of one pair of charpolys mod p, a nonzero remainder is an
 error, and Chinese remaindering of C(0) past
 2 ||M||_inf^(N - N') gives the integer, with ||M||_inf read off the
-forms.  The primes come down from `exact._float_exact_bound` of M's row
-count, about 2**21.9 at 560 rows, the bound below which `char_poly_mod`
-takes them: there its float64 BLAS products are exact.  Macaulay
-matrices of at most 15 rows (on the hyperdet path, n = 3 with k = 3)
-still take the same two charpolys exactly over Z (`_gcp_constant`), a
-remnant that goes once the benchmark's tracer self-test stops counting
+forms.  The primes are `exact._modular_primes` of M's row count, from
+about 2**21.9 down at 560 rows: exactly those `char_poly_mod` takes.
+Macaulay matrices of at most 15 rows (on the hyperdet path, n = 3 with
+k = 3) still take the same two charpolys exactly over Z (`_gcp_constant`),
+a remnant that goes once the benchmark's tracer self-test stops counting
 that route.
 
 One cap, `check_hyperdet_cap` (k = 2, n <= 2, or n <= 4 with k - 1 <= 5),
@@ -42,8 +41,7 @@ import numpy as np
 
 from .exact import (
     IntMatrix,
-    _float_exact_bound,
-    _is_prime_trial,
+    _modular_primes,
     char_poly_exact,
     char_poly_mod,
     det_exact,
@@ -115,10 +113,11 @@ def macaulay_matrix(s: HomogeneousSystem) -> tuple[IntMatrix, list]:
     return IntMatrix(matrix), (divides.sum(axis=1) == 1).tolist()
 
 
-def _nonreduced_minor(matrix: IntMatrix, reduced: list) -> IntMatrix | None:
-    """M', the principal minor on the non-reduced rows, or None when empty."""
+def _nonreduced_minor(matrix: IntMatrix, reduced: list) -> IntMatrix:
+    """M', the principal minor on the non-reduced rows; some row is not
+    reduced, since an all-reduced M never reaches the charpoly routes."""
     keep = np.flatnonzero(np.logical_not(reduced))
-    return IntMatrix(matrix._a[np.ix_(keep, keep)]) if keep.size else None
+    return IntMatrix(matrix._a[np.ix_(keep, keep)])
 
 
 def _charpoly_quotient(pp, qq, p=None) -> np.ndarray:
@@ -159,25 +158,11 @@ def _gcp_constant(matrix: IntMatrix, reduced: list) -> int:
     return (-1) ** sum(reduced) * _charpoly_quotient(char_poly_exact(matrix), qq)[0]
 
 
-def _modular_primes(rows: int):
-    """Descending odd primes below `_float_exact_bound(rows)`, down to half of it.
-
-    char_poly_mod takes exactly these primes for a matrix of `rows` rows,
-    or fewer: about 2**21.9 at 560 rows and 2**21 at the 2000-row ceiling.
-    """
-    top = _float_exact_bound(rows)
-    p = top - 1 if top % 2 == 0 else top - 2
-    while p > top // 2:
-        if _is_prime_trial(p):
-            yield p
-        p -= 2
-    raise ArithmeticError("prime pool exhausted")  # pragma: no cover
-
-
 def _gcp_constant_modular(s: HomogeneousSystem, matrix: IntMatrix, reduced: list) -> int:
     """C(0) from det(tI + M) = C(t) det(tI + M'), remaindered over primes,
-    for M = macaulay_matrix(s): mod p, C(0) is (-1)^(N - N') Q(0) for the
-    quotient Q of the two charpolys (`_charpoly_quotient`).
+    for M = macaulay_matrix(s) and a nonempty M': mod p, C(0) is
+    (-1)^(N - N') Q(0) for the quotient Q of the two charpolys
+    (`_charpoly_quotient`).
     """
     minor = _nonreduced_minor(matrix, reduced)
     # ||M||_inf: a row of M is one form's coefficients in distinct columns,
@@ -187,7 +172,7 @@ def _gcp_constant_modular(s: HomogeneousSystem, matrix: IntMatrix, reduced: list
     sign, residue, modulus = (-1) ** sum(reduced), 0, 1
     for p in _modular_primes(matrix.rows):
         pp = char_poly_mod(matrix, p)
-        qq = char_poly_mod(minor, p) if minor is not None else (1,)
+        qq = char_poly_mod(minor, p)
         c = sign * int(_charpoly_quotient(pp, qq, p)[0])
         residue += modulus * ((c - residue) * pow(modulus, -1, p) % p)
         modulus *= p

@@ -73,10 +73,20 @@ class TestHyperdet:
         assert out.strip() == "0 (route: macaulay)"
 
     def test_json(self, capsys, p3_file):
-        code, out, _ = run(capsys, ["hyperdet", "--graph", p3_file, "--k", "2", "--json"])
-        obj = json.loads(out)
-        assert code == 0
-        assert obj == {"k": 2, "n": 3, "route": "matrix-det", "value": 4}
+        # P_3 at k = 2..6, byte for byte: a change of layout or value fails here
+        for k, line in [
+            (2, '{"k": 2,"n": 3,"route": "matrix-det","value": 4}'),
+            (3, '{"k": 3,"n": 3,"route": "macaulay","value": 0}'),
+            (4, '{"k": 4,"n": 3,"route": "macaulay","value": 8023601152}'),
+            (5, '{"k": 5,"n": 3,"route": "macaulay","value": 0}'),
+            (
+                6,
+                '{"k": 6,"n": 3,"route": "macaulay",'
+                '"value": 43782435923605828680933188175642624}',
+            ),
+        ]:
+            code, out, _ = run(capsys, ["hyperdet", "--graph", p3_file, "--k", str(k), "--json"])
+            assert (code, out) == (0, line + "\n"), k
 
     def test_one_vertex_past_the_degree_cap(self, capsys, tmp_path):
         gfile = tmp_path / "k1.txt"

@@ -84,14 +84,19 @@ class TestClassifier:
         assert theorem1_vanishes(3, 3).vanishes
 
     def test_scope_is_trees_not_connected_graphs(self):
-        # the verdict for (3, n) holds on the paths but not on K_3 or K_4
+        # the verdict for (3, n) holds on the paths but not on K_3, K_4,
+        # the paw (a triangle with a pendant edge) or the diamond (K_4 less an edge)
         cycle4 = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+        paw = Graph.from_edges(4, [(1, 2), (2, 3), (1, 3), (3, 4)])
+        diamond = Graph.from_edges(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
         for g, want in [
             (path_graph(3), 0),
             (complete_graph(3), -2160),
             (path_graph(4), 0),
             (complete_graph(4), -20925489375),
             (cycle4, 0),
+            (paw, -5584383),
+            (diamond, 3869835264),
         ]:
             assert theorem1_vanishes(3, g.n).vanishes
             assert hyperdet(build_steiner_hypermatrix(g, 3)) == want, g
