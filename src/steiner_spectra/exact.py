@@ -13,7 +13,9 @@ terms, so for the primes it accepts, those below
 `_float_exact_bound(rows)`, where p * p * (rows + 64) < 2**53, every
 BLAS product is exact; `_modular_primes(rows)` lists them downward.
 Both charpolys, exact (`char_poly_exact`) and modular, are tuples of
-ascending coefficients.
+ascending coefficients.  Over the same primes `det_mod_matches` decides
+det = target (mod p) for a whole stack of small matrices with one
+fraction-free float64 elimination.
 """
 
 from __future__ import annotations
@@ -410,6 +412,52 @@ def char_poly_mod(m: IntMatrix, p: int) -> tuple:
         h = (block % p).astype(np.float64)
         charpoly = np.convolve(charpoly, _char_poly_hessenberg(h, p)) % p
     return tuple(int(c) for c in charpoly)
+
+
+def det_mod_matches(stack: np.ndarray, target: int, p: int) -> np.ndarray:
+    """Whether det(m) = target (mod p), for each square matrix m of a
+    (count, n, n) integer stack, as a boolean array; p is a prime below
+    `_float_exact_bound(n)`.
+
+    One fraction-free elimination in float64 serves the whole stack, held
+    as (n, n, count) so every vector operation runs along the stack.  At
+    step k a matrix whose diagonal entry is 0 mod p adds to row k the first
+    row below it whose column-k entry is not, which keeps det; no such row
+    means det = 0 (mod p).  Every later row i then becomes
+    pivot * row_i - a_ik * row_k, which multiplies det by pivot^(n-1-k),
+    so with no division the last diagonal entry ends as
+    det * prod_{k <= n-2} pivot_k^(n-2-k), and it is compared with target
+    times that product, built as the product over steps k <= n - 3 of the
+    running pivot products pivot_0 ... pivot_k.  Every pivot is a unit
+    mod the prime p, so the two agree iff det = target (mod p).
+    Entries stay in (-p, p) (`_reduce`)
+    and every value is a difference of two products below p**2, so the
+    arithmetic is exact.
+    """
+    count, n, _ = stack.shape
+    bound = _float_exact_bound(n)
+    if not 2 <= p < bound or not _is_prime_trial(p):
+        raise ValueError(f"modulus must be a prime below {bound} for {n} rows")
+    a = np.moveaxis(stack % p, 0, -1).astype(np.float64, order="C")
+    rhs = np.full(count, float(target % p))
+    pivots = np.ones(count)
+    singular = np.zeros(count, dtype=bool)
+    for k in range(n - 1):
+        zero = np.flatnonzero(a[k, k] == 0)
+        if zero.size:
+            column = a[k + 1 :, k, zero] != 0
+            singular[zero] |= ~column.any(axis=0)
+            below = k + 1 + column.argmax(axis=0)
+            a[k, k:, zero] = _reduce(a[k, k:, zero] + a[below, k:, zero], p)
+        pivot = a[k, k]
+        trailing = a[k + 1 :, k + 1 :]
+        trailing *= pivot
+        trailing -= a[k + 1 :, k, None] * a[k, None, k + 1 :]
+        _reduce(trailing, p)
+        if k < n - 2:
+            pivots = _reduce(pivots * pivot, p)
+            rhs = _reduce(rhs * pivots, p)
+    return np.where(singular, target % p == 0, _reduce(a[n - 1, n - 1] - rhs, p) == 0)
 
 
 def circulant_det_oracle(first_row) -> int:

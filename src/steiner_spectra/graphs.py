@@ -11,10 +11,13 @@ row from min(S) answers pairs and S in a tree component, and the table
 answers every other S.
 
 Labeled trees come as edge lists: `enumerate_tree_edges` decodes every
-Prüfer sequence in linear time, `tree_key` names the isomorphism class
-by center-rooted AHU strings built during the one leaf peel that finds
-the centers, and `distance_rows` takes one BFS per vertex, so a sweep
-over n^(n-2) trees needs a `Graph` only for the trees it keeps.
+Prüfer sequence in linear time, and `tree_key` names the isomorphism
+class by center-rooted AHU strings built during the one leaf peel that
+finds the centers, so a sweep over n^(n-2) trees needs a `Graph` only
+for the trees it keeps.  `distance_stack` gives the distance matrices
+of a whole batch of edge lists as one array, by a min-plus
+Floyd-Warshall over the stack; `distance_rows` takes one BFS per vertex
+of a single graph.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cache
+
+import numpy as np
 
 from .exact import IntMatrix
 
@@ -241,6 +246,33 @@ def distance_rows(n: int, edges) -> list:
     """Pairwise hop distances on 1..n as n rows, -1 between components."""
     adj = _adjacency_lists(n, edges)
     return [_bfs_dist(adj, v, n)[1:] for v in range(1, n + 1)]
+
+
+def distance_stack(n: int, edge_lists) -> np.ndarray:
+    """`distance_rows` of many graphs on 1..n at once, as a (count, n, n)
+    int64 array; every edge list has the same length.
+
+    A min-plus Floyd-Warshall over the stacked adjacency: n vectorized
+    steps, each relaxing every pair through one more intermediate vertex.
+    Unreachable pairs start at n, above any hop distance, stay there, and
+    read -1.
+    """
+    edge_lists = list(edge_lists)
+    count = len(edge_lists)
+    ends = np.fromiter(
+        itertools.chain.from_iterable(itertools.chain.from_iterable(edge_lists)),
+        dtype=np.intp,
+    ).reshape(count, -1, 2) - 1
+    # held as (n, n, count), so each step runs along the stack
+    d = np.full((n, n, count), n, dtype=np.int64)
+    d[range(n), range(n)] = 0
+    each = np.arange(count)[:, None]
+    d[ends[..., 0], ends[..., 1], each] = 1
+    d[ends[..., 1], ends[..., 0], each] = 1
+    for k in range(n):
+        np.minimum(d, d[:, k, None] + d[None, k], out=d)
+    d[d == n] = -1
+    return np.moveaxis(d, -1, 0)
 
 
 def distance_matrix(g: Graph) -> IntMatrix:

@@ -13,6 +13,7 @@ tree of each class.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import random
@@ -21,12 +22,14 @@ import threading
 import warnings
 from dataclasses import dataclass, field
 
-from .exact import IntMatrix, det_exact
+import numpy as np
+
+from .exact import IntMatrix, _modular_primes, det_exact, det_mod_matches
 from .graphs import (
     Graph,
     all_connected_graphs,
     canonical_key,
-    distance_rows,
+    distance_stack,
     enumerate_tree_edges,
     path_graph,
     tree_key,
@@ -389,33 +392,76 @@ def falsifying_witness(report: SweepReport) -> dict | None:
     return None
 
 
+# trees per stacked elimination of graham_pollak_check: larger batches run
+# no faster and cost more memory
+_GP_BATCH = 1024
+
+
+def _certifying_primes(n: int, expected: int) -> list:
+    """Primes of `_modular_primes(n)` whose product exceeds
+    (n-1)^(3n/2) + |expected|.
+
+    A row of a tree's distance matrix has n - 1 nonzero entries, each at
+    most n - 1, so its norm is at most (n-1)^(3/2), and by Hadamard
+    |det| <= (n-1)^(3n/2).  Then |det - expected| is below the product,
+    and det = expected (mod every prime) proves det = expected.
+    """
+    bound = math.isqrt((n - 1) ** (3 * n)) + 1 + abs(expected)
+    primes = []
+    for p in _modular_primes(n):
+        if math.prod(primes) > bound:
+            return primes
+        primes.append(p)
+
+
 def graham_pollak_check(n_max: int) -> dict:
-    """det(distance matrix) = (1-n)(-2)^(n-2) over every labeled tree, n = 2..n_max."""
+    """det(distance matrix) = (1-n)(-2)^(n-2) over every labeled tree, n = 2..n_max.
+
+    Trees come from `enumerate_tree_edges` in batches of `_GP_BATCH`;
+    each batch's distance matrices come from one `distance_stack` and
+    are decided by one `det_mod_matches` per prime of
+    `_certifying_primes`, which together prove each determinant equal to
+    the expected value or certify it is not.  Only the first five failures
+    of each n, in Prüfer order, get their exact determinant (`det_exact`);
+    a row passes when no tree fails.  n_max is capped at
+    `GRAHAM_POLLAK_CAP`, whose 8^6 = 262,144 trees take a few seconds.
+    """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
+    if n_max > GRAHAM_POLLAK_CAP:
+        raise ValueError(f"gp-check capped at n_max <= {GRAHAM_POLLAK_CAP}")
     per_n = []
     for n in range(2, n_max + 1):
         expected = (1 - n) * (-2) ** (n - 2)
-        trees = 0
+        primes = _certifying_primes(n, expected)
+        trees = failed = 0
         failures = []
-        for seq, edges in enumerate_tree_edges(n):
-            trees += 1
-            d = det_exact(IntMatrix(distance_rows(n, edges)))
-            if d != expected:
-                failures.append({"prufer": list(seq), "det": d})
+        walk = enumerate_tree_edges(n)
+        while batch := list(itertools.islice(walk, _GP_BATCH)):
+            seqs, edge_lists = zip(*batch)
+            dist = distance_stack(n, edge_lists)
+            good = np.ones(len(batch), dtype=bool)
+            for p in primes:
+                good &= det_mod_matches(dist, expected, p)
+            bad = np.flatnonzero(~good)
+            for i in bad[: 5 - len(failures)]:
+                failures.append({"prufer": list(seqs[i]), "det": det_exact(IntMatrix(dist[i]))})
+            trees += len(batch)
+            failed += len(bad)
         per_n.append(
             {
                 "n": n,
                 "trees": trees,
                 "expected": expected,
-                "pass": not failures,
-                "failures": failures[:5],
+                "pass": not failed,
+                "failures": failures,
             }
         )
     return {"n_max": n_max, "per_n": per_n, "pass": all(e["pass"] for e in per_n)}
 
 
 EXTREMAL_TREE_CAP = 7
+GRAHAM_POLLAK_CAP = 8
 EXTREMAL_GRAPH_CAP = 5
 
 

@@ -256,6 +256,11 @@ class TestGpCheck:
             "e2946c6b788f2b788ca9a512885a6a602be587fca5ba9494e9fa83c1b5a7cde0"
         )
 
+    def test_refuses_past_the_cap(self, capsys):
+        code, out, err = run(capsys, ["gp-check", "--n-max", "10"])
+        assert code == 1 and out == ""
+        assert err == "error: gp-check capped at n_max <= 8\n"
+
 
 class TestExtremal:
     def test_ranking(self, capsys):

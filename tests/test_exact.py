@@ -12,8 +12,9 @@ from steiner_spectra.exact import (
     circulant,
     circulant_det_oracle,
     det_exact,
+    det_mod_matches,
 )
-from steiner_spectra.graphs import path_graph, star_graph
+from steiner_spectra.graphs import distance_rows, enumerate_tree_edges, path_graph, star_graph
 from steiner_spectra.hypermatrix import build_steiner_hypermatrix
 from steiner_spectra.resultant import _nonreduced_minor, gradient_system, macaulay_matrix
 
@@ -532,6 +533,75 @@ class TestBlockedHessenberg:
             assert len(exact._strong_components(np.array(rows, dtype=object))) == 1
             p = ceiling_prime(n)
             assert char_poly_mod(m, p) == blocks_charpoly_mod(t, block, p), (n, p)
+
+
+def decisions_by_det_exact(stack, target, p):
+    """det_mod_matches computed one matrix at a time through det_exact."""
+    return [(det_exact(IntMatrix(m)) - target) % p == 0 for m in stack.tolist()]
+
+
+def random_det_stack(rng, n, count):
+    """Small-entry matrices, some with a zero leading column, a zero
+    diagonal (every step needs a row from below) or a repeated row."""
+    stack = []
+    for _ in range(count):
+        rows = [[rng.choice((0, 0, -2, -1, 1, 2, 3)) for _ in range(n)] for _ in range(n)]
+        style = rng.randint(0, 3)
+        if style == 1:
+            for r in rows:
+                r[0] = 0
+        elif style == 2:
+            for i in range(n):
+                rows[i][i] = 0
+        elif style == 3 and n > 1:
+            i, j = rng.sample(range(n), 2)
+            rows[i] = list(rows[j])
+        stack.append(rows)
+    return np.array(stack, dtype=np.int64)
+
+
+class TestDetModMatches:
+    # small primes make determinants vanish mod p, so the no-pivot branch
+    # runs beside the last-entry comparison
+    PRIMES = (2, 3, 5, 7, 13)
+
+    def test_agrees_with_det_exact_on_tree_distance_matrices(self):
+        for n in range(2, 7):
+            stack = np.array(
+                [distance_rows(n, edges) for _, edges in enumerate_tree_edges(n)], dtype=np.int64
+            )
+            expected = (1 - n) * (-2) ** (n - 2)
+            for p in self.PRIMES + (ceiling_prime(n),):
+                for target in {expected, expected + 1, 0, 1}:
+                    got = det_mod_matches(stack, target, p).tolist()
+                    assert got == decisions_by_det_exact(stack, target, p), (n, p, target)
+
+    def test_agrees_with_det_exact_on_random_stacks(self):
+        rng = random.Random(22)
+        for n in range(1, 7):
+            stack = random_det_stack(rng, n, 60)
+            dets = [det_exact(IntMatrix(m)) for m in stack.tolist()]
+            assert 0 in dets
+            for p in self.PRIMES + (ceiling_prime(n),):
+                for target in {0, 1, -1, dets[0], dets[1]}:
+                    got = det_mod_matches(stack, target, p).tolist()
+                    assert got == decisions_by_det_exact(stack, target, p), (n, p, target)
+
+    def test_entries_beyond_the_prime(self):
+        rng = random.Random(23)
+        stack = np.array(
+            [[[rng.randint(-(10**15), 10**15) for _ in range(5)] for _ in range(5)] for _ in range(20)]
+        )
+        p = ceiling_prime(5)
+        for m in stack.tolist():
+            target = det_exact(IntMatrix(m))
+            assert det_mod_matches(stack, target, p).tolist() == decisions_by_det_exact(stack, target, p)
+
+    def test_refuses_moduli_outside_the_exact_range(self):
+        stack = np.zeros((1, 3, 3), dtype=np.int64)
+        for p in (1, 9, exact._float_exact_bound(3) + 1):
+            with pytest.raises(ValueError, match="prime below"):
+                det_mod_matches(stack, 0, p)
 
 
 class TestStrongComponents:

@@ -11,6 +11,7 @@ from steiner_spectra.graphs import (
     complete_graph,
     distance_matrix,
     distance_rows,
+    distance_stack,
     enumerate_labeled_trees,
     enumerate_tree_edges,
     format_graph,
@@ -245,6 +246,19 @@ class TestDistanceMatrix:
             [-1, -1, 1, 0],
         ]
         assert distance_rows(1, []) == [[0]]
+
+    def test_stack_matches_rows_on_every_labeled_tree(self):
+        for n in range(2, 7):
+            edge_lists = [edges for _, edges in enumerate_tree_edges(n)]
+            stack = distance_stack(n, edge_lists)
+            assert stack.shape == (n ** (n - 2), n, n)
+            assert stack.tolist() == [distance_rows(n, edges) for edges in edge_lists]
+
+    def test_stack_marks_unreachable_pairs(self):
+        edge_lists = [[(1, 2), (3, 4)], [(2, 3), (3, 4)], [(1, 4), (4, 2)]]
+        assert distance_stack(4, edge_lists).tolist() == [
+            distance_rows(4, edges) for edges in edge_lists
+        ]
 
     def test_matches_steiner_pairs(self):
         rng = random.Random(24)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import time
 import warnings
 
 import pytest
@@ -10,10 +11,12 @@ from steiner_spectra.harness import (
     CACHE_VERSION,
     EXTREMAL_GRAPH_CAP,
     EXTREMAL_TREE_CAP,
+    GRAHAM_POLLAK_CAP,
     RELABEL_CHECKS,
     ResultCache,
     SweepRecord,
     SweepReport,
+    _certifying_primes,
     _class_job,
     extremal_radius,
     falsifying_witness,
@@ -21,6 +24,7 @@ from steiner_spectra.harness import (
     report_json,
     sweep_trees,
 )
+from steiner_spectra.exact import IntMatrix, _modular_primes, det_exact
 from steiner_spectra.graphs import canonical_key, distance_rows, path_graph, tree_from_prufer
 from steiner_spectra.hypermatrix import build_steiner_hypermatrix
 from steiner_spectra.resultant import check_hyperdet_cap
@@ -412,17 +416,78 @@ class TestGrahamPollak:
     def test_reports_a_wrong_determinant(self, monkeypatch):
         import steiner_spectra.harness as harness
 
-        real = harness.det_exact
+        real = harness.distance_stack
         bad = distance_rows(5, tree_from_prufer((4, 1, 4)).edges)
+        corrupted = []
 
-        def wrong_once(m):
-            return real(m) + 1 if m.to_lists() == bad else real(m)
+        def doubled_once(n, edge_lists):
+            d = real(n, edge_lists)
+            for m in d:
+                if m.tolist() == bad:
+                    m *= 2
+                    corrupted.append(m.tolist())
+            return d
 
-        monkeypatch.setattr(harness, "det_exact", wrong_once)
+        monkeypatch.setattr(harness, "distance_stack", doubled_once)
         out = graham_pollak_check(6)
+        assert len(corrupted) == 1
         assert out["pass"] is False
         assert [e["pass"] for e in out["per_n"]] == [True, True, True, False, True]
-        assert out["per_n"][3]["failures"] == [{"prufer": [4, 1, 4], "det": 32 + 1}]
+        assert out["per_n"][3]["failures"] == [
+            {"prufer": [4, 1, 4], "det": det_exact(IntMatrix(corrupted[0]))}
+        ]
+        assert det_exact(IntMatrix(corrupted[0])) == 32 * 2**5
+
+    def test_keeps_the_first_five_failures(self, monkeypatch):
+        import steiner_spectra.harness as harness
+
+        real_stack, real_det = harness.distance_stack, harness.det_exact
+        exact_calls = []
+
+        def doubled(n, edge_lists):
+            return 2 * real_stack(n, edge_lists)
+
+        def counted(m):
+            exact_calls.append(m.rows)
+            return real_det(m)
+
+        monkeypatch.setattr(harness, "distance_stack", doubled)
+        monkeypatch.setattr(harness, "det_exact", counted)
+        out = graham_pollak_check(6)
+        assert out["pass"] is False
+        assert [e["trees"] for e in out["per_n"]] == [1, 3, 16, 125, 1296]
+        assert [e["pass"] for e in out["per_n"]] == [False] * 5
+        assert exact_calls == [2, 3, 3, 3, 4, 4, 4, 4, 4, 5, 5, 5, 5, 5, 6, 6, 6, 6, 6]
+        six = out["per_n"][4]
+        assert [f["prufer"] for f in six["failures"]] == [
+            [1, 1, 1, 1], [1, 1, 1, 2], [1, 1, 1, 3], [1, 1, 1, 4], [1, 1, 1, 5]
+        ]
+        assert all(f["det"] == 2**6 * -80 for f in six["failures"])
+
+    def test_certifying_primes_exceed_the_hadamard_bound(self):
+        for n in range(2, 9):
+            expected = (1 - n) * (-2) ** (n - 2)
+            primes = _certifying_primes(n, expected)
+            assert primes == [p for p, _ in zip(_modular_primes(n), primes)]
+            # product > (n-1)^(3n/2) + |expected|, squared to stay in integers
+            margin = math.prod(primes) - abs(expected)
+            assert margin > 0 and margin**2 > (n - 1) ** (3 * n)
+
+    def test_refuses_past_the_cap_at_once(self):
+        for n_max in (GRAHAM_POLLAK_CAP + 1, 10, 10**9):
+            t0 = time.perf_counter()
+            with pytest.raises(ValueError, match=f"capped at n_max <= {GRAHAM_POLLAK_CAP}"):
+                graham_pollak_check(n_max)
+            assert time.perf_counter() - t0 < 1.0
+
+    def test_passes_every_tree_at_the_cap(self):
+        # 262,144 labeled trees at n = 8: about 3 s on 2 vCPUs
+        assert GRAHAM_POLLAK_CAP == 8
+        out = graham_pollak_check(GRAHAM_POLLAK_CAP)
+        assert out["pass"] is True
+        assert out["per_n"][-1] == {
+            "n": 8, "trees": 262144, "expected": -448, "pass": True, "failures": []
+        }
 
 
 class TestExtremalRadius:
