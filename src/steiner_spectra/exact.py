@@ -11,7 +11,8 @@ block of more than one row.
 Entries stay in (-p, p) and every dot product has at most rows + 64
 terms, so for the primes it accepts, those below
 `_float_exact_bound(rows)`, where p * p * (rows + 64) < 2**53, every
-BLAS product is exact; `_modular_primes(rows)` lists them downward.
+BLAS product is exact; `_modular_primes(rows)` lists them downward and
+`_crt_primes` takes the fewest whose product passes a bound.
 Both charpolys, exact (`char_poly_exact`) and modular, are tuples of
 ascending coefficients.  Over the same primes `det_mod_matches` decides
 det = target (mod p) for a whole stack of small matrices with one
@@ -253,6 +254,24 @@ def _modular_primes(rows: int):
     raise ArithmeticError("prime pool exhausted")  # pragma: no cover
 
 
+def _crt_primes(rows: int, bound: int) -> list:
+    """The fewest leading primes of `_modular_primes(rows)` whose product
+    exceeds bound; at least one, so the per-prime checks run at bound 0."""
+    primes, product = [], 1
+    for p in _modular_primes(rows):
+        primes.append(p)
+        product *= p
+        if product > bound:
+            return primes
+
+
+def _check_modulus(p: int, rows: int) -> None:
+    """Refuse p unless it is a prime below `_float_exact_bound(rows)`."""
+    bound = _float_exact_bound(rows)
+    if not 2 <= p < bound or not _is_prime_trial(p):
+        raise ValueError(f"modulus must be a prime below {bound} for {rows} rows")
+
+
 def _char_poly_hessenberg(h: np.ndarray, p: int) -> np.ndarray:
     """Ascending int64 coefficients of det(lambda*I - h) over F_p.
 
@@ -403,9 +422,7 @@ def char_poly_mod(m: IntMatrix, p: int) -> tuple:
     n = m.rows
     if n > _MOD_MAX_ROWS:
         raise ValueError(f"matrix size {n} exceeds the modular charpoly cap of {_MOD_MAX_ROWS}")
-    bound = _float_exact_bound(n)
-    if not 2 <= p < bound or not _is_prime_trial(p):
-        raise ValueError(f"modulus must be a prime below {bound} for {n} rows")
+    _check_modulus(p, n)
     linear, blocks = _charpoly_plan(m)
     charpoly = np.array([c % p for c in linear], dtype=np.int64)
     for block in blocks:
@@ -435,9 +452,7 @@ def det_mod_matches(stack: np.ndarray, target: int, p: int) -> np.ndarray:
     arithmetic is exact.
     """
     count, n, _ = stack.shape
-    bound = _float_exact_bound(n)
-    if not 2 <= p < bound or not _is_prime_trial(p):
-        raise ValueError(f"modulus must be a prime below {bound} for {n} rows")
+    _check_modulus(p, n)
     a = np.moveaxis(stack % p, 0, -1).astype(np.float64, order="C")
     rhs = np.full(count, float(target % p))
     pivots = np.ones(count)

@@ -3,7 +3,7 @@
 Vertices are labeled 1..n throughout so results line up with hand
 calculations.  Every traversal runs on one adjacency format, neighbor
 lists indexed by vertex with slot 0 unused (`Graph.adjacency`), and one
-BFS (`_bfs_dist`) serves connectivity, forest tests, distances and
+single-source BFS (`_bfs_dist`) serves connectivity, forest tests and
 Steiner distances.  Steiner distance of a vertex set S is the fewest
 edges in any connected subgraph containing S.  The sets of one
 `steiner_distances` call share BFS rows and one Dreyfus-Wagner table: the
@@ -14,10 +14,10 @@ Labeled trees come as edge lists: `enumerate_tree_edges` decodes every
 Prüfer sequence in linear time, and `tree_key` names the isomorphism
 class by center-rooted AHU strings built during the one leaf peel that
 finds the centers, so a sweep over n^(n-2) trees needs a `Graph` only
-for the trees it keeps.  `distance_stack` gives the distance matrices
-of a whole batch of edge lists as one array, by a min-plus
-Floyd-Warshall over the stack; `distance_rows` takes one BFS per vertex
-of a single graph.
+for the trees it keeps.  `distance_stack` is the one all-pairs routine:
+it gives the distance matrices of a whole batch of edge lists as one
+array, by a min-plus Floyd-Warshall over the stack, and
+`distance_matrix` reads a single graph's off a stack of one.
 """
 
 from __future__ import annotations
@@ -242,15 +242,10 @@ def enumerate_labeled_trees(n: int):
         yield seq, Graph.from_edges(n, edges)
 
 
-def distance_rows(n: int, edges) -> list:
-    """Pairwise hop distances on 1..n as n rows, -1 between components."""
-    adj = _adjacency_lists(n, edges)
-    return [_bfs_dist(adj, v, n)[1:] for v in range(1, n + 1)]
-
-
 def distance_stack(n: int, edge_lists) -> np.ndarray:
-    """`distance_rows` of many graphs on 1..n at once, as a (count, n, n)
-    int64 array; every edge list has the same length.
+    """Pairwise hop distances of many graphs on 1..n at once, as a
+    (count, n, n) int64 array, -1 between components; every edge list has
+    the same length.
 
     A min-plus Floyd-Warshall over the stacked adjacency: n vectorized
     steps, each relaxing every pair through one more intermediate vertex.
@@ -277,10 +272,10 @@ def distance_stack(n: int, edge_lists) -> np.ndarray:
 
 def distance_matrix(g: Graph) -> IntMatrix:
     """Pairwise shortest-path distance matrix (the k=2 Steiner hypermatrix)."""
-    rows = distance_rows(g.n, g.edges)
-    if -1 in rows[0]:
+    d = distance_stack(g.n, [g.edges])[0]
+    if d[0].min() < 0:
         raise ValueError("disconnected graph")
-    return IntMatrix(rows)
+    return IntMatrix(d)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ class once (by canonical form), so a labeled sweep over n^(n-2) trees
 pays for one hyperdeterminant per class; results are optionally
 persisted in an append-only JSON-lines cache.  A labeled tree costs a
 Prüfer decode and a canonical key; a `Graph` is built only for the first
-tree of each class.
+tree of each class.  One cap, `TREE_WALK_CAP`, bounds sweeps, tree
+rankings and the Graham-Pollak check, each refusing before it walks.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact import IntMatrix, _modular_primes, det_exact, det_mod_matches
+from .exact import IntMatrix, _crt_primes, det_exact, det_mod_matches
 from .graphs import (
     Graph,
     all_connected_graphs,
@@ -252,6 +253,9 @@ def _evaluate_classes(n, items, k, det, radius, tol, jobs=1, cache=None):
 # at most how many distinct classes a det sweep re-checks under a random relabeling
 RELABEL_CHECKS = 10
 
+# largest n whose n^(n-2) labeled trees are walked: 262,144 at n = 8
+TREE_WALK_CAP = 8
+
 
 def sweep_trees(
     n: int,
@@ -276,7 +280,7 @@ def sweep_trees(
 
     Relabeling spot-checks rerun hyperdet on up to RELABEL_CHECKS distinct
     classes, each under one random vertex permutation, all drawn with
-    `seed`, and demand identical values.
+    `seed`, and demand identical values.  n is capped at `TREE_WALK_CAP`.
     """
     if mode not in ("labeled", "unlabeled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -284,6 +288,8 @@ def sweep_trees(
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if det:
         check_hyperdet_cap(n, k)
+    if n > TREE_WALK_CAP:
+        raise ValueError(f"sweep capped at n <= {TREE_WALK_CAP}")
 
     labeled, reps, values = _evaluate_classes(
         n, _labeled_trees(n), k, det, radius, tol, jobs, cache
@@ -397,43 +403,28 @@ def falsifying_witness(report: SweepReport) -> dict | None:
 _GP_BATCH = 1024
 
 
-def _certifying_primes(n: int, expected: int) -> list:
-    """Primes of `_modular_primes(n)` whose product exceeds
-    (n-1)^(3n/2) + |expected|.
-
-    A row of a tree's distance matrix has n - 1 nonzero entries, each at
-    most n - 1, so its norm is at most (n-1)^(3/2), and by Hadamard
-    |det| <= (n-1)^(3n/2).  Then |det - expected| is below the product,
-    and det = expected (mod every prime) proves det = expected.
-    """
-    bound = math.isqrt((n - 1) ** (3 * n)) + 1 + abs(expected)
-    primes = []
-    for p in _modular_primes(n):
-        if math.prod(primes) > bound:
-            return primes
-        primes.append(p)
-
-
 def graham_pollak_check(n_max: int) -> dict:
     """det(distance matrix) = (1-n)(-2)^(n-2) over every labeled tree, n = 2..n_max.
 
     Trees come from `enumerate_tree_edges` in batches of `_GP_BATCH`;
     each batch's distance matrices come from one `distance_stack` and
-    are decided by one `det_mod_matches` per prime of
-    `_certifying_primes`, which together prove each determinant equal to
-    the expected value or certify it is not.  Only the first five failures
+    are decided by one `det_mod_matches` per prime of `_crt_primes` past
+    (n-1)^(3n/2) + |expected|.  A row of a tree's distance matrix has
+    n - 1 nonzero entries, each at most n - 1, so its norm is at most
+    (n-1)^(3/2), and by Hadamard |det| <= (n-1)^(3n/2).  Then
+    |det - expected| is below the primes' product, and det = expected
+    modulo every one proves det = expected.  Only the first five failures
     of each n, in Prüfer order, get their exact determinant (`det_exact`);
-    a row passes when no tree fails.  n_max is capped at
-    `GRAHAM_POLLAK_CAP`, whose 8^6 = 262,144 trees take a few seconds.
+    a row passes when no tree fails.  n_max is capped at `TREE_WALK_CAP`.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    if n_max > GRAHAM_POLLAK_CAP:
-        raise ValueError(f"gp-check capped at n_max <= {GRAHAM_POLLAK_CAP}")
+    if n_max > TREE_WALK_CAP:
+        raise ValueError(f"gp-check capped at n_max <= {TREE_WALK_CAP}")
     per_n = []
     for n in range(2, n_max + 1):
         expected = (1 - n) * (-2) ** (n - 2)
-        primes = _certifying_primes(n, expected)
+        primes = _crt_primes(n, math.isqrt((n - 1) ** (3 * n)) + 1 + abs(expected))
         trees = failed = 0
         failures = []
         walk = enumerate_tree_edges(n)
@@ -460,8 +451,6 @@ def graham_pollak_check(n_max: int) -> dict:
     return {"n_max": n_max, "per_n": per_n, "pass": all(e["pass"] for e in per_n)}
 
 
-EXTREMAL_TREE_CAP = 7
-GRAHAM_POLLAK_CAP = 8
 EXTREMAL_GRAPH_CAP = 5
 
 
@@ -472,8 +461,8 @@ def extremal_radius(n: int, k: int, scope: str = "trees", tol: float = NQZ_TOL) 
     as a sweep decides it (`_radius_verdicts`); never asserts the open question.
     """
     if scope == "trees":
-        if not 2 <= n <= EXTREMAL_TREE_CAP:
-            raise ValueError(f"tree scope capped at 2 <= n <= {EXTREMAL_TREE_CAP}")
+        if not 2 <= n <= TREE_WALK_CAP:
+            raise ValueError(f"tree scope capped at 2 <= n <= {TREE_WALK_CAP}")
         items = _labeled_trees(n)
     elif scope == "connected-graphs":
         if not 2 <= n <= EXTREMAL_GRAPH_CAP:

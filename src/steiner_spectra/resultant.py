@@ -21,8 +21,8 @@ identity survives reduction modulo any prime: C(t) mod p is the exact
 quotient of one pair of charpolys mod p, a nonzero remainder is an
 error, and Chinese remaindering of C(0) past
 2 ||M||_inf^(N - N') gives the integer, with ||M||_inf read off the
-forms.  The primes are `exact._modular_primes` of M's row count, from
-about 2**21.9 down at 560 rows: exactly those `char_poly_mod` takes.
+forms.  The primes are `exact._crt_primes` of M's row count and that
+bound, from about 2**21.9 down at 560 rows: primes `char_poly_mod` takes.
 Macaulay matrices of at most 15 rows (on the hyperdet path, n = 3 with
 k = 3) still take the same two charpolys exactly over Z (`_gcp_constant`),
 a remnant that goes once the benchmark's tracer self-test stops counting
@@ -41,7 +41,7 @@ import numpy as np
 
 from .exact import (
     IntMatrix,
-    _modular_primes,
+    _crt_primes,
     char_poly_exact,
     char_poly_mod,
     det_exact,
@@ -170,14 +170,12 @@ def _gcp_constant_modular(s: HomogeneousSystem, matrix: IntMatrix, reduced: list
     norm = max(sum(map(abs, f.values())) for f in s.polys)
     bound = 2 * norm ** sum(reduced)  # N - N' eigenvalues
     sign, residue, modulus = (-1) ** sum(reduced), 0, 1
-    for p in _modular_primes(matrix.rows):
+    for p in _crt_primes(matrix.rows, bound):
         pp = char_poly_mod(matrix, p)
         qq = char_poly_mod(minor, p)
         c = sign * int(_charpoly_quotient(pp, qq, p)[0])
         residue += modulus * ((c - residue) * pow(modulus, -1, p) % p)
         modulus *= p
-        if modulus > bound:
-            break
     if residue > modulus // 2:
         residue -= modulus
     return residue
@@ -189,17 +187,17 @@ def macaulay_resultant(s: HomogeneousSystem) -> int:
     The Macaulay matrix M is built once.  When M' is empty the resultant
     is det(M).  Otherwise it is C(0) of the perturbation identity, from
     exact charpolys up to GCP_EXACT_MAX_ROWS rows (`_gcp_constant`) and
-    else mod primes (`_modular_primes`), taken downward from the bound
+    else mod primes (`_crt_primes`), taken downward from the bound
     below which char_poly_mod of M accepts them.  Every prime is usable:
     det(tI + M') is monic, so C(t) is the exact quotient over F_p as over
     Z, whether or not M' is singular mod p, and a nonzero remainder is an
     error.  The roots of det(tI + M') are among those of det(tI + M), so
     C(0) is a product of N - N' eigenvalues of -M, each at most
-    B = ||M||_inf = max_i ||F_i||_1 in absolute value; remaindering stops
-    once the modulus exceeds 2 * B^(N - N'), and the symmetric residue is
-    the resultant.  A zero form leaves its rows of M zero, so it needs no
-    special case: det(M) and C(0) vanish, and with every form zero B = 0
-    and one prime closes.
+    B = ||M||_inf = max_i ||F_i||_1 in absolute value; remaindering takes
+    the fewest primes whose product exceeds 2 * B^(N - N'), and the
+    symmetric residue is the resultant.  A zero form leaves its rows of M
+    zero, so it needs no special case: det(M) and C(0) vanish, and with
+    every form zero B = 0 and one prime closes.
     """
     check_hyperdet_cap(s.nvars, s.degree + 1)
     matrix, reduced = macaulay_matrix(s)

@@ -18,6 +18,7 @@ from steiner_spectra import (
     SymmetricHypermatrix,
     build_steiner_hypermatrix,
     charpoly_allones,
+    graphs,
     hyperdet,
     nqz_spectral_radius,
     tree_from_prufer,
@@ -51,6 +52,13 @@ def steiner_by_edge_subsets(g: Graph, s):
             if s <= seen:
                 return size
     raise AssertionError("unreachable")
+
+
+def bfs_rows(n: int, edges) -> list:
+    """Reference hop distances on 1..n: one `graphs._bfs_dist` row per
+    vertex, -1 between components."""
+    adj = Graph.from_edges(n, edges).adjacency()
+    return [graphs._bfs_dist(adj, v, n)[1:] for v in range(1, n + 1)]
 
 
 def random_hypermatrix(rng: random.Random, order: int, dim: int, lo=0, hi=3):

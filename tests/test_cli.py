@@ -181,6 +181,11 @@ class TestSweep:
         code, out, err = run(capsys, ["sweep", "--n", "4", "--k", "2", "--det", "--jobs", "0"])
         assert code == 1 and out == "" and "jobs" in err
 
+    def test_refuses_past_the_tree_cap(self, capsys):
+        code, out, err = run(capsys, ["sweep", "--n", "9", "--k", "3", "--radius"])
+        assert code == 1 and out == ""
+        assert err == "error: sweep capped at n <= 8\n"
+
     def test_text_output(self, capsys):
         code, out, _ = run(capsys, ["sweep", "--n", "4", "--k", "2", "--det"])
         assert code == 0

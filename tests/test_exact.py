@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -14,9 +16,11 @@ from steiner_spectra.exact import (
     det_exact,
     det_mod_matches,
 )
-from steiner_spectra.graphs import distance_rows, enumerate_tree_edges, path_graph, star_graph
+from steiner_spectra.graphs import enumerate_tree_edges, path_graph, star_graph
 from steiner_spectra.hypermatrix import build_steiner_hypermatrix
 from steiner_spectra.resultant import _nonreduced_minor, gradient_system, macaulay_matrix
+
+from props import bfs_rows
 
 
 def cofactor_det(rows):
@@ -568,7 +572,7 @@ class TestDetModMatches:
     def test_agrees_with_det_exact_on_tree_distance_matrices(self):
         for n in range(2, 7):
             stack = np.array(
-                [distance_rows(n, edges) for _, edges in enumerate_tree_edges(n)], dtype=np.int64
+                [bfs_rows(n, edges) for _, edges in enumerate_tree_edges(n)], dtype=np.int64
             )
             expected = (1 - n) * (-2) ** (n - 2)
             for p in self.PRIMES + (ceiling_prime(n),):
@@ -602,6 +606,41 @@ class TestDetModMatches:
         for p in (1, 9, exact._float_exact_bound(3) + 1):
             with pytest.raises(ValueError, match="prime below"):
                 det_mod_matches(stack, 0, p)
+
+
+class TestCrtPrimes:
+    def test_shortest_prefix_past_the_bound(self):
+        pool = list(itertools.islice(exact._modular_primes(560), 24))
+        # bound 0 still takes one prime, so the per-prime checks run; a bound
+        # equal to the first two primes' product needs a third; crt-degenerate's
+        # 2 * 4^256 (||M||_inf = 4, N - N' = 256) at 560 rows takes 24
+        for bound, count in [(0, 1), (pool[0] * pool[1], 3), (2 * 4**256, 24)]:
+            assert exact._crt_primes(560, bound) == pool[:count]
+        assert math.prod(pool[:23]) <= 2 * 4**256 < math.prod(pool)
+
+    def test_certifying_primes_exceed_the_hadamard_bound(self):
+        for n in range(2, 9):
+            expected = (1 - n) * (-2) ** (n - 2)
+            primes = exact._crt_primes(n, math.isqrt((n - 1) ** (3 * n)) + 1 + abs(expected))
+            assert primes == [p for p, _ in zip(exact._modular_primes(n), primes)]
+            # product > (n-1)^(3n/2) + |expected|, squared to stay in integers
+            margin = math.prod(primes) - abs(expected)
+            assert margin > 0 and margin**2 > (n - 1) ** (3 * n)
+            assert len(primes) == [1, 1, 1, 1, 1, 2, 2][n - 2]
+
+    def test_both_modular_routines_refuse_the_same_moduli(self):
+        for rows in (3, 8):
+            q = bound = exact._float_exact_bound(rows)
+            while not exact._is_prime_trial(q):
+                q += 1
+            want = f"modulus must be a prime below {bound} for {rows} rows"
+            m = IntMatrix(np.eye(rows, dtype=np.int64))
+            for p in (1, 9, q):
+                with pytest.raises(ValueError) as by_charpoly:
+                    char_poly_mod(m, p)
+                with pytest.raises(ValueError) as by_det:
+                    det_mod_matches(np.zeros((2, rows, rows), dtype=np.int64), 0, p)
+                assert str(by_charpoly.value) == str(by_det.value) == want, (rows, p)
 
 
 class TestStrongComponents:

@@ -10,7 +10,6 @@ from steiner_spectra.graphs import (
     canonical_key,
     complete_graph,
     distance_matrix,
-    distance_rows,
     distance_stack,
     enumerate_labeled_trees,
     enumerate_tree_edges,
@@ -27,7 +26,7 @@ from steiner_spectra.graphs import (
     write_graph,
 )
 
-from props import steiner_by_edge_subsets
+from props import bfs_rows, steiner_by_edge_subsets
 
 
 def prufer_edges_by_heap(seq, n):
@@ -239,26 +238,43 @@ class TestDistanceMatrix:
             distance_matrix(Graph.from_edges(3, [(2, 3)]))
 
     def test_rows_from_edges(self):
-        assert distance_rows(4, [(1, 2), (3, 4)]) == [
+        assert distance_stack(4, [[(1, 2), (3, 4)]])[0].tolist() == [
             [0, 1, -1, -1],
             [1, 0, -1, -1],
             [-1, -1, 0, 1],
             [-1, -1, 1, 0],
         ]
-        assert distance_rows(1, []) == [[0]]
+        assert distance_stack(1, [[]])[0].tolist() == [[0]]
 
     def test_stack_matches_rows_on_every_labeled_tree(self):
         for n in range(2, 7):
             edge_lists = [edges for _, edges in enumerate_tree_edges(n)]
             stack = distance_stack(n, edge_lists)
             assert stack.shape == (n ** (n - 2), n, n)
-            assert stack.tolist() == [distance_rows(n, edges) for edges in edge_lists]
+            assert stack.tolist() == [bfs_rows(n, edges) for edges in edge_lists]
 
     def test_stack_marks_unreachable_pairs(self):
         edge_lists = [[(1, 2), (3, 4)], [(2, 3), (3, 4)], [(1, 4), (4, 2)]]
         assert distance_stack(4, edge_lists).tolist() == [
-            distance_rows(4, edges) for edges in edge_lists
+            bfs_rows(4, edges) for edges in edge_lists
         ]
+
+    def test_every_labeled_graph_matches_bfs(self):
+        # all 2^C(n,2) edge sets on n <= 5 vertices, connected or not: the
+        # stack reads -1 exactly where BFS does, and distance_matrix gives
+        # the BFS rows or refuses
+        for n in range(1, 6):
+            pairs = list(combinations(range(1, n + 1), 2))
+            for bits in range(1 << len(pairs)):
+                edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
+                want = bfs_rows(n, edges)
+                assert distance_stack(n, [edges])[0].tolist() == want, (n, edges)
+                g = Graph.from_edges(n, edges)
+                if any(-1 in row for row in want):
+                    with pytest.raises(ValueError, match="disconnected graph"):
+                        distance_matrix(g)
+                else:
+                    assert distance_matrix(g).to_lists() == want, (n, edges)
 
     def test_matches_steiner_pairs(self):
         rng = random.Random(24)

@@ -10,13 +10,11 @@ import pytest
 from steiner_spectra.harness import (
     CACHE_VERSION,
     EXTREMAL_GRAPH_CAP,
-    EXTREMAL_TREE_CAP,
-    GRAHAM_POLLAK_CAP,
     RELABEL_CHECKS,
+    TREE_WALK_CAP,
     ResultCache,
     SweepRecord,
     SweepReport,
-    _certifying_primes,
     _class_job,
     extremal_radius,
     falsifying_witness,
@@ -24,12 +22,14 @@ from steiner_spectra.harness import (
     report_json,
     sweep_trees,
 )
-from steiner_spectra.exact import IntMatrix, _modular_primes, det_exact
-from steiner_spectra.graphs import canonical_key, distance_rows, path_graph, tree_from_prufer
+from steiner_spectra.exact import IntMatrix, det_exact
+from steiner_spectra.graphs import canonical_key, path_graph, tree_from_prufer
 from steiner_spectra.hypermatrix import build_steiner_hypermatrix
 from steiner_spectra.resultant import check_hyperdet_cap
 from steiner_spectra.spectra import nqz_spectral_radius
 from steiner_spectra.wendt import wendt
+
+from props import bfs_rows
 
 
 def _fail_on_double_star(args):
@@ -157,6 +157,16 @@ class TestCaps:
         for n, k in [(5, 3), (3, 7)]:
             with pytest.raises(ValueError, match="cap"):
                 check_hyperdet_cap(n, k)
+
+    def test_sweep_refuses_past_the_tree_cap_at_once(self):
+        # 9^7 = 4,782,969 labeled trees at cap + 1; at k = 2 the hyperdet cap
+        # admits every n, so the tree cap is what refuses a det sweep too
+        for n in (TREE_WALK_CAP + 1, 10, 10**9):
+            for kwargs in ({"k": 3, "radius": True}, {"k": 2, "det": True}):
+                t0 = time.perf_counter()
+                with pytest.raises(ValueError, match=f"sweep capped at n <= {TREE_WALK_CAP}"):
+                    sweep_trees(n, **kwargs)
+                assert time.perf_counter() - t0 < 1.0
 
 
 class TestSweepTrees:
@@ -417,7 +427,7 @@ class TestGrahamPollak:
         import steiner_spectra.harness as harness
 
         real = harness.distance_stack
-        bad = distance_rows(5, tree_from_prufer((4, 1, 4)).edges)
+        bad = bfs_rows(5, tree_from_prufer((4, 1, 4)).edges)
         corrupted = []
 
         def doubled_once(n, edge_lists):
@@ -464,26 +474,17 @@ class TestGrahamPollak:
         ]
         assert all(f["det"] == 2**6 * -80 for f in six["failures"])
 
-    def test_certifying_primes_exceed_the_hadamard_bound(self):
-        for n in range(2, 9):
-            expected = (1 - n) * (-2) ** (n - 2)
-            primes = _certifying_primes(n, expected)
-            assert primes == [p for p, _ in zip(_modular_primes(n), primes)]
-            # product > (n-1)^(3n/2) + |expected|, squared to stay in integers
-            margin = math.prod(primes) - abs(expected)
-            assert margin > 0 and margin**2 > (n - 1) ** (3 * n)
-
     def test_refuses_past_the_cap_at_once(self):
-        for n_max in (GRAHAM_POLLAK_CAP + 1, 10, 10**9):
+        for n_max in (TREE_WALK_CAP + 1, 10, 10**9):
             t0 = time.perf_counter()
-            with pytest.raises(ValueError, match=f"capped at n_max <= {GRAHAM_POLLAK_CAP}"):
+            with pytest.raises(ValueError, match=f"capped at n_max <= {TREE_WALK_CAP}"):
                 graham_pollak_check(n_max)
             assert time.perf_counter() - t0 < 1.0
 
     def test_passes_every_tree_at_the_cap(self):
         # 262,144 labeled trees at n = 8: about 3 s on 2 vCPUs
-        assert GRAHAM_POLLAK_CAP == 8
-        out = graham_pollak_check(GRAHAM_POLLAK_CAP)
+        assert TREE_WALK_CAP == 8
+        out = graham_pollak_check(TREE_WALK_CAP)
         assert out["pass"] is True
         assert out["per_n"][-1] == {
             "n": 8, "trees": 262144, "expected": -448, "pass": True, "failures": []
@@ -521,9 +522,15 @@ class TestExtremalRadius:
         with pytest.raises(ValueError, match="scope"):
             extremal_radius(3, 2, scope="forests")
         with pytest.raises(ValueError):
-            extremal_radius(EXTREMAL_TREE_CAP + 1, 2)
+            extremal_radius(TREE_WALK_CAP + 1, 2)
         with pytest.raises(ValueError):
             extremal_radius(EXTREMAL_GRAPH_CAP + 1, 2, scope="connected-graphs")
+
+    def test_ranks_every_class_at_the_cap(self):
+        # 262,144 labeled trees in 23 classes: about 5 s on 2 vCPUs
+        out = extremal_radius(TREE_WALK_CAP, 3)
+        assert len(out["entries"]) == 23
+        assert out["top_is_path"] is True
 
     def test_deterministic(self):
         a = report_json(extremal_radius(4, 3))

@@ -325,7 +325,7 @@ class TestCharpolyQuotient:
         assert (matrix.rows, minor.rows) == (36, 9)
         q = self.exact_quotient(path_graph(3), 4)
         assert (-1) ** sum(reduced) * q[0] == -q[0] == 8023601152  # H(3, 4)
-        for p in itertools.islice(resultant._modular_primes(matrix.rows), 3):
+        for p in itertools.islice(exact._modular_primes(matrix.rows), 3):
             got = resultant._charpoly_quotient(char_poly_mod(matrix, p), char_poly_mod(minor, p), p)
             assert [int(c) for c in got] == [c % p for c in q], p
 
@@ -336,7 +336,7 @@ class TestCharpolyQuotient:
         s = gradient_system(build_steiner_hypermatrix(path_graph(3), 6))
         matrix, reduced = macaulay_matrix(s)
         minor_rows = reduced.count(False)
-        second = list(itertools.islice(resultant._modular_primes(matrix.rows), 2))[1]
+        second = list(itertools.islice(exact._modular_primes(matrix.rows), 2))[1]
 
         def perturbed(m, p):
             coeffs = list(char_poly_mod(m, p))
@@ -375,7 +375,7 @@ def form_norm(s):
 class TestModularPrimes:
     @pytest.mark.parametrize("rows", [15, 560, 2000])
     def test_primes_keep_float_products_exact(self, rows):
-        primes = list(itertools.islice(resultant._modular_primes(rows), 300))
+        primes = list(itertools.islice(exact._modular_primes(rows), 300))
         bound = exact._float_exact_bound(rows)
         assert primes == sorted(primes, reverse=True)
         assert all(exact._is_prime_trial(p) for p in primes)
@@ -398,7 +398,7 @@ class TestModularPrimes:
         assert _gcp_constant_modular(s, matrix, reduced) == 43782435923605828680933188175642624
         bound = 2 * form_norm(s) ** sum(reduced)
         assert math.prod(primes) > bound >= math.prod(primes[:-1])
-        assert primes == list(itertools.islice(resultant._modular_primes(matrix.rows), len(primes)))
+        assert primes == list(itertools.islice(exact._modular_primes(matrix.rows), len(primes)))
 
 
 class TestCrtNorm:
