@@ -4,7 +4,7 @@
 
 Subcommands: wendt, classify, hyperdet, spectrum, sweep, gp-check,
 extremal.  --json (machine-readable output) is valid on every
-subcommand; --seed (relabel spot checks), --cache (JSON-lines result
+subcommand; --seed (relabel checks), --cache (JSON-lines result
 cache) and --jobs (worker processes) only on sweep.
 
 Exit codes: 0 all pass, 2 a conjecture-falsifying witness was found,
@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", action="store_true", help="compute NQZ spectral radii")
     p.add_argument("--mode", choices=["labeled", "unlabeled"], default="labeled")
     p.add_argument("--tol", type=float, default=NQZ_TOL)
-    p.add_argument("--seed", type=int, default=0, help="seed for the relabel spot checks")
+    p.add_argument("--seed", type=int, default=0, help="seed for the relabel checks")
     p.add_argument("--cache", default=None, help="JSON-lines result cache path")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.set_defaults(fn=_cmd_sweep)

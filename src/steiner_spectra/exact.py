@@ -86,39 +86,34 @@ def circulant(first_row) -> IntMatrix:
 
 
 def det_exact(m: IntMatrix):
-    """Exact determinant by fraction-free Bareiss elimination.
+    """Exact determinant by fraction-free Bareiss elimination on a copy of
+    m's array as Python ints (dtype object).
 
-    Pivoting takes the first nonzero entry in the column (rows swapped with
-    sign tracking); a fully zero column means the determinant is 0.
+    Step k looks for a pivot only when a[k, k] is 0: the first nonzero
+    entry below it is swapped up and the sign flips; with none the
+    determinant is 0.  The trailing block T then becomes
+    (a[k, k] * T - outer(column k, row k)) // (the previous pivot), an
+    exact division.
     """
     if m.rows != m.cols:
         raise ValueError("determinant requires a square matrix")
     n = m.rows
-    a = m.to_lists()
+    a = m._a.astype(object)
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if not a[k][k]:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
+        if not a[k, k]:
+            below = a[k + 1 :, k].nonzero()[0]
+            if not below.size:
                 return 0
-        pk = a[k][k]
-        ak = a[k]
-        for i in range(k + 1, n):
-            ai = a[i]
-            aik = ai[k]
-            if aik:
-                ai[k + 1 :] = [
-                    (pk * ai[j] - aik * ak[j]) // prev for j in range(k + 1, n)
-                ]
-            elif pk != prev:
-                ai[k + 1 :] = [pk * v // prev for v in ai[k + 1 :]]
+            i = k + 1 + int(below[0])
+            a[[k, i]] = a[[i, k]]
+            sign = -sign
+        pk = a[k, k]
+        column, row = a[k + 1 :, k, None], a[k, None, k + 1 :]
+        a[k + 1 :, k + 1 :] = (pk * a[k + 1 :, k + 1 :] - column * row) // prev
         prev = pk
-    return int(sign * a[n - 1][n - 1])
+    return int(sign * a[n - 1, n - 1])
 
 
 CHARPOLY_EXACT_MAX_ROWS = 40
@@ -128,30 +123,26 @@ def char_poly_exact(m: IntMatrix) -> tuple:
     """Ascending coefficients of det(lambda*I - m), by the Faddeev-LeVerrier
     recurrence, all-integer: the same format as `char_poly_mod`.
 
-    The per-step divisions are exact for integer input, so no rationals
-    appear.  Cost is n Python-int matrix products, O(n^4), so matrices of
-    more than `CHARPOLY_EXACT_MAX_ROWS` rows are refused.
+    It runs on a copy of m's array as Python ints (dtype object), with
+    numpy's `dot` and `trace`.  The per-step divisions are exact for
+    integer input, so no rationals appear.  Cost is n matrix products,
+    O(n^4), so matrices of more than `CHARPOLY_EXACT_MAX_ROWS` rows are
+    refused.
     """
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial requires a square matrix")
     n = m.rows
     if n > CHARPOLY_EXACT_MAX_ROWS:
         raise ValueError(f"matrix size {n} exceeds the charpoly cap of {CHARPOLY_EXACT_MAX_ROWS}")
-    a = m.to_lists()
+    a = m._a.astype(object)
     # M_1 = I, c_1 = -tr(A); M_{j+1} = A M_j + c_j I, c_{j+1} = -tr(A M_{j+1})/(j+1)
-    mk = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    mk = np.eye(n, dtype=object)
     coeffs = [1]  # leading coefficient of lambda^n
     for step in range(1, n + 1):
-        am = [
-            [sum(a[i][t] * mk[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        c = -sum(am[i][i] for i in range(n)) // step
+        mk = a.dot(mk)
+        c = -mk.trace() // step
         coeffs.append(c)
-        if step < n:
-            mk = [
-                [am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)
-            ]
+        mk.flat[:: n + 1] += c
     return tuple(reversed(coeffs))  # ascending: (c_n, ..., c_1, 1)
 
 

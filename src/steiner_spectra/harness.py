@@ -250,9 +250,6 @@ def _evaluate_classes(n, items, k, det, radius, tol, jobs=1, cache=None):
     return labeled, reps, values
 
 
-# at most how many distinct classes a det sweep re-checks under a random relabeling
-RELABEL_CHECKS = 10
-
 # largest n whose n^(n-2) labeled trees are walked: 262,144 at n = 8
 TREE_WALK_CAP = 8
 
@@ -278,9 +275,9 @@ def sweep_trees(
     enclosure belongs to a path, counting enclosure-overlap ties in the
     path's favor and reporting them.
 
-    Relabeling spot-checks rerun hyperdet on up to RELABEL_CHECKS distinct
-    classes, each under one random vertex permutation, all drawn with
-    `seed`, and demand identical values.  n is capped at `TREE_WALK_CAP`.
+    A det sweep reruns hyperdet on every class, in sorted key order, under
+    one vertex permutation each, all drawn with `seed`, and demands
+    identical values.  n is capped at `TREE_WALK_CAP`.
     """
     if mode not in ("labeled", "unlabeled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -311,9 +308,9 @@ def sweep_trees(
 
 
 def _relabel_spot_checks(reps, values, n, k, seed) -> None:
-    """hyperdet must not move under random vertex permutations."""
+    """hyperdet must not move when each class is relabeled by a seeded permutation."""
     rng = random.Random(seed)
-    for ckey in rng.sample(sorted(reps), min(RELABEL_CHECKS, len(reps))):
+    for ckey in sorted(reps):
         _, g = reps[ckey]
         perm = list(range(1, n + 1))
         rng.shuffle(perm)

@@ -211,7 +211,9 @@ class TestSweep:
         )
         assert code2 == 0 and out2 == out
 
-    def test_falsifying_witness_exits_2(self, capsys, monkeypatch):
+    @staticmethod
+    def fake_falsified_sweep(monkeypatch):
+        """Make `sweep` report two distinct dets, which falsifies conjecture 1."""
         import steiner_spectra.cli as cli
         from steiner_spectra.harness import SweepRecord, SweepReport
 
@@ -229,10 +231,21 @@ class TestSweep:
             )
 
         monkeypatch.setattr(cli, "sweep_trees", fake_sweep)
+
+    def test_falsifying_witness_exits_2(self, capsys, monkeypatch):
+        self.fake_falsified_sweep(monkeypatch)
         code, out, _ = run(capsys, ["sweep", "--n", "3", "--k", "4", "--det", "--json"])
         assert code == 2
         obj = json.loads(out)
         assert obj["witness"]["verdict"] == "conjecture1"
+
+    def test_falsifying_witness_in_plain_text_exits_2(self, capsys, monkeypatch):
+        self.fake_falsified_sweep(monkeypatch)
+        code, out, _ = run(capsys, ["sweep", "--n", "3", "--k", "4", "--det"])
+        assert code == 2
+        lines = out.splitlines()
+        at = lines.index("falsifying witness:")
+        assert json.loads(lines[at + 1])["verdict"] == "conjecture1"
 
     def test_unlabeled_mode(self, capsys):
         code, out, _ = run(

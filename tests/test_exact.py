@@ -181,7 +181,7 @@ class TestDetExact:
         assert det_exact(IntMatrix(rows)) == cofactor_det(rows) == 26
 
     def test_against_fraction_elimination_across_mpz_threshold(self):
-        # sizes straddle the bignum cutoff so both code paths are exercised
+        # the eliminated entries reach 31 bits at 8 rows and 76 bits at 16
         rng = random.Random(12)
         for n in (8, 11, 12, 13, 16):
             rows = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]

@@ -10,7 +10,6 @@ import pytest
 from steiner_spectra.harness import (
     CACHE_VERSION,
     EXTREMAL_GRAPH_CAP,
-    RELABEL_CHECKS,
     TREE_WALK_CAP,
     ResultCache,
     SweepRecord,
@@ -329,7 +328,8 @@ class TestSweepTrees:
         sweep_trees(n, 2, det=True, seed=3)
         checks = built[classes:]  # the class jobs come first
         assert len(built[:classes]) == len(set(built[:classes])) == classes
-        assert len(checks) == len(set(checks)) == min(RELABEL_CHECKS, classes)
+        assert len(checks) == len(set(checks)) == classes
+        assert checks == sorted(checks)  # every class, in sorted key order
 
     def test_det_report_is_pinned(self):
         # exact integers only, so the bytes do not depend on the platform

@@ -1,0 +1,47 @@
+"""Input checks across the package: each bad input raises its ValueError,
+and an empty eigenpair list merges to an empty list."""
+
+import pytest
+
+from steiner_spectra.exact import IntMatrix, char_poly_exact, circulant
+from steiner_spectra.graphs import (
+    Graph,
+    complete_graph,
+    graph_canonical_form,
+    parse_graph,
+    path_graph,
+    steiner_distance,
+)
+from steiner_spectra.hypermatrix import SymmetricHypermatrix
+from steiner_spectra.resultant import HomogeneousSystem
+from steiner_spectra.spectra import eigenvalues_K2, merge_eigenpairs, spectral_radius_K2
+from steiner_spectra.wendt import wendt_matrix, wendt_oracle
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Graph(0), "at least one vertex"),
+        (lambda: steiner_distance(path_graph(3), {0, 1}), r"not within 1\.\.3"),
+        (lambda: graph_canonical_form(complete_graph(9)), "capped at n = 8"),
+        (lambda: parse_graph("# only a comment\n"), "empty graph file"),
+        (lambda: SymmetricHypermatrix(2, 0, {}), "dimension must be at least 1"),
+        (lambda: SymmetricHypermatrix(2, 1, {(1, 2): 1}), "out of range"),
+        (lambda: HomogeneousSystem(0, 1, ()), "at least one variable"),
+        (lambda: HomogeneousSystem(1, 0, ({(0,): 1},)), "degree must be at least 1"),
+        (lambda: HomogeneousSystem(2, 1, ({(1,): 1}, {(0, 1): 1})), "bad exponent vector"),
+        (lambda: circulant([]), "empty row"),
+        (lambda: char_poly_exact(IntMatrix([[1, 2]])), "square matrix"),
+        (lambda: eigenvalues_K2(1), "at least 2"),
+        (lambda: spectral_radius_K2(1), "at least 2"),
+        (lambda: wendt_matrix(0), "at least 1"),
+        (lambda: wendt_oracle(0), "at least 1"),
+    ],
+)
+def test_bad_input_raises(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_no_eigenpairs_merge_to_none():
+    assert merge_eigenpairs([]) == []

@@ -401,6 +401,52 @@ class TestModularPrimes:
         assert primes == list(itertools.islice(exact._modular_primes(matrix.rows), len(primes)))
 
 
+# The benchmark's crt-degenerate system: four quartic forms in four
+# variables, four +-1 terms each, so B = 4; its 560-row Macaulay matrix
+# has 256 reduced rows and e1 is a common root.
+CRT_DEGENERATE_FORMS = (
+    {(0, 1, 3, 0): 1, (3, 0, 1, 0): 1, (1, 0, 3, 0): -1, (0, 0, 2, 2): 1},
+    {(0, 3, 0, 1): 1, (1, 1, 2, 0): 1, (0, 0, 2, 2): 1, (2, 0, 1, 1): 1},
+    {(2, 0, 0, 2): 1, (1, 0, 0, 3): -1, (2, 1, 0, 1): -1, (2, 2, 0, 0): 1},
+    {(0, 1, 2, 1): -1, (0, 4, 0, 0): -1, (1, 1, 2, 0): 1, (0, 0, 4, 0): -1},
+)
+
+
+class TestCrtBound:
+    """The CRT route asks `_crt_primes` for exactly 2 B^(N - N'),
+    B = max_i ||F_i||_1.  Each prime is about 2**21, so the prime count
+    moves only when the bound crosses a product of primes, and a test of
+    the primes alone misses a bound off by a small factor: half of it
+    certifies |C(0)| < modulus, not the 2|C(0)| < modulus the symmetric
+    residue needs.  These tests read the bound itself."""
+
+    @staticmethod
+    def spy_bounds(monkeypatch):
+        bounds = []
+
+        def spy(rows, bound):
+            bounds.append((rows, bound))
+            return exact._crt_primes(rows, bound)
+
+        monkeypatch.setattr(resultant, "_crt_primes", spy)
+        return bounds
+
+    def test_crt_degenerate_forms(self, monkeypatch):
+        bounds = self.spy_bounds(monkeypatch)
+        s = HomogeneousSystem(4, 4, CRT_DEGENERATE_FORMS)
+        assert macaulay_resultant(s) == 0
+        assert sum(macaulay_matrix(s)[1]) == 256 and form_norm(s) == 4
+        assert bounds == [(560, 2 * 4**256)]
+
+    def test_path3_order4(self, monkeypatch):
+        bounds = self.spy_bounds(monkeypatch)
+        a = build_steiner_hypermatrix(path_graph(3), 4)
+        assert hyperdet(a) == 8023601152
+        s = gradient_system(a)
+        assert sum(macaulay_matrix(s)[1]) == 27 and form_norm(s) == 45
+        assert bounds == [(36, 2 * 45**27)]
+
+
 class TestCrtNorm:
     """The CRT bound's B = max_i ||F_i||_1 is ||M||_inf of the Macaulay
     matrix, so reading it off the forms changes no prime count; on these
