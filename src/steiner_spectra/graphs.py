@@ -10,19 +10,27 @@ edges in any connected subgraph containing S.  The sets of one
 row from min(S) answers pairs and S in a tree component, and the table
 answers every other S.
 
-Labeled trees come as edge lists: `enumerate_tree_edges` decodes every
-Prüfer sequence in linear time, and `tree_key` names the isomorphism
-class by center-rooted AHU strings built during the one leaf peel that
-finds the centers, so a sweep over n^(n-2) trees needs a `Graph` only
-for the trees it keeps.  `distance_stack` is the one all-pairs routine:
-it gives the distance matrices of a whole batch of edge lists as one
-array, by a min-plus Floyd-Warshall over the stack, and
-`distance_matrix` reads a single graph's off a stack of one.
+Labeled trees come in numpy blocks: `labeled_tree_blocks` yields the
+Prüfer sequences in lexicographic order, up to `TREE_BLOCK` at a time,
+with their edges from one lockstep smallest-leaf decode per block, and
+`tree_keys` names the isomorphism class of every tree of a block by
+center-rooted AHU strings (Aho, Hopcroft & Ullman 1974, section 3.2),
+coded level by level during one leaf peel over the whole block that also
+finds the centers.  So a sweep over n^(n-2) trees needs a `Graph` only
+for the trees it keeps.  `tree_from_prufer`, `tree_key`,
+`enumerate_tree_edges` and `enumerate_labeled_trees` read those two
+functions for one tree or one tree at a time.  `distance_stack` is the
+one all-pairs routine: it gives the distance matrices of a whole batch
+of edge lists as one array, by a min-plus Floyd-Warshall over the stack,
+and `distance_matrix` reads a single graph's off a stack of one.
+`graph_canonical_form` relabels an edge list under all n! permutations
+at once.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -33,7 +41,8 @@ from .exact import IntMatrix
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 1..n."""
+    """Simple undirected graph on vertices 1..n; numpy integer endpoints
+    are stored as Python ints."""
 
     n: int
     edges: frozenset = field(default_factory=frozenset)
@@ -43,7 +52,7 @@ class Graph:
             raise ValueError("graph needs at least one vertex")
         norm = set()
         for e in self.edges:
-            u, v = e
+            u, v = map(operator.index, e)
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (1 <= u <= self.n and 1 <= v <= self.n):
@@ -57,7 +66,11 @@ class Graph:
 
     def adjacency(self) -> list:
         """Neighbor lists indexed by vertex 1..n (slot 0 unused)."""
-        return _adjacency_lists(self.n, self.edges)
+        adj = [[] for _ in range(self.n + 1)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return adj
 
     def is_connected(self) -> bool:
         return -1 not in _bfs_dist(self.adjacency(), 1, self.n)[1:]
@@ -179,42 +192,54 @@ def _bfs_dist(adj: list, source: int, n: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _adjacency_lists(n: int, edges) -> list:
-    """Neighbor lists indexed by vertex 1..n (slot 0 unused)."""
-    adj = [[] for _ in range(n + 1)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
+# labeled trees per block of `labeled_tree_blocks`: bounds the arrays a
+# block holds (edges, keys, Graham-Pollak distance stacks); blocks of 2048
+# or 4096 walked no faster at n = 7 or 8
+TREE_BLOCK = 1024
 
 
-def _prufer_edges(seq, n: int) -> list:
-    """Edges of the tree with Prüfer sequence seq, in linear time.
+def _prufer_decode(n: int, seqs: np.ndarray) -> np.ndarray:
+    """Edges of the trees with the Prüfer sequences of a (count, n-2) array
+    of entries in 1..n, as a (count, n-1, 2) array, every row decoded in
+    lockstep.
 
     Each entry is joined to the smallest current leaf, as a min-heap of
     leaves would pick it: a pointer only moves up past used leaves, and an
     entry that becomes a leaf below the pointer is taken at once.
     """
-    degree = [1] * (n + 1)
-    for x in seq:
-        degree[x] += 1
-    ptr = 1
-    while degree[ptr] != 1:
-        ptr += 1
+    count = len(seqs)
+    rows = np.arange(count)
+    vertex = np.arange(n + 1)
+    slots = (seqs + (n + 1) * rows[:, None]).ravel()
+    degree = 1 + np.bincount(slots, minlength=count * (n + 1)).reshape(count, n + 1)
+    degree[:, 0] = 0  # slot 0 is never a leaf
+    ptr = (degree == 1).argmax(axis=1)
     leaf = ptr
-    edges = []
-    for x in seq:
-        edges.append((leaf, x))
-        degree[x] -= 1
-        if degree[x] == 1 and x < ptr:
-            leaf = x
-        else:
-            ptr += 1
-            while degree[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-    edges.append((leaf, n))
+    edges = np.empty((count, n - 1, 2), dtype=np.intp)
+    for j in range(n - 2):
+        x = seqs[:, j]
+        edges[:, j, 0] = leaf
+        edges[:, j, 1] = x
+        degree[rows, x] -= 1
+        take = (degree[rows, x] == 1) & (x < ptr)
+        ptr = np.where(take, ptr, ((degree == 1) & (vertex > ptr[:, None])).argmax(axis=1))
+        leaf = np.where(take, x, ptr)
+    edges[:, -1, 0] = leaf
+    edges[:, -1, 1] = n
     return edges
+
+
+def labeled_tree_blocks(n: int):
+    """All n^(n-2) labeled trees on n vertices in Prüfer lexicographic
+    order, as blocks of at most `TREE_BLOCK`: a (count, n-2) array of
+    Prüfer sequences and the (count, n-1, 2) array of their trees' edges."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    place = n ** np.arange(n - 3, -1, -1)
+    total = n ** (n - 2)
+    for start in range(0, total, TREE_BLOCK):
+        seqs = np.arange(start, min(start + TREE_BLOCK, total))[:, None] // place % n + 1
+        yield seqs, _prufer_decode(n, seqs)
 
 
 def tree_from_prufer(seq) -> Graph:
@@ -224,40 +249,37 @@ def tree_from_prufer(seq) -> Graph:
     for x in seq:
         if not (1 <= x <= n):
             raise ValueError(f"Prüfer entry {x} out of range 1..{n}")
-    return Graph.from_edges(n, _prufer_edges(seq, n))
+    return Graph.from_edges(n, _prufer_decode(n, np.array(seq, dtype=np.intp).reshape(1, -1))[0])
 
 
 def enumerate_tree_edges(n: int):
     """(Prüfer sequence, edge list) of all n^(n-2) labeled trees, in
     Prüfer lexicographic order."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    for seq in itertools.product(range(1, n + 1), repeat=n - 2):
-        yield seq, _prufer_edges(seq, n)
+    for seqs, edges in labeled_tree_blocks(n):
+        for seq, tree in zip(seqs.tolist(), edges.tolist()):
+            yield tuple(seq), list(map(tuple, tree))
 
 
 def enumerate_labeled_trees(n: int):
     """All n^(n-2) labeled trees on n vertices, in Prüfer lexicographic order."""
-    for seq, edges in enumerate_tree_edges(n):
-        yield seq, Graph.from_edges(n, edges)
+    for seqs, edges in labeled_tree_blocks(n):
+        for seq, tree in zip(seqs.tolist(), edges):
+            yield tuple(seq), Graph.from_edges(n, tree)
 
 
 def distance_stack(n: int, edge_lists) -> np.ndarray:
     """Pairwise hop distances of many graphs on 1..n at once, as a
-    (count, n, n) int64 array, -1 between components; every edge list has
-    the same length.
+    (count, n, n) int64 array, -1 between components; the edge lists, a
+    (count, m, 2) array or a list of equally long lists of pairs, all have
+    the same length m.
 
     A min-plus Floyd-Warshall over the stacked adjacency: n vectorized
     steps, each relaxing every pair through one more intermediate vertex.
     Unreachable pairs start at n, above any hop distance, stay there, and
     read -1.
     """
-    edge_lists = list(edge_lists)
     count = len(edge_lists)
-    ends = np.fromiter(
-        itertools.chain.from_iterable(itertools.chain.from_iterable(edge_lists)),
-        dtype=np.intp,
-    ).reshape(count, -1, 2) - 1
+    ends = np.asarray(edge_lists, dtype=np.intp).reshape(count, -1, 2) - 1
     # held as (n, n, count), so each step runs along the stack
     d = np.full((n, n, count), n, dtype=np.int64)
     d[range(n), range(n)] = 0
@@ -272,7 +294,7 @@ def distance_stack(n: int, edge_lists) -> np.ndarray:
 
 def distance_matrix(g: Graph) -> IntMatrix:
     """Pairwise shortest-path distance matrix (the k=2 Steiner hypermatrix)."""
-    d = distance_stack(g.n, [g.edges])[0]
+    d = distance_stack(g.n, [list(g.edges)])[0]
     if d[0].min() < 0:
         raise ValueError("disconnected graph")
     return IntMatrix(d)
@@ -283,63 +305,112 @@ def distance_matrix(g: Graph) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
-def tree_key(n: int, edges) -> str:
-    """Canonical key "tree:n{n}:<AHU>" of the tree on 1..n with these edges.
+def tree_keys(n: int, edges) -> list:
+    """Canonical keys "tree:n{n}:<AHU>" of a stack of trees on 1..n, given
+    as a (count, n-1, 2) array of edges or a list of equally long edge
+    lists; equal keys iff the trees are isomorphic.  The edges are trusted
+    to form trees.
 
-    One leaf peel finds the 1 or 2 centers and builds the AHU strings on
-    the way: a peeled vertex's sorted child strings, wrapped in "( )",
-    go to its one unpeeled neighbor.  The key is the string rooted at the
-    center, or the smaller of the two strings rooted at either center over
-    the other; equal keys iff the trees are isomorphic.  The edges are
-    trusted to form a tree.
+    One leaf peel, run over the whole stack at once, finds each tree's 1
+    or 2 centers and codes every vertex it peels by the rooted subtree
+    below it: the vertex's sorted child codes, packed into one int64 and
+    numbered by `np.unique`, so equal codes name equal rooted trees (a
+    vertex with too many children for one int64 has its packed prefix
+    renumbered on the way).  A leaf's one unpeeled neighbor is the sum of
+    its unpeeled neighbors, which the peel keeps per vertex beside the
+    degree.  Each distinct code becomes its AHU string once: its
+    children's strings, sorted, wrapped in "( )".  The key is the string
+    rooted at the center, or the lesser of the strings rooted at either
+    center over the other.
     """
-    adj = _adjacency_lists(n, edges)
-    deg = [len(a) for a in adj]
-    subs = [[] for _ in adj]
+    count = len(edges)
+    ends = np.asarray(edges, dtype=np.intp).reshape(count, n - 1, 2) - 1
+    size = count * n  # vertex v of tree t is slot t*n + v
+    slots = (ends + n * np.arange(count)[:, None, None]).ravel()
+    degree = np.bincount(slots, minlength=size).reshape(count, n)
+    nbr = np.bincount(slots, weights=ends[..., ::-1].ravel(), minlength=size)
+    nbr = nbr.astype(np.intp).reshape(count, n)
+    # kids[t, v, u] is the code of u once u is peeled as a child of v, else -1
+    kids = np.full((count, n, n), -1, dtype=np.int32)
+    code = np.zeros((count, n), dtype=np.int32)
+    alive = np.ones((count, n), dtype=bool)
+    left = np.full(count, n)
+    forms = []  # the AHU string of each code
 
-    def form(v):
-        subs[v].sort()
-        return "(" + "".join(subs[v]) + ")"
+    def peel(t, v):
+        """Code vertex v of tree t, for each pair, from its children's codes."""
+        rows = kids[t, v]
+        rows.sort(axis=1)  # the -1 fill comes first
+        width = np.count_nonzero(rows.max(axis=0, initial=-1) >= 0)
+        # digits 1..base-1 are codes and 0 is fill; when the next digit
+        # could overflow, the packed prefixes are renumbered densely first
+        base = len(forms) + 1
+        packed = np.zeros(len(t), dtype=np.int64)
+        span = 1
+        for digit in rows[:, n - width :].T + 1:
+            if span * base >= 1 << 63:
+                packed = np.unique(packed, return_inverse=True)[1]
+                span = int(packed.max()) + 1
+            packed = packed * base + digit
+            span *= base
+        _, first, number = np.unique(packed, return_index=True, return_inverse=True)
+        for row in rows[first].tolist():
+            forms.append("(" + "".join(sorted(forms[c] for c in row if c >= 0)) + ")")
+        code[t, v] = len(forms) - len(first) + number
 
-    layer = [v for v in range(1, n + 1) if deg[v] <= 1]
-    remaining = n
-    while remaining > 2:
-        nxt = []
-        for v in layer:
-            deg[v] = 0
-            up = form(v)
-            for w in adj[v]:
-                # > 0, not > 1: the center can reach degree 1 while leaves
-                # of this layer still hang on it
-                if deg[w] > 0:
-                    subs[w].append(up)
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        remaining -= len(layer)
-        layer = nxt
-    if len(layer) == 2:
-        a, b = layer
-        fa, fb = form(a), form(b)
-        subs[a].append(fb)
-        subs[b].append(fa)
-    return f"tree:n{n}:{min(form(c) for c in layer)}"
+    while (busy := left > 2).any():
+        t, v = np.nonzero(alive & (degree <= 1) & busy[:, None])
+        peel(t, v)
+        parent = nbr[t, v]
+        kids[t, parent, v] = code[t, v]
+        alive[t, v] = False
+        at = t * n + parent
+        degree -= np.bincount(at, minlength=size).reshape(count, n)
+        nbr -= np.bincount(at, weights=v, minlength=size).astype(np.intp).reshape(count, n)
+        left -= np.bincount(t, minlength=count)
+    peel(*np.nonzero(alive))  # each center over its peeled neighbors
+    t, v = np.nonzero(alive & (left == 2)[:, None])
+    other = nbr[t, v]
+    kids[t, v, other] = code[t, other]
+    peel(t, v)  # each of two centers over the other
+    first = alive.argmax(axis=1)
+    last = n - 1 - alive[:, ::-1].argmax(axis=1)
+    keys = np.array([f"tree:n{n}:{form}" for form in forms], dtype=object)
+    each = np.arange(count)
+    return np.minimum(keys[code[each, first]], keys[code[each, last]]).tolist()
+
+
+def tree_key(n: int, edges) -> str:
+    """Canonical key of the tree on 1..n with these edges: `tree_keys` on a
+    stack of one."""
+    return tree_keys(n, [list(edges)])[0]
+
+
+@cache
+def _permutation_table(n: int) -> np.ndarray:
+    """All n! permutations of 1..n, one per row, in lexicographic order."""
+    return np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int64).reshape(-1, n)
 
 
 def graph_canonical_form(g: Graph) -> str:
-    """Minimum edge list over all vertex permutations (brute force, small n)."""
+    """Least sorted edge list over all vertex permutations (brute force, small n).
+
+    Every permutation, from a table cached per n, relabels the edge list at
+    once: an edge {u, v} with u < v is coded u*(n+1) + v, so codes order as
+    the pairs do, each row of codes is sorted, and `np.lexsort` finds the
+    least row.
+    """
     if g.n > 8:
         raise ValueError("brute-force canonical form capped at n = 8")
-    best = None
-    verts = range(1, g.n + 1)
-    for perm in itertools.permutations(verts):
-        relab = sorted(
-            (min(perm[u - 1], perm[v - 1]), max(perm[u - 1], perm[v - 1]))
-            for u, v in g.edges
-        )
-        if best is None or relab < best:
-            best = relab
-    return f"n{g.n}:" + ";".join(f"{u}-{v}" for u, v in best)
+    n = g.n
+    perm = _permutation_table(n)
+    u, v = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2).T - 1
+    a, b = perm[:, u], perm[:, v]
+    codes = np.minimum(a, b) * (n + 1) + np.maximum(a, b)
+    codes.sort(axis=1)
+    # the last key sorts first; the constant key lets an edgeless graph sort too
+    least = codes[np.lexsort([np.zeros(len(codes)), *codes.T[::-1]])[0]]
+    return f"n{n}:" + ";".join(f"{c // (n + 1)}-{c % (n + 1)}" for c in least.tolist())
 
 
 def canonical_key(g: Graph) -> str:

@@ -5,16 +5,17 @@ spectral-radius rankings, all emitting deterministic JSON-ready reports.
 Sweeps and rankings share one pass that evaluates each isomorphism
 class once (by canonical form), so a labeled sweep over n^(n-2) trees
 pays for one hyperdeterminant per class; results are optionally
-persisted in an append-only JSON-lines cache.  A labeled tree costs a
-Prüfer decode and a canonical key; a `Graph` is built only for the first
-tree of each class.  One cap, `TREE_WALK_CAP`, bounds sweeps, tree
-rankings and the Graham-Pollak check, each refusing before it walks.
+persisted in an append-only JSON-lines cache.  Sweeps, tree rankings and
+the Graham-Pollak check walk the labeled trees in the numpy blocks of
+`graphs.labeled_tree_blocks`: a block is decoded in lockstep and keyed by
+one `tree_keys` call, and a `Graph` is built only for the first tree of
+each class.  One cap, `TREE_WALK_CAP`, bounds all three walks, each
+refusing before it walks.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import math
 import random
@@ -31,9 +32,9 @@ from .graphs import (
     all_connected_graphs,
     canonical_key,
     distance_stack,
-    enumerate_tree_edges,
+    labeled_tree_blocks,
     path_graph,
-    tree_key,
+    tree_keys,
 )
 from .hypermatrix import build_steiner_hypermatrix
 from .resultant import check_hyperdet_cap, hyperdet
@@ -201,9 +202,10 @@ CACHE_VERSION = "v2"
 
 
 def _labeled_trees(n):
-    """(Prüfer sequence, edges, canonical key) of every labeled tree on n vertices."""
-    for seq, edges in enumerate_tree_edges(n):
-        yield seq, edges, tree_key(n, edges)
+    """(Prüfer sequence, edges, canonical key) of every labeled tree on n
+    vertices, keyed a block at a time."""
+    for seqs, edges in labeled_tree_blocks(n):
+        yield from zip(map(tuple, seqs.tolist()), edges, tree_keys(n, edges))
 
 
 def _evaluate_classes(n, items, k, det, radius, tol, jobs=1, cache=None):
@@ -395,17 +397,12 @@ def falsifying_witness(report: SweepReport) -> dict | None:
     return None
 
 
-# trees per stacked elimination of graham_pollak_check: larger batches run
-# no faster and cost more memory
-_GP_BATCH = 1024
-
-
 def graham_pollak_check(n_max: int) -> dict:
     """det(distance matrix) = (1-n)(-2)^(n-2) over every labeled tree, n = 2..n_max.
 
-    Trees come from `enumerate_tree_edges` in batches of `_GP_BATCH`;
-    each batch's distance matrices come from one `distance_stack` and
-    are decided by one `det_mod_matches` per prime of `_crt_primes` past
+    Trees come from `labeled_tree_blocks`; each block's distance matrices
+    come from one `distance_stack` and are decided by one
+    `det_mod_matches` per prime of `_crt_primes` past
     (n-1)^(3n/2) + |expected|.  A row of a tree's distance matrix has
     n - 1 nonzero entries, each at most n - 1, so its norm is at most
     (n-1)^(3/2), and by Hadamard |det| <= (n-1)^(3n/2).  Then
@@ -424,17 +421,15 @@ def graham_pollak_check(n_max: int) -> dict:
         primes = _crt_primes(n, math.isqrt((n - 1) ** (3 * n)) + 1 + abs(expected))
         trees = failed = 0
         failures = []
-        walk = enumerate_tree_edges(n)
-        while batch := list(itertools.islice(walk, _GP_BATCH)):
-            seqs, edge_lists = zip(*batch)
-            dist = distance_stack(n, edge_lists)
-            good = np.ones(len(batch), dtype=bool)
+        for seqs, edges in labeled_tree_blocks(n):
+            dist = distance_stack(n, edges)
+            good = np.ones(len(seqs), dtype=bool)
             for p in primes:
                 good &= det_mod_matches(dist, expected, p)
             bad = np.flatnonzero(~good)
             for i in bad[: 5 - len(failures)]:
-                failures.append({"prufer": list(seqs[i]), "det": det_exact(IntMatrix(dist[i]))})
-            trees += len(batch)
+                failures.append({"prufer": seqs[i].tolist(), "det": det_exact(IntMatrix(dist[i]))})
+            trees += len(seqs)
             failed += len(bad)
         per_n.append(
             {

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -52,6 +52,19 @@ def steiner_by_edge_subsets(g: Graph, s):
             if s <= seen:
                 return size
     raise AssertionError("unreachable")
+
+
+def graph_canonical_form_by_permutations(g: Graph) -> str:
+    """Reference canonical form: relabel the edge list under each of the n!
+    permutations in turn and keep the least sorted list."""
+    best = None
+    for perm in permutations(range(1, g.n + 1)):
+        relab = sorted(
+            (min(perm[u - 1], perm[v - 1]), max(perm[u - 1], perm[v - 1])) for u, v in g.edges
+        )
+        if best is None or relab < best:
+            best = relab
+    return f"n{g.n}:" + ";".join(f"{u}-{v}" for u, v in best)
 
 
 def bfs_rows(n: int, edges) -> list:

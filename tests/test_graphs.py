@@ -2,9 +2,12 @@ import heapq
 import random
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
+from steiner_spectra import graphs
 from steiner_spectra.graphs import (
+    TREE_BLOCK,
     Graph,
     all_connected_graphs,
     canonical_key,
@@ -15,6 +18,7 @@ from steiner_spectra.graphs import (
     enumerate_tree_edges,
     format_graph,
     graph_canonical_form,
+    labeled_tree_blocks,
     parse_graph,
     path_graph,
     read_graph,
@@ -23,10 +27,11 @@ from steiner_spectra.graphs import (
     steiner_distances,
     tree_from_prufer,
     tree_key,
+    tree_keys,
     write_graph,
 )
 
-from props import bfs_rows, steiner_by_edge_subsets
+from props import bfs_rows, graph_canonical_form_by_permutations, steiner_by_edge_subsets
 
 
 def prufer_edges_by_heap(seq, n):
@@ -101,6 +106,11 @@ class TestGraphBasics:
         assert path_graph(5).is_tree()
         assert not complete_graph(3).is_tree()
         assert not Graph.from_edges(4, [(1, 2), (3, 4)]).is_connected()
+
+    def test_numpy_endpoints_become_python_ints(self):
+        g = Graph.from_edges(3, np.array([[2, 1], [3, 2]]))
+        assert g == path_graph(3)
+        assert all(type(x) is int for e in g.edges for x in e)
 
     def test_relabel(self):
         perm = {1: 3, 2: 1, 3: 2}
@@ -217,6 +227,25 @@ class TestPrufer:
             for seq, edges in decoded:
                 assert edges == prufer_edges_by_heap(seq, n), seq
 
+    def test_walk_does_not_depend_on_block_size(self, monkeypatch):
+        # sequences, edges and keys of every labeled tree on n = 2..6
+        # vertices, whether the walk is cut every 1, 7 or TREE_BLOCK trees
+        for n in range(2, 7):
+            walks = []
+            for size in (1, 7, TREE_BLOCK):
+                monkeypatch.setattr(graphs, "TREE_BLOCK", size)
+                blocks = list(labeled_tree_blocks(n))
+                assert all(len(seqs) <= size for seqs, _ in blocks)
+                walks.append(
+                    (
+                        np.concatenate([seqs for seqs, _ in blocks]).tolist(),
+                        np.concatenate([edges for _, edges in blocks]).tolist(),
+                        [key for _, edges in blocks for key in tree_keys(n, edges)],
+                    )
+                )
+            assert walks[0] == walks[1] == walks[2], n
+            assert len(walks[0][0]) == n ** (n - 2)
+
     def test_enumerations_agree(self):
         for (seq, edges), (seq2, g) in zip(enumerate_tree_edges(5), enumerate_labeled_trees(5)):
             assert seq == seq2
@@ -303,6 +332,33 @@ class TestCanonicalForms:
             for _, edges in enumerate_tree_edges(n):
                 assert tree_key(n, edges) == tree_key_by_sets(n, edges), edges
 
+    def test_batched_keys_match_dict_of_sets_reference(self):
+        # every labeled tree for n <= 7, keyed a block at a time
+        for n in range(2, 8):
+            for _, edges in labeled_tree_blocks(n):
+                assert tree_keys(n, edges) == [tree_key_by_sets(n, e) for e in edges.tolist()]
+
+    @pytest.mark.slow
+    def test_batched_keys_match_the_reference_at_the_cap(self):
+        # all 262,144 labeled trees on 8 vertices
+        trees = 0
+        for _, edges in labeled_tree_blocks(8):
+            assert tree_keys(8, edges) == [tree_key_by_sets(8, e) for e in edges.tolist()]
+            trees += len(edges)
+        assert trees == 8**6
+
+    def test_large_trees_match_the_reference(self):
+        # hubs with 70 and 69 leaves, peeled in the same round: their packed
+        # leaf codes would agree modulo 2^64, so the peel must renumber the
+        # packed prefixes before they overflow
+        hubs = [(1, 3), (2, 3)] + [(1, v) for v in range(4, 74)] + [(2, v) for v in range(74, 143)]
+        rng = random.Random(25)
+        trees = [Graph.from_edges(142, hubs), star_graph(70), path_graph(41)]
+        trees += [tree_from_prufer([rng.randint(1, n) for _ in range(n - 2)]) for n in (30, 60)]
+        for g in trees:
+            assert g.is_tree()
+            assert tree_key(g.n, g.edges) == tree_key_by_sets(g.n, g.edges), g.n
+
     def test_keys_agree_across_entry_points(self):
         for _, g in enumerate_labeled_trees(6):
             key = canonical_key(g)
@@ -322,6 +378,24 @@ class TestCanonicalForms:
     def test_graph_form_on_cycles_vs_paths(self):
         c4 = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
         assert graph_canonical_form(c4) != graph_canonical_form(path_graph(4))
+
+    def test_graph_form_matches_the_permutation_reference(self):
+        # every edge set on n <= 5 vertices, connected or not, the empty one included
+        for n in range(1, 6):
+            pairs = list(combinations(range(1, n + 1), 2))
+            for bits in range(1 << len(pairs)):
+                g = Graph.from_edges(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
+                assert graph_canonical_form(g) == graph_canonical_form_by_permutations(g), g
+
+    def test_graph_form_matches_the_reference_on_random_graphs(self):
+        rng = random.Random(26)
+        for n in (6, 7, 8):
+            for _ in range(3):
+                pairs = combinations(range(1, n + 1), 2)
+                g = Graph.from_edges(n, [e for e in pairs if rng.random() < 0.4])
+                assert graph_canonical_form(g) == graph_canonical_form_by_permutations(g), g
+        with pytest.raises(ValueError, match="capped at n = 8"):
+            graph_canonical_form(complete_graph(9))
 
     def test_connected_graph_class_counts(self):
         # 1, 2, 6, 21 connected graphs on n = 2..5 up to isomorphism

@@ -338,6 +338,13 @@ class TestSweepTrees:
             "f6d992fd9dce4a0e367045864b6ee0d2a95dc95873d5174af3671415503381f8"
         )
 
+    def test_labeled_n7_report_is_pinned(self):
+        # all 16,807 Prüfer records at n = 7, exact integers only
+        report = sweep_trees(7, 2, det=True, seed=3).to_json()
+        assert hashlib.sha256(report.encode()).hexdigest() == (
+            "f38a418ae80cf65f657e72a292cd3d75f9254b6cfb28ef1478e73e89ee605d7f"
+        )
+
     def test_crt_det_report_is_pinned(self):
         # the CRT route: P_3 at k = 6 is a 95-row Macaulay block per prime
         report = sweep_trees(3, 6, det=True, seed=5).to_json()
