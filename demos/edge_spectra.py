@@ -1,31 +1,44 @@
-# Spectra of the single-edge Steiner hypermatrix, three ways:
-# the closed form, the shifted all-ones characteristic polynomial,
-# and the NQZ power iteration converging on the spectral radius.
+# Spectra of the single-edge Steiner hypermatrix, exactly and in floats:
+# the integer polynomial Q whose roots are the nontrivial eigenvalues,
+# the block matrix whose characteristic polynomial is (t + 1)^(k-1) Q,
+# the shifted all-ones eigenvalues `spectrum` prints, and the NQZ power
+# iteration converging on the spectral radius.
+
+import math
+
+import numpy as np
 
 from steiner_spectra import (
+    block_matrix_K2,
     build_steiner_hypermatrix,
+    char_poly_exact,
     charpoly_D_dim2,
-    constant_term,
-    eigenvalues_K2,
+    edge_charpoly,
     hyperdet,
-    multiset_equal,
     nqz_spectral_radius,
     path_graph,
     spectral_radius_K2,
 )
 
 for k in (3, 4, 5, 6):
-    closed = eigenvalues_K2(k)
-    bridged = charpoly_D_dim2(k)
-    assert multiset_equal(closed, bridged)
+    m = k - 1
+    q = edge_charpoly(k)
+    block = char_poly_exact(block_matrix_K2(k))
+    factored = np.convolve([math.comb(m, i) for i in range(m + 1)], q).tolist()
+    assert list(block) == factored
+    det = hyperdet(build_steiner_hypermatrix(path_graph(2), k))
+    assert q[0] == det
+    radius = spectral_radius_K2(k)
+    assert sum(c * radius**i for i, c in enumerate(q)) == 0
     print(f"k = {k}")
-    for p in sorted(closed, key=lambda p: p.value.real):
+    print(f"  Q(t), ascending coefficients: {q}")
+    print(f"  block matrix charpoly = (t + 1)^{m} Q(t): {list(block) == factored}")
+    print(f"  constant term {q[0]}  (hyperdet {det})")
+    print(f"  spectral radius 2^{m} - 1 = {radius}, a root of Q")
+    for p in sorted(charpoly_D_dim2(k), key=lambda p: p.value.real):
         v = p.value
         shown = f"{v.real:+.6f}" if abs(v.imag) < 1e-12 else f"{v:+.6f}"
         print(f"  eigenvalue {shown}  multiplicity {p.multiplicity}")
-    det = hyperdet(build_steiner_hypermatrix(path_graph(2), k))
-    print(f"  constant term {constant_term(bridged).real:+.1f}  (hyperdet {det})")
-    print(f"  spectral radius 2^{k-1} - 1 = {spectral_radius_K2(k)}")
     print()
 
 # the closed form stops at two vertices; NQZ handles any tree.

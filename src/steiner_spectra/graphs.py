@@ -17,12 +17,12 @@ with their edges from one lockstep smallest-leaf decode per block, and
 center-rooted AHU strings (Aho, Hopcroft & Ullman 1974, section 3.2),
 coded level by level during one leaf peel over the whole block that also
 finds the centers.  So a sweep over n^(n-2) trees needs a `Graph` only
-for the trees it keeps.  `tree_from_prufer`, `tree_key`,
-`enumerate_tree_edges` and `enumerate_labeled_trees` read those two
-functions for one tree or one tree at a time.  `distance_stack` is the
-one all-pairs routine: it gives the distance matrices of a whole batch
-of edge lists as one array, by a min-plus Floyd-Warshall over the stack,
-and `distance_matrix` reads a single graph's off a stack of one.
+for the trees it keeps.  `tree_from_prufer`, `tree_key` and
+`enumerate_labeled_trees` read those two functions for one tree or one
+tree at a time.  `distance_stack` is the one all-pairs routine: it gives
+the distance matrices of a whole batch of edge lists as one array, by a
+min-plus Floyd-Warshall over the stack, and `distance_matrix` reads a
+single graph's off a stack of one.
 `graph_canonical_form` relabels an edge list under all n! permutations
 at once.
 """
@@ -250,14 +250,6 @@ def tree_from_prufer(seq) -> Graph:
         if not (1 <= x <= n):
             raise ValueError(f"Prüfer entry {x} out of range 1..{n}")
     return Graph.from_edges(n, _prufer_decode(n, np.array(seq, dtype=np.intp).reshape(1, -1))[0])
-
-
-def enumerate_tree_edges(n: int):
-    """(Prüfer sequence, edge list) of all n^(n-2) labeled trees, in
-    Prüfer lexicographic order."""
-    for seqs, edges in labeled_tree_blocks(n):
-        for seq, tree in zip(seqs.tolist(), edges.tolist()):
-            yield tuple(seq), list(map(tuple, tree))
 
 
 def enumerate_labeled_trees(n: int):

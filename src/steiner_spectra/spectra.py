@@ -9,7 +9,10 @@ through a 2(k-1) x 2(k-1) integer matrix: the very Macaulay matrix of
 D_k(K_2) whose determinant `hyperdet` takes.  An explicit unimodular
 similarity takes it to block lower triangular form with diagonal blocks
 -I_{k-1} and Wendt's circulant W_{k-1}, checked exactly in integers at
-every k, so hyperdet(D_k(K_2)) = (-1)^{k-1} W_{k-1}.
+every k, so hyperdet(D_k(K_2)) = (-1)^{k-1} W_{k-1}.  `edge_charpoly`
+gives the exact integer polynomial Q_{k-1} = det(tI - W_{k-1}) whose roots
+are the nontrivial D_k(K_2) eigenvalues, from the resultant oracle alone;
+the float eigenvalue lists serve output only.
 
 Numerics: an NQZ-style power iteration producing certified enclosures of
 the spectral radius of any nonnegative symmetric hypermatrix whose slices
@@ -26,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import IntMatrix
+from .exact import IntMatrix, circulant_det_oracle
 from .graphs import complete_graph
 from .hypermatrix import (
     SymmetricHypermatrix,
@@ -69,23 +72,6 @@ def merge_eigenpairs(pairs: Sequence[EigenPair]) -> list[EigenPair]:
     return [EigenPair(v, m) for v, m in merged]
 
 
-def total_multiplicity(pairs: Sequence[EigenPair]) -> Fraction:
-    return sum((p.multiplicity for p in pairs), Fraction(0))
-
-
-def multiset_equal(a: Sequence[EigenPair], b: Sequence[EigenPair]) -> bool:
-    """Multiset equality of eigenpairs, values compared within relative MERGE_TOL."""
-    am, bm = merge_eigenpairs(a), merge_eigenpairs(b)
-    if len(am) != len(bm):
-        return False
-    mods = [abs(p.value) for p in am] + [abs(p.value) for p in bm]
-    eps = MERGE_TOL * (1.0 + max(mods, default=0.0))
-    return all(
-        abs(pa.value - pb.value) <= eps and pa.multiplicity == pb.multiplicity
-        for pa, pb in zip(am, bm)
-    )
-
-
 def charpoly_allones(n: int, k: int) -> list[EigenPair]:
     """Eigenvalues of the order-k dimension-n all-ones hypermatrix.
 
@@ -112,28 +98,12 @@ def charpoly_allones(n: int, k: int) -> list[EigenPair]:
         s = sum(ms.count(j) * w for j, w in enumerate(powers, 1))
         pairs.append(EigenPair(s**parts, Fraction(multinomial_weight(ms), parts)))
     merged = merge_eigenpairs(pairs)
-    if total_multiplicity(merged) != n * parts ** (n - 1):
+    if sum(p.multiplicity for p in merged) != n * parts ** (n - 1):
         raise ArithmeticError("total multiplicity mismatch after merging")
     for p in merged:
         if p.multiplicity.denominator != 1:
             raise ArithmeticError(f"non-integral merged multiplicity {p.multiplicity}")
     return merged
-
-
-def eigenvalues_K2(k: int) -> list[EigenPair]:
-    """Spectrum of the order-k Steiner distance hypermatrix of an edge.
-
-    -1 with multiplicity k-1, together with (1 + w^j)^{k-1} - 1 for
-    j = 0..k-2, w = e^{2 pi i/(k-1)}.
-    """
-    if k < 2:
-        raise ValueError("order k must be at least 2")
-    parts = k - 1
-    pairs = [EigenPair(-1 + 0j, Fraction(parts))]
-    for j in range(parts):
-        w = cmath.exp(2j * math.pi * j / parts)
-        pairs.append(EigenPair((1 + w) ** parts - 1, Fraction(1)))
-    return merge_eigenpairs(pairs)
 
 
 def charpoly_D_dim2(k: int) -> list[EigenPair]:
@@ -149,14 +119,31 @@ def spectral_radius_K2(k: int) -> int:
     return 2 ** (k - 1) - 1
 
 
-def constant_term(pairs: Sequence[EigenPair]) -> complex:
-    """Constant term prod (-value)^multiplicity of the monic polynomial with these roots."""
-    out = complex(1)
-    for p in pairs:
-        if p.multiplicity.denominator != 1:
-            raise ValueError("constant term needs integral multiplicities")
-        out *= (-p.value) ** int(p.multiplicity)
-    return out
+def edge_charpoly(k: int) -> tuple:
+    """Ascending integer coefficients of Q_m(t) = prod_d (t - ((1 + w^d)^m - 1)),
+    m = k - 1, w = e^{2 pi i/m}: the nontrivial part of the D_k(K_2) spectrum.
+
+    Q_m(t) = det(tI - W_m), the circulant with first row
+    (t - 1, -C(m, 1), ..., -C(m, m-1)), so `circulant_det_oracle` gives it
+    at t = 0..m, a resultant with no determinant routine involved, and
+    Newton's forward differences interpolate it exactly in Fractions.  A
+    non-integral coefficient raises ArithmeticError.
+    """
+    if k < 2:
+        raise ValueError("order k must be at least 2")
+    m = k - 1
+    row = [-math.comb(m, j) for j in range(1, m)]
+    values = [circulant_det_oracle([t - 1] + row) for t in range(m + 1)]
+    coeffs = [Fraction(0)] * (m + 1)
+    binom = [Fraction(1)]  # ascending coefficients of C(t, j)
+    for j in range(m + 1):
+        for i, c in enumerate(binom):
+            coeffs[i] += values[0] * c
+        values = [b - a for a, b in zip(values, values[1:])]
+        binom = [(lo - j * hi) / (j + 1) for lo, hi in zip([0] + binom, binom + [0])]
+    if any(c.denominator != 1 for c in coeffs):
+        raise ArithmeticError(f"non-integral coefficient in Q_{m}: {coeffs}")
+    return tuple(int(c) for c in coeffs)
 
 
 # ---------------------------------------------------------------------------

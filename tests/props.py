@@ -7,6 +7,7 @@ counts and the acceptance suite can run the full ones.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -72,6 +73,23 @@ def bfs_rows(n: int, edges) -> list:
     vertex, -1 between components."""
     adj = Graph.from_edges(n, edges).adjacency()
     return [graphs._bfs_dist(adj, v, n)[1:] for v in range(1, n + 1)]
+
+
+def edge_block_charpoly(q) -> tuple:
+    """(t + 1)^m * q(t), ascending, for q of degree m: the characteristic
+    polynomial of -I_m + W_m that `block_matrix_K2(m + 1)` must have when
+    q is `edge_charpoly(m + 1)`."""
+    m = len(q) - 1
+    out = [0] * (2 * m + 1)
+    for i in range(m + 1):
+        for j, c in enumerate(q):
+            out[i + j] += math.comb(m, i) * c
+    return tuple(out)
+
+
+def poly_at(p, x):
+    """Value at x of the polynomial with ascending coefficients p."""
+    return sum(c * x**i for i, c in enumerate(p))
 
 
 def random_hypermatrix(rng: random.Random, order: int, dim: int, lo=0, hi=3):

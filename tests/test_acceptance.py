@@ -14,6 +14,8 @@ from contextlib import contextmanager
 import pytest
 
 from props import (
+    edge_block_charpoly,
+    poly_at,
     run_contraction_vs_naive,
     run_multiplicity_integrality,
     run_nqz_monotonicity,
@@ -22,16 +24,15 @@ from props import (
 from steiner_spectra import (
     build_steiner_hypermatrix,
     block_matrix_check,
+    block_matrix_K2,
     canonical_key,
-    charpoly_D_dim2,
-    constant_term,
-    eigenvalues_K2,
+    char_poly_exact,
+    edge_charpoly,
     enumerate_labeled_trees,
     extremal_radius,
     graham_pollak_check,
     hyperdet,
     hyperdet_route,
-    multiset_equal,
     nqz_spectral_radius,
     path_graph,
     theorem1_vanishes,
@@ -114,16 +115,15 @@ def test_03_classifier_vs_computed_hyperdets(capsys):
 
 def test_04_charpoly_bridge(capsys):
     with criterion(
-        4, "edge charpoly matches closed-form spectrum, constant term is the det", capsys,
+        4, "edge charpoly is (t+1)^(k-1) Q exactly, constant term is the det, k=2..16", capsys,
         limit=1.0,
     ):
-        for k in range(2, 9):
-            computed = charpoly_D_dim2(k)
-            assert multiset_equal(computed, eigenvalues_K2(k)), k
-            const = constant_term(computed)
-            det = hyperdet(build_steiner_hypermatrix(path_graph(2), k))
-            assert abs(const.imag) <= 1e-9 * (1 + abs(const)), k
-            assert round(const.real) == det, (k, const, det)
+        for k in range(2, 17):
+            q = edge_charpoly(k)
+            p = char_poly_exact(block_matrix_K2(k))
+            assert p == edge_block_charpoly(q), k
+            assert p[0] == hyperdet(build_steiner_hypermatrix(path_graph(2), k)), k
+            assert poly_at(q, 2 ** (k - 1) - 1) == 0, k
 
 
 def test_05_nqz_radius_closed_form(capsys):

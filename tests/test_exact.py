@@ -16,7 +16,7 @@ from steiner_spectra.exact import (
     det_exact,
     det_mod_matches,
 )
-from steiner_spectra.graphs import enumerate_tree_edges, path_graph, star_graph
+from steiner_spectra.graphs import labeled_tree_blocks, path_graph, star_graph
 from steiner_spectra.hypermatrix import build_steiner_hypermatrix
 from steiner_spectra.resultant import _nonreduced_minor, gradient_system, macaulay_matrix
 
@@ -571,9 +571,8 @@ class TestDetModMatches:
 
     def test_agrees_with_det_exact_on_tree_distance_matrices(self):
         for n in range(2, 7):
-            stack = np.array(
-                [bfs_rows(n, edges) for _, edges in enumerate_tree_edges(n)], dtype=np.int64
-            )
+            trees = np.concatenate([edges for _, edges in labeled_tree_blocks(n)])
+            stack = np.array([bfs_rows(n, edges) for edges in trees.tolist()], dtype=np.int64)
             expected = (1 - n) * (-2) ** (n - 2)
             for p in self.PRIMES + (ceiling_prime(n),):
                 for target in {expected, expected + 1, 0, 1}:

@@ -15,7 +15,6 @@ from steiner_spectra.graphs import (
     distance_matrix,
     distance_stack,
     enumerate_labeled_trees,
-    enumerate_tree_edges,
     format_graph,
     graph_canonical_form,
     labeled_tree_blocks,
@@ -217,15 +216,15 @@ class TestPrufer:
         with pytest.raises(ValueError):
             list(enumerate_labeled_trees(1))
         with pytest.raises(ValueError):
-            list(enumerate_tree_edges(1))
+            list(labeled_tree_blocks(1))
 
     def test_linear_decoder_matches_heap_reference(self):
         # every sequence for n = 2..7, same edges in the same order
         for n in range(2, 8):
-            decoded = list(enumerate_tree_edges(n))
-            assert [seq for seq, _ in decoded] == list(product(range(1, n + 1), repeat=n - 2))
-            for seq, edges in decoded:
-                assert edges == prufer_edges_by_heap(seq, n), seq
+            seqs, edges = (np.concatenate(parts).tolist() for parts in zip(*labeled_tree_blocks(n)))
+            assert list(map(tuple, seqs)) == list(product(range(1, n + 1), repeat=n - 2))
+            for seq, tree in zip(seqs, edges):
+                assert list(map(tuple, tree)) == prufer_edges_by_heap(seq, n), seq
 
     def test_walk_does_not_depend_on_block_size(self, monkeypatch):
         # sequences, edges and keys of every labeled tree on n = 2..6
@@ -247,9 +246,11 @@ class TestPrufer:
             assert len(walks[0][0]) == n ** (n - 2)
 
     def test_enumerations_agree(self):
-        for (seq, edges), (seq2, g) in zip(enumerate_tree_edges(5), enumerate_labeled_trees(5)):
-            assert seq == seq2
-            assert g == Graph.from_edges(5, edges) == tree_from_prufer(seq)
+        seqs, edges = (np.concatenate(parts) for parts in zip(*labeled_tree_blocks(5)))
+        walk = zip(seqs.tolist(), edges, enumerate_labeled_trees(5), strict=True)
+        for seq, tree, (seq2, g) in walk:
+            assert tuple(seq) == seq2
+            assert g == Graph.from_edges(5, tree) == tree_from_prufer(seq)
 
 
 class TestDistanceMatrix:
@@ -277,10 +278,10 @@ class TestDistanceMatrix:
 
     def test_stack_matches_rows_on_every_labeled_tree(self):
         for n in range(2, 7):
-            edge_lists = [edges for _, edges in enumerate_tree_edges(n)]
+            edge_lists = np.concatenate([edges for _, edges in labeled_tree_blocks(n)])
             stack = distance_stack(n, edge_lists)
             assert stack.shape == (n ** (n - 2), n, n)
-            assert stack.tolist() == [bfs_rows(n, edges) for edges in edge_lists]
+            assert stack.tolist() == [bfs_rows(n, edges) for edges in edge_lists.tolist()]
 
     def test_stack_marks_unreachable_pairs(self):
         edge_lists = [[(1, 2), (3, 4)], [(2, 3), (3, 4)], [(1, 4), (4, 2)]]
@@ -326,11 +327,13 @@ class TestCanonicalForms:
             assert tree_key(n, g.edges) == tree_key(n, h.edges)
 
     def test_tree_key_matches_dict_of_sets_reference(self):
-        # every labeled tree for n <= 7
+        # the single-tree entry point on every labeled tree for n <= 5; the
+        # batched keyer's test below covers n <= 7
         assert canonical_key(Graph(1)) == tree_key(1, []) == "tree:n1:()"
-        for n in range(2, 8):
-            for _, edges in enumerate_tree_edges(n):
-                assert tree_key(n, edges) == tree_key_by_sets(n, edges), edges
+        for n in range(2, 6):
+            for _, edges in labeled_tree_blocks(n):
+                for tree in edges.tolist():
+                    assert tree_key(n, tree) == tree_key_by_sets(n, tree), tree
 
     def test_batched_keys_match_dict_of_sets_reference(self):
         # every labeled tree for n <= 7, keyed a block at a time

@@ -14,7 +14,7 @@ from steiner_spectra.graphs import (
 )
 from steiner_spectra.hypermatrix import SymmetricHypermatrix
 from steiner_spectra.resultant import HomogeneousSystem
-from steiner_spectra.spectra import eigenvalues_K2, merge_eigenpairs, spectral_radius_K2
+from steiner_spectra.spectra import edge_charpoly, merge_eigenpairs, spectral_radius_K2
 from steiner_spectra.wendt import wendt_matrix, wendt_oracle
 
 
@@ -32,7 +32,7 @@ from steiner_spectra.wendt import wendt_matrix, wendt_oracle
         (lambda: HomogeneousSystem(2, 1, ({(1,): 1}, {(0, 1): 1})), "bad exponent vector"),
         (lambda: circulant([]), "empty row"),
         (lambda: char_poly_exact(IntMatrix([[1, 2]])), "square matrix"),
-        (lambda: eigenvalues_K2(1), "at least 2"),
+        (lambda: edge_charpoly(1), "at least 2"),
         (lambda: spectral_radius_K2(1), "at least 2"),
         (lambda: wendt_matrix(0), "at least 1"),
         (lambda: wendt_oracle(0), "at least 1"),

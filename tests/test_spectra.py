@@ -1,12 +1,18 @@
-import cmath
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from props import edge_block_charpoly, poly_at
 from steiner_spectra import resultant, spectra
-from steiner_spectra.exact import IntMatrix, char_poly_exact, circulant, det_exact
+from steiner_spectra.exact import (
+    CHARPOLY_EXACT_MAX_ROWS,
+    IntMatrix,
+    char_poly_exact,
+    circulant,
+    det_exact,
+)
 from steiner_spectra.graphs import complete_graph, path_graph, star_graph
 from steiner_spectra.hypermatrix import (
     SymmetricHypermatrix,
@@ -21,16 +27,13 @@ from steiner_spectra.spectra import (
     block_matrix_check,
     charpoly_allones,
     charpoly_D_dim2,
-    constant_term,
-    eigenvalues_K2,
+    edge_charpoly,
     merge_eigenpairs,
-    multiset_equal,
     nqz_spectral_radius,
     spectral_radius_K2,
-    total_multiplicity,
 )
 from steiner_spectra.resultant import hyperdet
-from steiner_spectra.wendt import wendt_matrix
+from steiner_spectra.wendt import wendt, wendt_matrix
 
 
 def pairs_as_dict(pairs, ndigits=9):
@@ -52,15 +55,7 @@ class TestEigenPair:
             EigenPair(2.0 + 0j, Fraction(1)),
         ]
         merged = merge_eigenpairs(pairs)
-        assert total_multiplicity(merged) == 4
-        assert len(merged) == 2
-
-    def test_multiset_equal(self):
-        a = [EigenPair(1.0, Fraction(2)), EigenPair(-1.0, Fraction(1))]
-        b = [EigenPair(-1.0 + 1e-13j, Fraction(1)), EigenPair(1.0, Fraction(2))]
-        assert multiset_equal(a, b)
-        c = [EigenPair(1.0, Fraction(3))]
-        assert not multiset_equal(a, c)
+        assert [p.multiplicity for p in merged] == [3, 1]
 
 
 class TestWeakCompositions:
@@ -92,7 +87,8 @@ class TestCharpolyAllOnes:
         for n in range(2, 5):
             for k in range(2, 6):
                 pairs = charpoly_allones(n, k)
-                assert total_multiplicity(pairs) == n * (k - 1) ** (n - 1), (n, k)
+                total = sum(p.multiplicity for p in pairs)
+                assert total == n * (k - 1) ** (n - 1), (n, k)
 
     def test_validates_arguments(self):
         with pytest.raises(ValueError):
@@ -103,44 +99,50 @@ class TestCharpolyAllOnes:
 
 class TestK2Spectra:
     def test_eigenvalues_k2_closed_form(self):
-        # -1 appears k-1 times plus once more from the j = (k-1)/2 root
-        got = pairs_as_dict(eigenvalues_K2(3))
-        assert got == {(-1.0, 0.0): 3, (3.0, 0.0): 1}
-        assert total_multiplicity(eigenvalues_K2(3)) == 4
-
-    def test_charpoly_is_shifted_allones(self):
-        for k in range(2, 9):
-            shifted = [
-                EigenPair(p.value - 1, p.multiplicity) for p in charpoly_allones(2, k)
-            ]
-            assert multiset_equal(charpoly_D_dim2(k), shifted), k
-
-    def test_matches_eigenvalues_k2(self):
-        for k in range(2, 13):
-            assert multiset_equal(charpoly_D_dim2(k), eigenvalues_K2(k)), k
+        # k = 3: (1 + w^d)^2 - 1 for w = -1 gives 3 and -1, so Q = (t - 3)(t + 1)
+        assert edge_charpoly(2) == (-1, 1)
+        assert edge_charpoly(3) == (-3, -2, 1)
 
     def test_spectral_radius_closed_form(self):
+        # the largest modulus in the eigenvalue list `spectrum` prints
         for k in range(2, 17):
             assert spectral_radius_K2(k) == 2 ** (k - 1) - 1
-            radius = max(abs(p.value) for p in eigenvalues_K2(k))
+            radius = max(abs(p.value) for p in charpoly_D_dim2(k))
             assert radius == pytest.approx(2 ** (k - 1) - 1, rel=1e-12)
 
     def test_constant_term_matches_hyperdet(self):
-        for k in range(2, 9):
+        for k in range(2, 17):
             a = build_steiner_hypermatrix(complete_graph(2), k)
-            ct = constant_term(charpoly_D_dim2(k))
-            assert round(ct.real) == hyperdet(a), k
-            assert abs(ct.imag) < 1e-6
+            assert edge_charpoly(k)[0] == hyperdet(a), k
 
 
-class TestConstantTerm:
-    def test_product_of_negated_roots(self):
-        pairs = [EigenPair(2.0, Fraction(2)), EigenPair(-1.0, Fraction(1))]
-        assert constant_term(pairs) == pytest.approx(4.0)
+class TestEdgeCharpoly:
+    def test_block_charpoly_is_t_plus_one_power_times_q(self):
+        # up to char_poly_exact's cap: 2(k - 1) <= 40 rows, k = 2..21
+        for k in range(2, CHARPOLY_EXACT_MAX_ROWS // 2 + 2):
+            p = char_poly_exact(block_matrix_K2(k))
+            assert p == edge_block_charpoly(edge_charpoly(k)), k
 
-    def test_rejects_fractional_multiplicity(self):
-        with pytest.raises(ValueError):
-            constant_term([EigenPair(1.0, Fraction(1, 2))])
+    def test_monic_with_signed_wendt_constant_and_radius_root(self):
+        zeros = set()
+        for m in range(1, 21):
+            q = edge_charpoly(m + 1)
+            assert len(q) == m + 1 and q[-1] == 1, m
+            assert q[0] == (-1) ** m * wendt(m), m
+            assert poly_at(q, 2**m - 1) == 0, m
+            if q[0] == 0:
+                zeros.add(m)
+        assert zeros == {6, 12, 18}
+
+    def test_is_the_charpoly_of_wendts_circulant(self):
+        for m in range(1, 21):
+            assert edge_charpoly(m + 1) == char_poly_exact(wendt_matrix(m)), m
+
+    def test_refuses_a_non_integral_coefficient(self, monkeypatch):
+        # values C(t + 1, 2) at t = 0..3 interpolate to (t^2 + t)/2
+        monkeypatch.setattr(spectra, "circulant_det_oracle", lambda row: math.comb(row[0] + 2, 2))
+        with pytest.raises(ArithmeticError, match="non-integral"):
+            edge_charpoly(4)
 
 
 class TestNQZ:
@@ -256,15 +258,8 @@ class TestBlockMatrices:
         # k=3 block matrix has char poly (x+1)^3 (x-3)
         p = char_poly_exact(block_matrix_K2(3))
         assert p == (-3, -8, -6, 0, 1)
-
-        def value(x):
-            return sum(c * x**i for i, c in enumerate(p))
-
-        assert value(-1) == 0 and value(3) == 0
-        for j in range(2):
-            w = cmath.exp(2j * cmath.pi * j / 2)
-            root = (1 + w) ** 2 - 1
-            assert abs(value(root)) < 1e-9
+        # the roots -1 and (1 + (-1)^j)^2 - 1 for j = 0, 1: 3 and -1
+        assert poly_at(p, -1) == 0 and poly_at(p, 3) == 0
 
     def test_check_passes_small_orders(self):
         for k in range(2, 9):
@@ -300,8 +295,7 @@ class TestBlockMatrices:
         # the n = 2 spectral radius 2^(k-1) - 1, in integers
         for k in range(2, 17):
             p = char_poly_exact(block_matrix_K2(k))
-            r = spectral_radius_K2(k)
-            assert sum(c * r**i for i, c in enumerate(p)) == 0, k
+            assert poly_at(p, spectral_radius_K2(k)) == 0, k
 
     def test_check_rejects_out_of_range(self):
         with pytest.raises(ValueError):
