@@ -9,8 +9,8 @@ from steiner_spectra import graham_pollak_check, sweep_trees
 
 for n, k in [(4, 2), (5, 2), (4, 3), (3, 4), (4, 4)]:
     report = sweep_trees(n, k, det=True, mode="unlabeled")
-    dets = sorted({r.det for r in report.records})
-    print(f"n={n} k={k}: {len(report.records)} tree classes, dets {dets}")
+    dets = sorted({v["det"] for v in report.classes.values()})
+    print(f"n={n} k={k}: {len(report.classes)} tree classes, dets {dets}")
     for name, verdict in sorted(report.verdicts.items()):
         print(f"  {name}: {verdict}")
 

@@ -100,10 +100,7 @@ def _cmd_sweep(args) -> int:
     )
     witness = falsifying_witness(report)
     if args.json:
-        obj = report.to_json_dict()
-        if witness:
-            obj["witness"] = witness
-        print(report_json(obj))
+        print(report.to_json(witness))
     else:
         print(f"sweep n={report.n} k={report.k} mode={report.mode}: {len(report.records)} records")
         for name, verdict in sorted(report.verdicts.items()):

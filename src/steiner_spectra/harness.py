@@ -10,7 +10,9 @@ the Graham-Pollak check walk the labeled trees in the numpy blocks of
 `graphs.labeled_tree_blocks`: a block is decoded in lockstep and keyed by
 one `tree_keys` call, and a `Graph` is built only for the first tree of
 each class.  One cap, `TREE_WALK_CAP`, bounds all three walks, each
-refusing before it walks.
+refusing before it walks.  A sweep report holds each class's values once,
+beside one (Prüfer sequence, class key) row per labeled tree; verdicts,
+witnesses and rankings read those values, and its JSON encodes them once.
 """
 
 from __future__ import annotations
@@ -146,42 +148,41 @@ def _record_problem(rec) -> str | None:
 
 
 @dataclass
-class SweepRecord:
-    prufer: tuple
-    canonical: str
-    det: int | None = None
-    radius: dict | None = None  # enclosure as {"value","lo","hi","iterations"}
-
-    def to_json_dict(self) -> dict:
-        out = {"prufer": list(self.prufer), "canonical": self.canonical}
-        if self.det is not None:
-            out["det"] = self.det
-        if self.radius is not None:
-            out["radius"] = self.radius
-        return out
-
-
-@dataclass
 class SweepReport:
+    """A sweep's class table and its rows.
+
+    `classes` maps each canonical key to its {"det", "radius"} values, in
+    the order the walk first met the class; `records` holds one
+    (Prüfer sequence, canonical key) row per labeled tree, or per class in
+    mode "unlabeled".
+    """
+
     n: int
     k: int
     mode: str
     seed: int
+    classes: dict = field(default_factory=dict)
     records: list = field(default_factory=list)
     verdicts: dict = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "mode": self.mode,
-            "seed": self.seed,
-            "records": [r.to_json_dict() for r in self.records],
-            "verdicts": self.verdicts,
-        }
-
-    def to_json(self) -> str:
-        return report_json(self.to_json_dict())
+    def to_json(self, witness: dict | None = None) -> str:
+        """`report_json` of the report with one {"prufer", "canonical", **values}
+        object per row, plus "witness" when given: each class is encoded once,
+        with a 0 in place of the Prüfer list that each of its rows splices in."""
+        cut = {}
+        for key, values in self.classes.items():
+            fragment = report_json({"canonical": key, "prufer": 0, **values})
+            head, _, tail = fragment.partition('"prufer": 0')
+            cut[key] = (head + '"prufer": [', "]" + tail)
+        rows = ",".join(
+            f"{cut[key][0]}{','.join(map(str, seq))}{cut[key][1]}" for seq, key in self.records
+        )
+        frame = {"n": self.n, "k": self.k, "mode": self.mode, "seed": self.seed}
+        frame.update(records=0, verdicts=self.verdicts)
+        if witness:
+            frame["witness"] = witness
+        head, _, tail = report_json(frame).partition('"records": 0')
+        return f'{head}"records": [{rows}]{tail}'
 
 
 def _class_job(args):
@@ -270,8 +271,9 @@ def sweep_trees(
     """Evaluate every labeled tree on n vertices at order k.
 
     Hyperdeterminants and NQZ radii are computed once per canonical class
-    and fanned back out to the n^(n-2) labeled records (mode "labeled") or
-    kept one-per-class (mode "unlabeled").  Verdicts: conjecture1 = all
+    and held once, in the report's class table; its rows name the class of
+    each of the n^(n-2) labeled trees (mode "labeled") or of each class's
+    first tree (mode "unlabeled").  Verdicts: conjecture1 = all
     dets equal; conjecture2 = nonzero dets carry sign (-1)^(n-1), reported
     "not-applicable" when every det is zero; question2 = the top radius
     enclosure belongs to a path, counting enclosure-overlap ties in the
@@ -290,22 +292,18 @@ def sweep_trees(
     if n > TREE_WALK_CAP:
         raise ValueError(f"sweep capped at n <= {TREE_WALK_CAP}")
 
-    labeled, reps, values = _evaluate_classes(
+    rows, reps, classes = _evaluate_classes(
         n, _labeled_trees(n), k, det, radius, tol, jobs, cache
     )
     if mode == "unlabeled":
-        labeled = [(seq, ckey) for ckey, (seq, _) in reps.items()]
-    records = [
-        SweepRecord(seq, ckey, values[ckey].get("det"), values[ckey].get("radius"))
-        for seq, ckey in labeled
-    ]
+        rows = [(seq, ckey) for ckey, (seq, _) in reps.items()]
 
-    report = SweepReport(n, k, mode, seed, records)
+    report = SweepReport(n, k, mode, seed, classes, rows)
     if det:
-        _relabel_spot_checks(reps, values, n, k, seed)
-        report.verdicts.update(_det_verdicts(records, n))
+        _relabel_spot_checks(reps, classes, n, k, seed)
+        report.verdicts.update(_det_verdicts([v["det"] for v in classes.values()], n))
     if radius:
-        report.verdicts.update(_radius_verdicts(records, n))
+        report.verdicts.update(_radius_verdicts({c: v["radius"] for c, v in classes.items()}, n))
     return report
 
 
@@ -328,13 +326,12 @@ def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-def _det_verdicts(records, n: int) -> dict:
-    dets = [r.det for r in records]
+def _det_verdicts(dets, n: int) -> dict:
     distinct = sorted(set(dets))
     verdicts = {"conjecture1": len(distinct) == 1}
     if verdicts["conjecture1"]:
         verdicts["common_det"] = distinct[0]
-    nonzero = [d for d in dets if d != 0]
+    nonzero = [d for d in distinct if d != 0]
     if not nonzero:
         verdicts["conjecture2"] = "not-applicable"
     else:
@@ -343,18 +340,18 @@ def _det_verdicts(records, n: int) -> dict:
     return verdicts
 
 
-def _by_radius(r) -> tuple:
-    """Ranking key: the largest radius value first, then the smaller canonical key."""
-    return (-r.radius["value"], r.canonical)
+def _ranked(radii: dict) -> list:
+    """The keys of {key: enclosure}, the largest radius value first, then the smaller key."""
+    return sorted(radii, key=lambda c: (-radii[c]["value"], c))
 
 
-def _radius_verdicts(records, n: int) -> dict:
+def _radius_verdicts(radii: dict, n: int) -> dict:
     """Question 2 for sweeps and rankings alike: is the path among the top's ties?
 
     Ties: the classes whose enclosure reaches the top's lower end, by canonical key.
     """
-    top = min(records, key=_by_radius)
-    ties = sorted({r.canonical for r in records if r.radius["hi"] >= top.radius["lo"]})
+    top = radii[_ranked(radii)[0]]
+    ties = sorted(c for c, r in radii.items() if r["hi"] >= top["lo"])
     verdicts = {"question2": canonical_key(path_graph(n)) in ties}
     if len(ties) > 1:
         verdicts["question2_ties"] = ties
@@ -362,37 +359,32 @@ def _radius_verdicts(records, n: int) -> dict:
 
 
 def falsifying_witness(report: SweepReport) -> dict | None:
-    """The serialized counterexample behind a failed verdict, if any."""
+    """The serialized counterexample behind a failed verdict, if any: classes
+    in the order the walk met them, each named by its first row."""
     v = report.verdicts
-    by_det: dict = {}
-    for r in report.records:
-        if r.det is not None:
-            by_det.setdefault(r.det, r)
+    first = {}
+    for seq, key in report.records:
+        first.setdefault(key, seq)
+    dets = {c: values["det"] for c, values in report.classes.items() if "det" in values}
     if v.get("conjecture1") is False:
+        by_det: dict = {}
+        for c, d in dets.items():
+            by_det.setdefault(d, c)
         trees = [
-            {"prufer": list(r.prufer), "det": r.det, "canonical": r.canonical}
-            for _, r in sorted(by_det.items())
+            {"prufer": list(first[c]), "det": d, "canonical": c} for d, c in sorted(by_det.items())
         ]
         return {"verdict": "conjecture1", "witness": trees}
     if v.get("conjecture2") is False:
         expected = (-1) ** (report.n - 1)
-        for r in report.records:
-            if r.det and _sign(r.det) != expected:
-                return {
-                    "verdict": "conjecture2",
-                    "witness": [{"prufer": list(r.prufer), "det": r.det}],
-                }
+        for c, d in dets.items():
+            if d and _sign(d) != expected:
+                return {"verdict": "conjecture2", "witness": [{"prufer": list(first[c]), "det": d}]}
     if v.get("question2") is False:
-        top = min(report.records, key=_by_radius)
+        radii = {c: values["radius"] for c, values in report.classes.items()}
+        top = _ranked(radii)[0]
         return {
             "verdict": "question2",
-            "witness": [
-                {
-                    "prufer": list(top.prufer),
-                    "canonical": top.canonical,
-                    "radius": top.radius,
-                }
-            ],
+            "witness": [{"prufer": list(first[top]), "canonical": top, "radius": radii[top]}],
         }
     return None
 
@@ -464,21 +456,20 @@ def extremal_radius(n: int, k: int, scope: str = "trees", tol: float = NQZ_TOL) 
         raise ValueError(f"unknown scope {scope!r}")
 
     _, reps, values = _evaluate_classes(n, items, k, False, True, tol)
-    records = [SweepRecord(label, c, radius=values[c]["radius"]) for c, (label, _) in reps.items()]
-    ranked = sorted(records, key=_by_radius)
-    verdicts = _radius_verdicts(ranked, n)
+    radii = {c: v["radius"] for c, v in values.items()}
+    verdicts = _radius_verdicts(radii, n)
     path_key = canonical_key(path_graph(n))
     entries = []
-    for r in ranked:
-        g = reps[r.canonical][1]
+    for c in _ranked(radii):
+        g = reps[c][1]
         degs = sorted(map(len, g.adjacency()[1:]), reverse=True)
         entries.append(
             {
-                "canonical": r.canonical,
+                "canonical": c,
                 "edges": [list(e) for e in g.sorted_edges()],
                 "degree_sequence": degs,
-                "is_path": r.canonical == path_key,
-                "radius": r.radius,
+                "is_path": c == path_key,
+                "radius": radii[c],
             }
         )
     return {

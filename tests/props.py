@@ -24,6 +24,7 @@ from steiner_spectra import (
     nqz_spectral_radius,
     tree_from_prufer,
 )
+from steiner_spectra.harness import report_json
 from steiner_spectra.hypermatrix import multisets
 
 
@@ -85,6 +86,26 @@ def edge_block_charpoly(q) -> tuple:
         for j, c in enumerate(q):
             out[i + j] += math.comb(m, i) * c
     return tuple(out)
+
+
+def sweep_report_json_reference(report, witness=None) -> str:
+    """Reference sweep encoder: one {"prufer", "canonical", **values} dict
+    per row, in one dict of the whole report (plus "witness" when given),
+    all through one `report_json` call."""
+    obj = {
+        "n": report.n,
+        "k": report.k,
+        "mode": report.mode,
+        "seed": report.seed,
+        "records": [
+            {"prufer": list(seq), "canonical": key, **report.classes[key]}
+            for seq, key in report.records
+        ],
+        "verdicts": report.verdicts,
+    }
+    if witness:
+        obj["witness"] = witness
+    return report_json(obj)
 
 
 def poly_at(p, x):

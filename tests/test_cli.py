@@ -215,7 +215,7 @@ class TestSweep:
     def fake_falsified_sweep(monkeypatch):
         """Make `sweep` report two distinct dets, which falsifies conjecture 1."""
         import steiner_spectra.cli as cli
-        from steiner_spectra.harness import SweepRecord, SweepReport
+        from steiner_spectra.harness import SweepReport
 
         def fake_sweep(*a, **kw):
             return SweepReport(
@@ -223,10 +223,8 @@ class TestSweep:
                 k=4,
                 mode="labeled",
                 seed=0,
-                records=[
-                    SweepRecord((1,), "a", det=5),
-                    SweepRecord((2,), "b", det=7),
-                ],
+                classes={"a": {"det": 5}, "b": {"det": 7}},
+                records=[((1,), "a"), ((2,), "b")],
                 verdicts={"conjecture1": False, "conjecture2": True},
             )
 

@@ -12,7 +12,6 @@ from steiner_spectra.harness import (
     EXTREMAL_GRAPH_CAP,
     TREE_WALK_CAP,
     ResultCache,
-    SweepRecord,
     SweepReport,
     _class_job,
     extremal_radius,
@@ -22,13 +21,13 @@ from steiner_spectra.harness import (
     sweep_trees,
 )
 from steiner_spectra.exact import IntMatrix, det_exact
-from steiner_spectra.graphs import canonical_key, path_graph, tree_from_prufer
+from steiner_spectra.graphs import canonical_key, path_graph, star_graph, tree_from_prufer
 from steiner_spectra.hypermatrix import build_steiner_hypermatrix
 from steiner_spectra.resultant import check_hyperdet_cap
 from steiner_spectra.spectra import nqz_spectral_radius
 from steiner_spectra.wendt import wendt
 
-from props import bfs_rows
+from props import bfs_rows, sweep_report_json_reference
 
 
 def _fail_on_double_star(args):
@@ -39,6 +38,40 @@ def _fail_on_double_star(args):
     if sorted(map(len, args[0].adjacency()[1:])) == [1, 1, 1, 1, 3, 3]:
         raise RuntimeError("job failed on the double star")
     return _class_job(args)
+
+
+def _falsified_sweep(monkeypatch, verdict):
+    """A labeled sweep at n = 5 whose class values fail `verdict`.
+
+    The classes, in the order the walk meets them: the star at (1, 1, 1),
+    the spider at (1, 1, 2) and the path at (1, 2, 3).  conjecture1: the
+    star and the spider share the det 50, the path keeps 32; conjecture2:
+    every det turns negative, so conjecture 1 still holds; question2: the
+    spider's radius rises above the path's.  The fake dets are not what a
+    relabeled hyperdet gives, so the relabel check (tested in
+    TestSweepTrees) is off here.
+    """
+    import steiner_spectra.harness as harness
+
+    path_key, star_key = canonical_key(path_graph(5)), canonical_key(star_graph(5))
+
+    def fake(args):
+        out = _class_job(args)
+        key = canonical_key(args[0])
+        if verdict == "conjecture1" and key != path_key:
+            out["det"] = 50
+        elif verdict == "conjecture2":
+            out["det"] = -out["det"]
+        elif verdict == "question2" and key not in (path_key, star_key):
+            r = out["radius"]
+            out["radius"] = {**r, "value": r["value"] + 10, "lo": r["lo"] + 10, "hi": r["hi"] + 10}
+        return out
+
+    monkeypatch.setattr(harness, "_class_job", fake)
+    monkeypatch.setattr(harness, "_relabel_spot_checks", lambda *args: None)
+    if verdict == "question2":
+        return sweep_trees(5, 3, radius=True)
+    return sweep_trees(5, 2, det=True)
 
 
 class TestReportJson:
@@ -203,8 +236,9 @@ class TestSweepTrees:
     def test_radius_verdict(self):
         rep = sweep_trees(4, 3, radius=True)
         assert rep.verdicts["question2"] is True
-        assert all(r.radius is not None for r in rep.records)
-        assert all(r.det is None for r in rep.records)
+        # every row's class carries a radius and no det
+        assert {key for _, key in rep.records} == set(rep.classes)
+        assert all(set(values) == {"radius"} for values in rep.classes.values())
 
     def test_validations(self):
         with pytest.raises(ValueError, match="mode"):
@@ -279,7 +313,7 @@ class TestSweepTrees:
     def test_classes_done_before_a_failure_stay_cached(self, tmp_path, monkeypatch, jobs):
         import steiner_spectra.harness as harness
 
-        classes = sweep_trees(6, 3, radius=True, mode="unlabeled").records
+        classes = sweep_trees(6, 3, radius=True, mode="unlabeled").classes
         monkeypatch.setattr(harness, "_class_job", _fail_on_double_star)
         path = tmp_path / "c.jsonl"
         with pytest.raises(RuntimeError, match="double star"):
@@ -287,10 +321,8 @@ class TestSweepTrees:
         assert len(path.read_text().splitlines()) == 2
         cache = ResultCache(path)
         quantity = f"radius:{1e-8!r}:{CACHE_VERSION}"
-        assert [cache.get(r.canonical, 3, quantity) for r in classes] == [
-            classes[0].radius,
-            classes[1].radius,
-        ] + [None] * 4
+        radii = [values["radius"] for values in classes.values()]
+        assert [cache.get(key, 3, quantity) for key in classes] == radii[:2] + [None] * 4
 
     def test_jobs_do_not_change_report(self):
         serial = sweep_trees(4, 3, det=True, radius=True, jobs=1)
@@ -356,7 +388,56 @@ class TestSweepTrees:
     def test_seed_recorded(self):
         rep = sweep_trees(3, 2, det=True, seed=7)
         assert rep.seed == 7
-        assert rep.to_json_dict()["seed"] == 7
+        assert json.loads(rep.to_json())["seed"] == 7
+
+
+class TestSweepJson:
+    """`SweepReport.to_json` against the reference that encodes one dict per row."""
+
+    @pytest.mark.parametrize(
+        "n,k,kwargs",
+        [
+            (2, 3, {"det": True, "radius": True}),  # the one Prüfer list is empty
+            (4, 3, {"det": True, "radius": True}),
+            (6, 3, {"radius": True, "mode": "unlabeled"}),
+        ],
+    )
+    def test_matches_the_reference(self, n, k, kwargs):
+        rep = sweep_trees(n, k, **kwargs)
+        assert rep.to_json() == sweep_report_json_reference(rep)
+
+    def test_keys_that_hold_quotes_backslashes_and_the_placeholders(self):
+        keys = ['"prufer": 0', 'a"b', "c\\d", '\\"records": 0']
+        rep = SweepReport(
+            n=5,
+            k=3,
+            mode='"records": 0',
+            seed=1,
+            classes={
+                key: {"det": -i, "radius": {"value": 2.0 + i, "lo": 1.5 + i, "hi": 2.5 + i}}
+                for i, key in enumerate(keys)
+            },
+            records=[
+                ((1, 2, 3), keys[0]),
+                ((), keys[1]),
+                ((4,), keys[2]),
+                ((5, 5, 5), keys[3]),
+                ((2, 1, 1), keys[0]),
+            ],
+            verdicts={"question2": False, "question2_ties": sorted(keys[2:])},
+        )
+        witness = falsifying_witness(rep)
+        assert witness["witness"][0]["canonical"] == keys[3]
+        assert rep.to_json() == sweep_report_json_reference(rep)
+        assert rep.to_json(witness) == sweep_report_json_reference(rep, witness)
+        assert json.loads(rep.to_json(witness))["records"][4]["canonical"] == keys[0]
+
+    @pytest.mark.parametrize("verdict", ["conjecture1", "conjecture2", "question2"])
+    def test_matches_the_reference_with_each_witness(self, monkeypatch, verdict):
+        rep = _falsified_sweep(monkeypatch, verdict)
+        witness = falsifying_witness(rep)
+        assert witness["verdict"] == verdict
+        assert rep.to_json(witness) == sweep_report_json_reference(rep, witness)
 
 
 class TestFalsifyingWitness:
@@ -370,15 +451,16 @@ class TestFalsifyingWitness:
             k=4,
             mode="labeled",
             seed=0,
-            records=[
-                SweepRecord((1,), "a", det=5),
-                SweepRecord((2,), "b", det=7),
-                SweepRecord((3,), "c", det=9),
-                SweepRecord((4,), "d", det=10),
-                SweepRecord((5,), "e", det=-5),
-                SweepRecord((6,), "f", det=-40),
-                SweepRecord((7,), "g", det=9),
-            ],
+            classes={
+                "a": {"det": 5},
+                "b": {"det": 7},
+                "c": {"det": 9},
+                "d": {"det": 10},
+                "e": {"det": -5},
+                "f": {"det": -40},
+                "g": {"det": 9},
+            },
+            records=[((i,), key) for i, key in enumerate("abcdefg", 1)],
             verdicts={"conjecture1": False},
         )
         w = falsifying_witness(rep)
@@ -393,10 +475,10 @@ class TestFalsifyingWitness:
             k=4,
             mode="labeled",
             seed=0,
-            records=[SweepRecord((1,), "a", det=9)],  # expected sign is +... n=3
+            classes={"a": {"det": 9}, "b": {"det": -9}},  # expected sign is +... n=3
+            records=[((1,), "a"), ((2,), "b")],
             verdicts={"conjecture1": True, "conjecture2": False},
         )
-        rep.records.append(SweepRecord((2,), "b", det=-9))
         w = falsifying_witness(rep)
         assert w["verdict"] == "conjecture2"
         assert w["witness"][0]["det"] == -9
@@ -407,15 +489,42 @@ class TestFalsifyingWitness:
             k=3,
             mode="labeled",
             seed=0,
-            records=[
-                SweepRecord((1, 1), "star", radius={"value": 9.0, "lo": 9.0, "hi": 9.0}),
-                SweepRecord((2, 3), "path", radius={"value": 5.0, "lo": 5.0, "hi": 5.0}),
-            ],
+            classes={
+                "star": {"radius": {"value": 9.0, "lo": 9.0, "hi": 9.0}},
+                "path": {"radius": {"value": 5.0, "lo": 5.0, "hi": 5.0}},
+            },
+            records=[((1, 1), "star"), ((2, 3), "path")],
             verdicts={"question2": False},
         )
         w = falsifying_witness(rep)
         assert w["verdict"] == "question2"
         assert w["witness"][0]["canonical"] == "star"
+
+    @pytest.mark.parametrize("verdict", ["conjecture1", "conjecture2", "question2"])
+    def test_names_the_first_row_of_its_class(self, monkeypatch, verdict):
+        rep = _falsified_sweep(monkeypatch, verdict)
+        assert rep.verdicts[verdict] is False
+        w = falsifying_witness(rep)
+        assert w["verdict"] == verdict
+
+        def first_row(key):
+            return next(list(seq) for seq, c in rep.records if c == key)
+
+        star, spider, path = rep.classes  # in the order the walk met them
+        assert [first_row(c) for c in rep.classes] == [[1, 1, 1], [1, 1, 2], [1, 2, 3]]
+        if verdict == "conjecture1":
+            # one class per distinct det, sorted by det, each the first met with it
+            assert [t["det"] for t in w["witness"]] == [32, 50]
+            assert [t["canonical"] for t in w["witness"]] == [path, star]
+            assert [t["prufer"] for t in w["witness"]] == [first_row(path), first_row(star)]
+        elif verdict == "conjecture2":
+            # every class has the wrong sign: the first class met is named
+            assert w["witness"] == [{"prufer": first_row(star), "det": -32}]
+        else:
+            radius = rep.classes[spider]["radius"]
+            assert w["witness"] == [
+                {"prufer": first_row(spider), "canonical": spider, "radius": radius}
+            ]
 
 
 class TestGrahamPollak:
@@ -547,10 +656,10 @@ class TestExtremalRadius:
     @pytest.mark.parametrize("n,k", [(5, 3), (6, 4)])
     def test_matches_unlabeled_sweep(self, n, k):
         entries = extremal_radius(n, k)["entries"]
-        records = sweep_trees(n, k, radius=True, mode="unlabeled").records
-        assert len(entries) == len(records)
+        sweep = sweep_trees(n, k, radius=True, mode="unlabeled")
+        assert len(entries) == len(sweep.records) == len(sweep.classes)
         assert {e["canonical"]: e["radius"] for e in entries} == {
-            r.canonical: r.radius for r in records
+            key: values["radius"] for key, values in sweep.classes.items()
         }
 
 

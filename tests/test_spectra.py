@@ -8,7 +8,6 @@ from props import edge_block_charpoly, poly_at
 from steiner_spectra import resultant, spectra
 from steiner_spectra.exact import (
     CHARPOLY_EXACT_MAX_ROWS,
-    IntMatrix,
     char_poly_exact,
     circulant,
     det_exact,
@@ -282,20 +281,6 @@ class TestBlockMatrices:
         monkeypatch.setattr(spectra, "wendt_matrix", off_by_one)
         for k in (2, 3, 7, 21, 68):
             assert not block_matrix_check(k), k
-
-    def test_charpoly_equals_that_of_minus_identity_plus_wendt(self):
-        # the charpoly equality the similarity implies, checked directly
-        for k in range(2, 13):
-            w = wendt_matrix(k - 1)._a
-            zero = np.zeros_like(w)
-            direct_sum = np.block([[-np.eye(k - 1, dtype=w.dtype), zero], [zero, w]])
-            assert char_poly_exact(block_matrix_K2(k)) == char_poly_exact(IntMatrix(direct_sum)), k
-
-    def test_radius_is_an_exact_root(self):
-        # the n = 2 spectral radius 2^(k-1) - 1, in integers
-        for k in range(2, 17):
-            p = char_poly_exact(block_matrix_K2(k))
-            assert poly_at(p, spectral_radius_K2(k)) == 0, k
 
     def test_check_rejects_out_of_range(self):
         with pytest.raises(ValueError):
