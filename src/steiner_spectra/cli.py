@@ -100,7 +100,8 @@ def _cmd_sweep(args) -> int:
     )
     witness = falsifying_witness(report)
     if args.json:
-        print(report.to_json(witness))
+        sys.stdout.writelines(report.json_chunks(witness))
+        print()
     else:
         print(f"sweep n={report.n} k={report.k} mode={report.mode}: {len(report.records)} records")
         for name, verdict in sorted(report.verdicts.items()):

@@ -367,10 +367,14 @@ def _charpoly_plan(m: IntMatrix) -> tuple:
     """The prime-independent part of char_poly_mod(m, p), built on first use.
 
     Returns the product of the 1-row diagonal blocks' charpolys x - m_ii as
-    an ascending tuple of integers, and the larger diagonal blocks as
-    slices of m's array, in the dtype IntMatrix chose for it.  The blocks
-    are the strongly connected components of the integer pattern
-    (`_strong_components`, a few BLAS products on the reachability
+    an ascending tuple of integers, the larger diagonal blocks as slices
+    of m's array, in the dtype IntMatrix chose for it, and the blocks'
+    mass: the sum of the squares of every entry inside a diagonal block,
+    1-row blocks included, as a Python int.  The mass is ||D||_F^2 for
+    D = blockdiag(blocks), which has m's eigenvalues, and the resultant's
+    CRT bounds a product of them by it (`resultant._gcp_constant_modular`).
+    The blocks are the strongly connected components of the integer
+    pattern (`_strong_components`, a few BLAS products on the reachability
     closure); an entry that vanishes over Z vanishes mod every p, so the
     block triangular form holds for every prime.  IntMatrix's array is
     read-only, so the plan stays valid.
@@ -378,13 +382,17 @@ def _charpoly_plan(m: IntMatrix) -> tuple:
     if m._plan is None:
         linear = [1]
         blocks = []
+        mass = 0
         for component in _strong_components(m._a):
             if len(component) == 1:
                 d = m[component[0], component[0]]
                 linear = [x - d * y for x, y in zip([0] + linear, linear + [0])]
+                mass += d * d
             else:
-                blocks.append(m._a[np.ix_(component, component)])
-        m._plan = (tuple(linear), blocks)
+                block = m._a[np.ix_(component, component)]
+                blocks.append(block)
+                mass += sum(x * x for x in block[block != 0].tolist())
+        m._plan = (tuple(linear), blocks, mass)
     return m._plan
 
 
@@ -414,7 +422,7 @@ def char_poly_mod(m: IntMatrix, p: int) -> tuple:
     if n > _MOD_MAX_ROWS:
         raise ValueError(f"matrix size {n} exceeds the modular charpoly cap of {_MOD_MAX_ROWS}")
     _check_modulus(p, n)
-    linear, blocks = _charpoly_plan(m)
+    linear, blocks, _ = _charpoly_plan(m)
     charpoly = np.array([c % p for c in linear], dtype=np.int64)
     for block in blocks:
         h = (block % p).astype(np.float64)

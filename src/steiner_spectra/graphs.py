@@ -24,7 +24,8 @@ the distance matrices of a whole batch of edge lists as one array, by a
 min-plus Floyd-Warshall over the stack, and `distance_matrix` reads a
 single graph's off a stack of one.
 `graph_canonical_form` relabels an edge list under all n! permutations
-at once.
+at once.  `canonical_keys` keys a list of graphs, its trees in one
+`tree_keys` call, and `canonical_key` is it on a list of one.
 """
 
 from __future__ import annotations
@@ -407,9 +408,18 @@ def graph_canonical_form(g: Graph) -> str:
 
 def canonical_key(g: Graph) -> str:
     """Cache key invariant under relabeling: AHU for trees, brute force otherwise."""
-    if g.is_tree():
-        return tree_key(g.n, g.edges)
-    return "graph:" + graph_canonical_form(g)
+    return canonical_keys([g])[0]
+
+
+def canonical_keys(graphs) -> list:
+    """`canonical_key` of each graph in a list of graphs on one vertex
+    count: the trees are keyed in one `tree_keys` call."""
+    trees = [g.is_tree() for g in graphs]
+    stack = [list(g.edges) for g, tree in zip(graphs, trees) if tree]
+    keys = iter(tree_keys(graphs[0].n, stack) if stack else ())
+    return [
+        next(keys) if tree else "graph:" + graph_canonical_form(g) for g, tree in zip(graphs, trees)
+    ]
 
 
 def all_connected_graphs(n: int):

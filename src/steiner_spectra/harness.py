@@ -12,7 +12,8 @@ one `tree_keys` call, and a `Graph` is built only for the first tree of
 each class.  One cap, `TREE_WALK_CAP`, bounds all three walks, each
 refusing before it walks.  A sweep report holds each class's values once,
 beside one (Prüfer sequence, class key) row per labeled tree; verdicts,
-witnesses and rankings read those values, and its JSON encodes them once.
+witnesses and rankings read those values, and its JSON encodes them once,
+in pieces that the CLI writes as they come.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .graphs import (
     Graph,
     all_connected_graphs,
     canonical_key,
+    canonical_keys,
     distance_stack,
     labeled_tree_blocks,
     path_graph,
@@ -147,6 +149,10 @@ def _record_problem(rec) -> str | None:
     return None
 
 
+# rows per piece of a sweep report's JSON (`SweepReport.json_chunks`)
+JSON_CHUNK_ROWS = 4096
+
+
 @dataclass
 class SweepReport:
     """A sweep's class table and its rows.
@@ -167,22 +173,32 @@ class SweepReport:
 
     def to_json(self, witness: dict | None = None) -> str:
         """`report_json` of the report with one {"prufer", "canonical", **values}
-        object per row, plus "witness" when given: each class is encoded once,
-        with a 0 in place of the Prüfer list that each of its rows splices in."""
+        object per row, plus "witness" when given: `json_chunks`, joined."""
+        return "".join(self.json_chunks(witness))
+
+    def json_chunks(self, witness: dict | None = None):
+        """`to_json`'s text in pieces, so a writer holds one piece at a time:
+        the frame up to the records list, the rows `JSON_CHUNK_ROWS` at a
+        time, then the rest of the frame.  Each class is encoded once, with a
+        0 in place of the Prüfer list that each of its rows splices in."""
         cut = {}
         for key, values in self.classes.items():
             fragment = report_json({"canonical": key, "prufer": 0, **values})
             head, _, tail = fragment.partition('"prufer": 0')
             cut[key] = (head + '"prufer": [', "]" + tail)
-        rows = ",".join(
-            f"{cut[key][0]}{','.join(map(str, seq))}{cut[key][1]}" for seq, key in self.records
-        )
         frame = {"n": self.n, "k": self.k, "mode": self.mode, "seed": self.seed}
         frame.update(records=0, verdicts=self.verdicts)
         if witness:
             frame["witness"] = witness
         head, _, tail = report_json(frame).partition('"records": 0')
-        return f'{head}"records": [{rows}]{tail}'
+        yield head + '"records": ['
+        for start in range(0, len(self.records), JSON_CHUNK_ROWS):
+            rows = self.records[start : start + JSON_CHUNK_ROWS]
+            chunk = ",".join(
+                f"{cut[key][0]}{','.join(map(str, seq))}{cut[key][1]}" for seq, key in rows
+            )
+            yield "," + chunk if start else chunk
+        yield "]" + tail
 
 
 def _class_job(args):
@@ -451,7 +467,8 @@ def extremal_radius(n: int, k: int, scope: str = "trees", tol: float = NQZ_TOL) 
     elif scope == "connected-graphs":
         if not 2 <= n <= EXTREMAL_GRAPH_CAP:
             raise ValueError(f"graph scope capped at 2 <= n <= {EXTREMAL_GRAPH_CAP}")
-        items = ((None, g.edges, canonical_key(g)) for g in all_connected_graphs(n))
+        graphs = list(all_connected_graphs(n))
+        items = ((None, g.edges, key) for g, key in zip(graphs, canonical_keys(graphs)))
     else:
         raise ValueError(f"unknown scope {scope!r}")
 

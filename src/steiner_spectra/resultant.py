@@ -19,10 +19,16 @@ t to the diagonal of both matrices, and
 with C(0) the resultant.  Both determinants are monic in t, so the
 identity survives reduction modulo any prime: C(t) mod p is the exact
 quotient of one pair of charpolys mod p, a nonzero remainder is an
-error, and Chinese remaindering of C(0) past
-2 ||M||_inf^(N - N') gives the integer, with ||M||_inf read off the
-forms.  The primes are `exact._crt_primes` of M's row count and that
-bound, from about 2**21.9 down at 560 rows: primes `char_poly_mod` takes.
+error, and Chinese remaindering of C(0) past twice a bound on |C(0)|
+gives the integer.  C(0) is a product of N - N' eigenvalues of -M, so
+|C(0)| is at most ||M||_inf^(N - N'), with ||M||_inf read off the forms,
+and at most (S / (N - N'))^((N - N')/2), with S the sum of the squared
+entries inside M's strongly connected diagonal blocks (Weyl's inequality
+and AM-GM, see `_gcp_constant_modular`).  The lesser of the two, in
+integers, takes 15 primes on the benchmark's 560-row system, where the
+norm bound alone takes 24.  The primes are `exact._crt_primes` of M's
+row count and that bound, from about 2**21.9 down at 560 rows: primes
+`char_poly_mod` takes.
 Macaulay matrices of at most 15 rows (on the hyperdet path, n = 3 with
 k = 3) still take the same two charpolys exactly over Z (`_gcp_constant`),
 a remnant that goes once the benchmark's tracer self-test stops counting
@@ -35,12 +41,14 @@ single coefficient of the one form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exact import (
     IntMatrix,
+    _charpoly_plan,
     _crt_primes,
     char_poly_exact,
     char_poly_mod,
@@ -163,13 +171,33 @@ def _gcp_constant_modular(s: HomogeneousSystem, matrix: IntMatrix, reduced: list
     for M = macaulay_matrix(s) and a nonempty M': mod p, C(0) is
     (-1)^(N - N') Q(0) for the quotient Q of the two charpolys
     (`_charpoly_quotient`).
+
+    The primes are the fewest whose product exceeds
+    2 min(B^k, isqrt(ceil(S^k / k^k)) + 1), k = N - N', which is more
+    than 2 |C(0)|, so the symmetric residue is C(0).  Both bounds hold
+    because the roots of C are a sub-multiset of k eigenvalues of -M:
+    - each eigenvalue is at most B = ||M||_inf = max_i ||F_i||_1 in
+      absolute value, so |C(0)| <= B^k;
+    - M is block triangular up to a symmetric permutation
+      (`exact._charpoly_plan`), so its eigenvalues are those of
+      D = blockdiag(its strongly connected diagonal blocks);
+    - by Weyl's inequality the product of D's k largest |eigenvalues| is
+      at most the product of its k largest singular values sigma_i;
+    - by AM-GM that product is at most (sum of sigma_i^2 / k)^(k/2)
+      <= (||D||_F^2 / k)^(k/2), and ||D||_F^2 = S, the plan's mass.
+    So |C(0)|^2 <= S^k / k^k, and |C(0)| < isqrt(ceil(S^k / k^k)) + 1.
+    Everything is in Python ints.  The min keeps B^k where it binds, as on
+    c x_i^d, whose resultant is exactly B^k in absolute value, so no
+    system takes more primes than B^k alone would ask for.
     """
     minor = _nonreduced_minor(matrix, reduced)
+    k = sum(reduced)  # N - N'
     # ||M||_inf: a row of M is one form's coefficients in distinct columns,
     # and every form owns at least the row of x_i^D
     norm = max(sum(map(abs, f.values())) for f in s.polys)
-    bound = 2 * norm ** sum(reduced)  # N - N' eigenvalues
-    sign, residue, modulus = (-1) ** sum(reduced), 0, 1
+    _, _, mass = _charpoly_plan(matrix)
+    bound = 2 * min(norm**k, math.isqrt(-(-(mass**k) // k**k)) + 1)
+    sign, residue, modulus = (-1) ** k, 0, 1
     for p in _crt_primes(matrix.rows, bound):
         pp = char_poly_mod(matrix, p)
         qq = char_poly_mod(minor, p)
@@ -192,12 +220,15 @@ def macaulay_resultant(s: HomogeneousSystem) -> int:
     det(tI + M') is monic, so C(t) is the exact quotient over F_p as over
     Z, whether or not M' is singular mod p, and a nonzero remainder is an
     error.  The roots of det(tI + M') are among those of det(tI + M), so
-    C(0) is a product of N - N' eigenvalues of -M, each at most
-    B = ||M||_inf = max_i ||F_i||_1 in absolute value; remaindering takes
-    the fewest primes whose product exceeds 2 * B^(N - N'), and the
-    symmetric residue is the resultant.  A zero form leaves its rows of M
-    zero, so it needs no special case: det(M) and C(0) vanish, and with
-    every form zero B = 0 and one prime closes.
+    C(0) is a product of k = N - N' eigenvalues of -M.  Each is at most
+    B = ||M||_inf = max_i ||F_i||_1 in absolute value, and by Weyl's
+    inequality and AM-GM their product is at most (S / k)^(k/2), S the
+    sum of the squared entries inside M's strongly connected diagonal
+    blocks.  Remaindering takes the fewest primes whose product exceeds
+    twice the lesser bound (`_gcp_constant_modular`), and the symmetric
+    residue is the resultant.  A zero form leaves its rows of M zero, so
+    it needs no special case: det(M) and C(0) vanish, and with every form
+    zero B = S = 0 and one prime closes.
     """
     check_hyperdet_cap(s.nvars, s.degree + 1)
     matrix, reduced = macaulay_matrix(s)

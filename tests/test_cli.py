@@ -245,6 +245,19 @@ class TestSweep:
         at = lines.index("falsifying witness:")
         assert json.loads(lines[at + 1])["verdict"] == "conjecture1"
 
+    def test_json_is_written_in_chunks_with_the_reports_bytes(self, capsys, monkeypatch):
+        import steiner_spectra.cli as cli
+        import steiner_spectra.harness as harness
+        from steiner_spectra.harness import falsifying_witness
+
+        monkeypatch.setattr(harness, "JSON_CHUNK_ROWS", 7)  # 125 rows: 18 chunks
+        code, out, _ = run(capsys, ["sweep", "--n", "5", "--k", "2", "--det", "--json"])
+        assert code == 0 and out == cli.sweep_trees(5, 2, det=True).to_json() + "\n"
+        self.fake_falsified_sweep(monkeypatch)
+        code, out, _ = run(capsys, ["sweep", "--n", "3", "--k", "4", "--det", "--json"])
+        report = cli.sweep_trees()
+        assert code == 2 and out == report.to_json(falsifying_witness(report)) + "\n"
+
     def test_unlabeled_mode(self, capsys):
         code, out, _ = run(
             capsys, ["sweep", "--n", "4", "--k", "2", "--det", "--mode", "unlabeled", "--json"]

@@ -611,8 +611,10 @@ class TestCrtPrimes:
     def test_shortest_prefix_past_the_bound(self):
         pool = list(itertools.islice(exact._modular_primes(560), 24))
         # bound 0 still takes one prime, so the per-prime checks run; a bound
-        # equal to the first two primes' product needs a third; crt-degenerate's
-        # 2 * 4^256 (||M||_inf = 4, N - N' = 256) at 560 rows takes 24
+        # equal to the first two primes' product needs a third; 2 * 4^256 at
+        # 560 rows, crt-degenerate's norm bound (||M||_inf = 4, N - N' = 256),
+        # takes 24 (the resultant takes its lesser block-mass bound and 15
+        # primes, test_resultant.py::TestCrtBound)
         for bound, count in [(0, 1), (pool[0] * pool[1], 3), (2 * 4**256, 24)]:
             assert exact._crt_primes(560, bound) == pool[:count]
         assert math.prod(pool[:23]) <= 2 * 4**256 < math.prod(pool)
@@ -712,6 +714,10 @@ class TestStrongComponentsProperties:
             components = exact._strong_components(pattern)
             want, reach = mutual_reachability_components(rows)
             assert sorted(components) == want, (trial, n)
+            # the plan's mass: squared entries inside the diagonal blocks, in
+            # Python ints (the 2**70 entries would overflow int64)
+            mass = sum(rows[i][j] ** 2 for c in want for i in c for j in c)
+            assert exact._charpoly_plan(IntMatrix(rows))[2] == mass, (trial, n)
             assert all(c == sorted(c) for c in components)
             # reverse topological: a component comes after all it reaches
             order = {v: c for c, comp in enumerate(components) for v in comp}
@@ -732,7 +738,7 @@ class TestStrongComponentsProperties:
         matrix, reduced = macaulay_matrix(gradient_system(build_steiner_hypermatrix(graph, k)))
         minor = _nonreduced_minor(matrix, reduced)
         for m, want in ((matrix, sizes), (minor, minor_sizes)):
-            linear, blocks = exact._charpoly_plan(m)
+            linear, blocks, _ = exact._charpoly_plan(m)
             assert sorted((b.shape[0] for b in blocks), reverse=True) == want
             assert len(linear) - 1 + sum(want) == m.rows
 

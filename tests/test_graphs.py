@@ -11,6 +11,7 @@ from steiner_spectra.graphs import (
     Graph,
     all_connected_graphs,
     canonical_key,
+    canonical_keys,
     complete_graph,
     distance_matrix,
     distance_stack,
@@ -367,6 +368,23 @@ class TestCanonicalForms:
             key = canonical_key(g)
             assert key == tree_key(6, g.edges)
         assert canonical_key(complete_graph(3)).startswith("graph:")
+
+    def test_listed_keys_match_the_references(self):
+        # every connected graph on n <= 5 vertices, trees and others mixed in
+        # one list, and lists with no tree or only trees
+        for n in range(1, 6):
+            graphs = list(all_connected_graphs(n))
+            want = [
+                tree_key_by_sets(n, list(g.edges))
+                if g.is_tree()
+                else "graph:" + graph_canonical_form_by_permutations(g)
+                for g in graphs
+            ]
+            assert canonical_keys(graphs) == want, n
+        cycles = [complete_graph(3), Graph.from_edges(3, [(1, 2), (2, 3), (1, 3)])]
+        assert canonical_keys(cycles) == ["graph:" + graph_canonical_form(complete_graph(3))] * 2
+        paths = [path_graph(4), star_graph(4), path_graph(4)]
+        assert canonical_keys(paths) == [tree_key_by_sets(4, list(g.edges)) for g in paths]
 
     def test_path_and_star_differ(self):
         assert tree_key(4, path_graph(4).edges) != tree_key(4, star_graph(4).edges)

@@ -439,6 +439,20 @@ class TestSweepJson:
         assert witness["verdict"] == verdict
         assert rep.to_json(witness) == sweep_report_json_reference(rep, witness)
 
+    @pytest.mark.parametrize("rows", [1, 2, 7, 125, 126, 4096])
+    def test_chunks_at_every_size_join_to_the_reference(self, monkeypatch, rows):
+        # 125 rows at n = 5: one chunk, an exact fit, one short chunk, many
+        import steiner_spectra.harness as harness
+
+        monkeypatch.setattr(harness, "JSON_CHUNK_ROWS", rows)
+        rep = sweep_trees(5, 2, det=True, radius=True)
+        assert len(rep.records) == 125
+        chunks = list(rep.json_chunks())
+        assert len(chunks) == 2 + -(-125 // rows)  # the frame's head and tail
+        assert "".join(chunks) == rep.to_json() == sweep_report_json_reference(rep)
+        empty = SweepReport(n=5, k=2, mode="labeled", seed=0)
+        assert "".join(empty.json_chunks()) == sweep_report_json_reference(empty)
+
 
 class TestFalsifyingWitness:
     def test_none_when_all_verdicts_hold(self):

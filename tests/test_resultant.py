@@ -372,6 +372,12 @@ def form_norm(s):
     return max(sum(map(abs, f.values())) for f in s.polys)
 
 
+def crt_bound(norm, mass, k):
+    """2 min(B^k, isqrt(ceil(S^k / k^k)) + 1): the CRT bound for
+    B = ||M||_inf, S the block mass of M and k = N - N'."""
+    return 2 * min(norm**k, math.isqrt(-(-(mass**k) // k**k)) + 1)
+
+
 class TestModularPrimes:
     @pytest.mark.parametrize("rows", [15, 560, 2000])
     def test_primes_keep_float_products_exact(self, rows):
@@ -396,8 +402,9 @@ class TestModularPrimes:
 
         monkeypatch.setattr(resultant, "char_poly_mod", spy)
         assert _gcp_constant_modular(s, matrix, reduced) == 43782435923605828680933188175642624
-        bound = 2 * form_norm(s) ** sum(reduced)
+        bound = crt_bound(form_norm(s), exact._charpoly_plan(matrix)[2], sum(reduced))
         assert math.prod(primes) > bound >= math.prod(primes[:-1])
+        assert len(primes) == 24
         assert primes == list(itertools.islice(exact._modular_primes(matrix.rows), len(primes)))
 
 
@@ -413,12 +420,14 @@ CRT_DEGENERATE_FORMS = (
 
 
 class TestCrtBound:
-    """The CRT route asks `_crt_primes` for exactly 2 B^(N - N'),
-    B = max_i ||F_i||_1.  Each prime is about 2**21, so the prime count
-    moves only when the bound crosses a product of primes, and a test of
-    the primes alone misses a bound off by a small factor: half of it
-    certifies |C(0)| < modulus, not the 2|C(0)| < modulus the symmetric
-    residue needs.  These tests read the bound itself."""
+    """The CRT route asks `_crt_primes` for exactly
+    2 min(B^k, isqrt(ceil(S^k / k^k)) + 1), B = max_i ||F_i||_1, S the
+    sum of squared entries inside M's diagonal blocks, k = N - N'.  Each
+    prime is about 2**21, so the prime count moves only when the bound
+    crosses a product of primes, and a test of the primes alone misses a
+    bound off by a small factor: half of it certifies |C(0)| < modulus,
+    not the 2|C(0)| < modulus the symmetric residue needs.  These tests
+    read the bound itself."""
 
     @staticmethod
     def spy_bounds(monkeypatch):
@@ -435,16 +444,107 @@ class TestCrtBound:
         bounds = self.spy_bounds(monkeypatch)
         s = HomogeneousSystem(4, 4, CRT_DEGENERATE_FORMS)
         assert macaulay_resultant(s) == 0
-        assert sum(macaulay_matrix(s)[1]) == 256 and form_norm(s) == 4
-        assert bounds == [(560, 2 * 4**256)]
+        matrix, reduced = macaulay_matrix(s)
+        assert sum(reduced) == 256 and form_norm(s) == 4
+        assert exact._charpoly_plan(matrix)[2] == 1358
+        assert bounds == [(560, 2 * (math.isqrt(-(-(1358**256) // 256**256)) + 1))]
+        assert bounds[0][1] < 2 * 4**256  # the block mass binds
 
     def test_path3_order4(self, monkeypatch):
         bounds = self.spy_bounds(monkeypatch)
         a = build_steiner_hypermatrix(path_graph(3), 4)
         assert hyperdet(a) == 8023601152
         s = gradient_system(a)
-        assert sum(macaulay_matrix(s)[1]) == 27 and form_norm(s) == 45
-        assert bounds == [(36, 2 * 45**27)]
+        matrix, reduced = macaulay_matrix(s)
+        assert sum(reduced) == 27 and form_norm(s) == 45
+        assert exact._charpoly_plan(matrix)[2] == 9579
+        assert bounds == [(36, 2 * (math.isqrt(-(-(9579**27) // 27**27)) + 1))]
+        assert bounds[0][1] < 2 * 45**27
+
+    def test_pure_powers_meet_the_norm_bound(self, monkeypatch):
+        # 5 x_i^3: M = 5I, |Res| = 5^27 = B^k exactly, and B^k is the lesser
+        # bound (S / k = 25 * 36 / 27 > B^2 = 25)
+        bounds = self.spy_bounds(monkeypatch)
+        cubes = tuple({tuple(3 * (j == i) for j in range(3)): 5} for i in range(3))
+        s = HomogeneousSystem(3, 3, cubes)
+        assert macaulay_resultant(s) == 5**27
+        assert bounds == [(36, 2 * 5**27)]
+        assert len(exact._crt_primes(36, 2 * 5**27)) == 3
+
+    @staticmethod
+    def exact_constant(matrix, reduced):
+        """C(0) over Z, from exact charpolys of M and M'."""
+        minor = resultant._nonreduced_minor(matrix, reduced)
+        q = resultant._charpoly_quotient(char_poly_exact(matrix), char_poly_exact(minor))
+        return (-1) ** sum(reduced) * int(q[0])
+
+    def assert_sound(self, bounds, s):
+        matrix, reduced = macaulay_matrix(s)
+        assert matrix.rows <= exact.CHARPOLY_EXACT_MAX_ROWS
+        c0 = self.exact_constant(matrix, reduced)
+        assert _gcp_constant_modular(s, matrix, reduced) == c0
+        (rows, bound) = bounds.pop()
+        k, mass = sum(reduced), exact._charpoly_plan(matrix)[2]
+        assert rows == matrix.rows and bound == crt_bound(form_norm(s), mass, k)
+        assert 2 * abs(c0) < bound <= 2 * form_norm(s) ** k
+        assert c0**2 * k**k <= mass**k  # Weyl and AM-GM, before any rounding
+        return c0
+
+    def test_sound_on_random_systems(self, monkeypatch):
+        bounds = self.spy_bounds(monkeypatch)
+        rng = random.Random(2803)
+        nonzero = 0
+        for d in (2, 2, 2, 2, 2, 2, 3, 3, 3, 3):
+            terms = exponent_vectors(3, d)
+            polys = tuple(
+                {e: rng.choice((-3, -2, -1, 1, 2, 3)) for e in terms if rng.random() < 0.8}
+                for _ in range(3)
+            )
+            nonzero += self.assert_sound(bounds, HomogeneousSystem(3, d, polys)) != 0
+        assert nonzero == 10
+
+    @pytest.mark.parametrize(
+        "graph, k, value",
+        [(complete_graph(3), 3, -2160), (path_graph(3), 3, 0), (path_graph(3), 4, 8023601152)],
+        ids=["K3-k3", "P3-k3", "P3-k4"],
+    )
+    def test_sound_on_steiner_systems(self, monkeypatch, graph, k, value):
+        bounds = self.spy_bounds(monkeypatch)
+        s = gradient_system(build_steiner_hypermatrix(graph, k))
+        assert self.assert_sound(bounds, s) == value
+
+    @pytest.mark.parametrize(
+        "name, before, after",
+        [
+            ("crt-degenerate", 24, 15),
+            ("P4-k4", 36, 28),
+            ("S4-k4", 35, 27),
+            ("P3-k6", 30, 24),
+            ("P4-k5", 111, 89),
+            ("P3-k4", 7, 5),
+        ],
+    )
+    def test_prime_counts(self, monkeypatch, name, before, after):
+        # the primes each system takes under B^k alone and under the lesser
+        # bound; the spy stops the CRT once it has the bound
+        class BoundSeen(Exception):
+            pass
+
+        def spy(rows, bound):
+            raise BoundSeen(rows, bound)
+
+        if name == "crt-degenerate":
+            s = HomogeneousSystem(4, 4, CRT_DEGENERATE_FORMS)
+        else:
+            g = {"P3": path_graph(3), "P4": path_graph(4), "S4": star_graph(4)}[name[:2]]
+            s = gradient_system(build_steiner_hypermatrix(g, int(name[-1])))
+        monkeypatch.setattr(resultant, "_crt_primes", spy)
+        with pytest.raises(BoundSeen) as seen:
+            macaulay_resultant(s)
+        rows, bound = seen.value.args
+        k = sum(macaulay_matrix(s)[1])
+        assert len(exact._crt_primes(rows, 2 * form_norm(s) ** k)) == before
+        assert len(exact._crt_primes(rows, bound)) == after
 
 
 class TestCrtNorm:
