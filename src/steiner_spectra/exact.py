@@ -48,16 +48,17 @@ class IntMatrix:
             # the entries are read again as given, uint64 among them; floats
             # would silently break the exact eliminations downstream, other
             # integral types become int
-            entries = np.array(data, dtype=object).ravel().tolist()
+            a = np.array(data, dtype=object)
+            entries = a.reshape(-1)  # a view: writes land in a
             for i, v in enumerate(entries):
                 if type(v) is not int:
                     if not isinstance(v, numbers.Integral):
                         raise ValueError(f"non-integer entry: {v!r}")
                     entries[i] = int(v)
             try:
-                a = np.array(entries, dtype=np.int64).reshape(a.shape)
+                a = a.astype(np.int64)
             except OverflowError:
-                a = np.array(entries, dtype=object).reshape(a.shape)
+                pass  # some entry needs more than 64 bits: a stays object
         a.flags.writeable = False  # so _charpoly_plan may keep what it reads off a
         self.rows, self.cols = a.shape
         self._a = a

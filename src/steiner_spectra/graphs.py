@@ -12,17 +12,19 @@ answers every other S.
 
 Labeled trees come in numpy blocks: `labeled_tree_blocks` yields the
 Prüfer sequences in lexicographic order, up to `TREE_BLOCK` at a time,
-with their edges from one lockstep smallest-leaf decode per block, and
+with their edges from one lockstep decode per block that joins each entry
+to the smallest current leaf, found by an argmax over the degrees.
 `tree_keys` names the isomorphism class of every tree of a block by
 center-rooted AHU strings (Aho, Hopcroft & Ullman 1974, section 3.2),
 coded level by level during one leaf peel over the whole block that also
-finds the centers.  So a sweep over n^(n-2) trees needs a `Graph` only
-for the trees it keeps.  `tree_from_prufer`, `tree_key` and
-`enumerate_labeled_trees` read those two functions for one tree or one
-tree at a time.  `distance_stack` is the one all-pairs routine: it gives
-the distance matrices of a whole batch of edge lists as one array, by a
-min-plus Floyd-Warshall over the stack, and `distance_matrix` reads a
-single graph's off a stack of one.
+finds the centers: past the codes of earlier levels, a vertex's code is
+the rank of its sorted row of child codes among its level's distinct
+rows.  So a sweep over n^(n-2) trees needs a `Graph` only for the trees
+it keeps.  `tree_from_prufer` and `enumerate_labeled_trees` read the
+decode for one tree or one tree at a time.  `distance_stack` is the one
+all-pairs routine: it gives the distance matrices of a whole batch of
+edge lists as one array, by a min-plus Floyd-Warshall over the stack,
+and `distance_matrix` reads a single graph's off a stack of one.
 `graph_canonical_form` relabels an edge list under all n! permutations
 at once.  `canonical_keys` keys a list of graphs, its trees in one
 `tree_keys` call, and `canonical_key` is it on a list of one.
@@ -204,28 +206,24 @@ def _prufer_decode(n: int, seqs: np.ndarray) -> np.ndarray:
     of entries in 1..n, as a (count, n-1, 2) array, every row decoded in
     lockstep.
 
-    Each entry is joined to the smallest current leaf, as a min-heap of
-    leaves would pick it: a pointer only moves up past used leaves, and an
-    entry that becomes a leaf below the pointer is taken at once.
+    Each step joins the next entry to the smallest current leaf, the first
+    vertex of degree 1, whose degree then drops to 0 and the entry's by
+    one; the last two leaves, the smaller first, make the last edge.
     """
     count = len(seqs)
     rows = np.arange(count)
-    vertex = np.arange(n + 1)
     slots = (seqs + (n + 1) * rows[:, None]).ravel()
     degree = 1 + np.bincount(slots, minlength=count * (n + 1)).reshape(count, n + 1)
     degree[:, 0] = 0  # slot 0 is never a leaf
-    ptr = (degree == 1).argmax(axis=1)
-    leaf = ptr
     edges = np.empty((count, n - 1, 2), dtype=np.intp)
     for j in range(n - 2):
+        leaf = (degree == 1).argmax(axis=1)
         x = seqs[:, j]
         edges[:, j, 0] = leaf
         edges[:, j, 1] = x
+        degree[rows, leaf] = 0
         degree[rows, x] -= 1
-        take = (degree[rows, x] == 1) & (x < ptr)
-        ptr = np.where(take, ptr, ((degree == 1) & (vertex > ptr[:, None])).argmax(axis=1))
-        leaf = np.where(take, x, ptr)
-    edges[:, -1, 0] = leaf
+    edges[:, -1, 0] = (degree == 1).argmax(axis=1)
     edges[:, -1, 1] = n
     return edges
 
@@ -306,15 +304,14 @@ def tree_keys(n: int, edges) -> list:
 
     One leaf peel, run over the whole stack at once, finds each tree's 1
     or 2 centers and codes every vertex it peels by the rooted subtree
-    below it: the vertex's sorted child codes, packed into one int64 and
-    numbered by `np.unique`, so equal codes name equal rooted trees (a
-    vertex with too many children for one int64 has its packed prefix
-    renumbered on the way).  A leaf's one unpeeled neighbor is the sum of
-    its unpeeled neighbors, which the peel keeps per vertex beside the
-    degree.  Each distinct code becomes its AHU string once: its
-    children's strings, sorted, wrapped in "( )".  The key is the string
-    rooted at the center, or the lesser of the strings rooted at either
-    center over the other.
+    below it: the peeled vertices' rows of child codes, each sorted, are
+    put in lexicographic order by one `np.lexsort`, and each distinct row
+    takes the next unused code, so equal codes name equal rooted trees.  A
+    leaf's one unpeeled neighbor is the sum of its unpeeled neighbors,
+    which the peel keeps per vertex beside the degree.  Each distinct code
+    becomes its AHU string once: its children's strings, sorted, wrapped
+    in "( )".  The key is the string rooted at the center, or the lesser
+    of the strings rooted at either center over the other.
     """
     count = len(edges)
     ends = np.asarray(edges, dtype=np.intp).reshape(count, n - 1, 2) - 1
@@ -334,22 +331,14 @@ def tree_keys(n: int, edges) -> list:
         """Code vertex v of tree t, for each pair, from its children's codes."""
         rows = kids[t, v]
         rows.sort(axis=1)  # the -1 fill comes first
-        width = np.count_nonzero(rows.max(axis=0, initial=-1) >= 0)
-        # digits 1..base-1 are codes and 0 is fill; when the next digit
-        # could overflow, the packed prefixes are renumbered densely first
-        base = len(forms) + 1
-        packed = np.zeros(len(t), dtype=np.int64)
-        span = 1
-        for digit in rows[:, n - width :].T + 1:
-            if span * base >= 1 << 63:
-                packed = np.unique(packed, return_inverse=True)[1]
-                span = int(packed.max()) + 1
-            packed = packed * base + digit
-            span *= base
-        _, first, number = np.unique(packed, return_index=True, return_inverse=True)
-        for row in rows[first].tolist():
+        order = np.lexsort(rows.T[::-1])  # column 0 is the first key
+        rows = rows[order]
+        new = np.ones(len(rows), dtype=bool)
+        new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        # equal rows take one code; a new row takes the next unused one
+        code[t[order], v[order]] = len(forms) - 1 + np.cumsum(new)
+        for row in rows[new].tolist():
             forms.append("(" + "".join(sorted(forms[c] for c in row if c >= 0)) + ")")
-        code[t, v] = len(forms) - len(first) + number
 
     while (busy := left > 2).any():
         t, v = np.nonzero(alive & (degree <= 1) & busy[:, None])
@@ -371,12 +360,6 @@ def tree_keys(n: int, edges) -> list:
     keys = np.array([f"tree:n{n}:{form}" for form in forms], dtype=object)
     each = np.arange(count)
     return np.minimum(keys[code[each, first]], keys[code[each, last]]).tolist()
-
-
-def tree_key(n: int, edges) -> str:
-    """Canonical key of the tree on 1..n with these edges: `tree_keys` on a
-    stack of one."""
-    return tree_keys(n, [list(edges)])[0]
 
 
 @cache

@@ -376,8 +376,11 @@ def _radius_verdicts(radii: dict, n: int) -> dict:
 
 def falsifying_witness(report: SweepReport) -> dict | None:
     """The serialized counterexample behind a failed verdict, if any: classes
-    in the order the walk met them, each named by its first row."""
+    in the order the walk met them, each named by its first row.  A report
+    with no failed verdict returns None before it reads a row."""
     v = report.verdicts
+    if not any(v.get(name) is False for name in ("conjecture1", "conjecture2", "question2")):
+        return None
     first = {}
     for seq, key in report.records:
         first.setdefault(key, seq)

@@ -26,7 +26,6 @@ from steiner_spectra.graphs import (
     steiner_distance,
     steiner_distances,
     tree_from_prufer,
-    tree_key,
     tree_keys,
     write_graph,
 )
@@ -219,13 +218,24 @@ class TestPrufer:
         with pytest.raises(ValueError):
             list(labeled_tree_blocks(1))
 
-    def test_linear_decoder_matches_heap_reference(self):
+    def test_argmax_decoder_matches_heap_reference(self):
         # every sequence for n = 2..7, same edges in the same order
         for n in range(2, 8):
             seqs, edges = (np.concatenate(parts).tolist() for parts in zip(*labeled_tree_blocks(n)))
             assert list(map(tuple, seqs)) == list(product(range(1, n + 1), repeat=n - 2))
             for seq, tree in zip(seqs, edges):
                 assert list(map(tuple, tree)) == prufer_edges_by_heap(seq, n), seq
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_decoder_matches_heap_reference_on_samples(self, n):
+        # seeded samples at the walk's cap n = 8 and one past it, decoded in
+        # one block, with the all-1 and all-n sequences among them
+        rng = random.Random(26 + n)
+        seqs = [[1] * (n - 2), [n] * (n - 2)]
+        seqs += [[rng.randint(1, n) for _ in range(n - 2)] for _ in range(2000)]
+        edges = graphs._prufer_decode(n, np.array(seqs))
+        for seq, tree in zip(seqs, edges.tolist()):
+            assert list(map(tuple, tree)) == prufer_edges_by_heap(seq, n), seq
 
     def test_walk_does_not_depend_on_block_size(self, monkeypatch):
         # sequences, edges and keys of every labeled tree on n = 2..6
@@ -325,16 +335,16 @@ class TestCanonicalForms:
             perm = list(range(1, n + 1))
             rng.shuffle(perm)
             h = Graph.from_edges(n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
-            assert tree_key(n, g.edges) == tree_key(n, h.edges)
+            assert canonical_key(g) == canonical_key(h)
 
     def test_tree_key_matches_dict_of_sets_reference(self):
         # the single-tree entry point on every labeled tree for n <= 5; the
         # batched keyer's test below covers n <= 7
-        assert canonical_key(Graph(1)) == tree_key(1, []) == "tree:n1:()"
+        assert canonical_key(Graph(1)) == tree_keys(1, [[]])[0] == "tree:n1:()"
         for n in range(2, 6):
             for _, edges in labeled_tree_blocks(n):
                 for tree in edges.tolist():
-                    assert tree_key(n, tree) == tree_key_by_sets(n, tree), tree
+                    assert canonical_key(Graph.from_edges(n, tree)) == tree_key_by_sets(n, tree)
 
     def test_batched_keys_match_dict_of_sets_reference(self):
         # every labeled tree for n <= 7, keyed a block at a time
@@ -352,21 +362,20 @@ class TestCanonicalForms:
         assert trees == 8**6
 
     def test_large_trees_match_the_reference(self):
-        # hubs with 70 and 69 leaves, peeled in the same round: their packed
-        # leaf codes would agree modulo 2^64, so the peel must renumber the
-        # packed prefixes before they overflow
+        # hubs with 70 and 69 leaves, peeled in the same round: wide child
+        # rows of 70 and 69 equal leaf codes, which must rank as distinct
         hubs = [(1, 3), (2, 3)] + [(1, v) for v in range(4, 74)] + [(2, v) for v in range(74, 143)]
         rng = random.Random(25)
         trees = [Graph.from_edges(142, hubs), star_graph(70), path_graph(41)]
         trees += [tree_from_prufer([rng.randint(1, n) for _ in range(n - 2)]) for n in (30, 60)]
         for g in trees:
             assert g.is_tree()
-            assert tree_key(g.n, g.edges) == tree_key_by_sets(g.n, g.edges), g.n
+            assert canonical_key(g) == tree_key_by_sets(g.n, g.edges), g.n
 
     def test_keys_agree_across_entry_points(self):
         for _, g in enumerate_labeled_trees(6):
             key = canonical_key(g)
-            assert key == tree_key(6, g.edges)
+            assert key == tree_keys(6, [list(g.edges)])[0]
         assert canonical_key(complete_graph(3)).startswith("graph:")
 
     def test_listed_keys_match_the_references(self):
@@ -387,7 +396,8 @@ class TestCanonicalForms:
         assert canonical_keys(paths) == [tree_key_by_sets(4, list(g.edges)) for g in paths]
 
     def test_path_and_star_differ(self):
-        assert tree_key(4, path_graph(4).edges) != tree_key(4, star_graph(4).edges)
+        path, star = tree_keys(4, [list(path_graph(4).edges), list(star_graph(4).edges)])
+        assert path != star
         assert canonical_key(path_graph(4)) != canonical_key(star_graph(4))
 
     def test_unlabeled_tree_counts(self):

@@ -459,6 +459,17 @@ class TestFalsifyingWitness:
         rep = sweep_trees(4, 2, det=True)
         assert falsifying_witness(rep) is None
 
+    def test_a_passing_report_is_not_walked(self):
+        class Unread(list):
+            def __iter__(self):
+                raise AssertionError("records walked")
+
+        for kwargs in ({"det": True}, {"radius": True}, {"det": True, "radius": True}):
+            rep = sweep_trees(4, 3, **kwargs)
+            assert all(v is not False for v in rep.verdicts.values())
+            rep.records = Unread(rep.records)
+            assert falsifying_witness(rep) is None
+
     def test_conjecture1_witness(self):
         rep = SweepReport(
             n=3,
