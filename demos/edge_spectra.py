@@ -1,7 +1,7 @@
 # Spectra of the single-edge Steiner hypermatrix, exactly and in floats:
 # the integer polynomial Q whose roots are the nontrivial eigenvalues,
 # the block matrix whose characteristic polynomial is (t + 1)^(k-1) Q,
-# the shifted all-ones eigenvalues `spectrum` prints, and the NQZ power
+# the real closed-form eigenvalues `spectrum` prints, and the NQZ power
 # iteration converging on the spectral radius.
 
 import math
@@ -35,10 +35,8 @@ for k in (3, 4, 5, 6):
     print(f"  block matrix charpoly = (t + 1)^{m} Q(t): {list(block) == factored}")
     print(f"  constant term {q[0]}  (hyperdet {det})")
     print(f"  spectral radius 2^{m} - 1 = {radius}, a root of Q")
-    for p in sorted(charpoly_D_dim2(k), key=lambda p: p.value.real):
-        v = p.value
-        shown = f"{v.real:+.6f}" if abs(v.imag) < 1e-12 else f"{v:+.6f}"
-        print(f"  eigenvalue {shown}  multiplicity {p.multiplicity}")
+    for p in charpoly_D_dim2(k):
+        print(f"  eigenvalue {p.value:+.6f}  multiplicity {p.multiplicity}")
     print()
 
 # the closed form stops at two vertices; NQZ handles any tree.

@@ -33,10 +33,7 @@ from .wendt import lehmer_vanishes, theorem1_vanishes, wendt
 
 
 def _eigen_json(pairs) -> list:
-    return [
-        {"re": p.value.real, "im": p.value.imag, "multiplicity": int(p.multiplicity)}
-        for p in pairs
-    ]
+    return [{"re": p.value.real, "im": p.value.imag, "multiplicity": p.multiplicity} for p in pairs]
 
 
 def _cmd_wendt(args) -> int:

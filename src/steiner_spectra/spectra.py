@@ -1,18 +1,19 @@
 """Spectra of Steiner distance hypermatrices.
 
-Closed forms: the characteristic polynomial of the all-ones hypermatrix
-J_n^k (eigenvalues indexed by weak compositions of n into k-1 parts, the
-count vectors of the size-n multisets over 1..k-1, with rational
-multiplicities), the two-vertex family D_k(K_2) obtained from it by a
-shift of -1, and the block-matrix route that reaches the same eigenvalues
-through a 2(k-1) x 2(k-1) integer matrix: the very Macaulay matrix of
-D_k(K_2) whose determinant `hyperdet` takes.  An explicit unimodular
-similarity takes it to block lower triangular form with diagonal blocks
--I_{k-1} and Wendt's circulant W_{k-1}, checked exactly in integers at
-every k, so hyperdet(D_k(K_2)) = (-1)^{k-1} W_{k-1}.  `edge_charpoly`
-gives the exact integer polynomial Q_{k-1} = det(tI - W_{k-1}) whose roots
-are the nontrivial D_k(K_2) eigenvalues, from the resultant oracle alone;
-the float eigenvalue lists serve output only.
+Closed forms: the spectrum of the all-ones hypermatrix J_n^k, listed
+over its index set (zero, and (1 + sum_i w^{a_i})^{k-1} over
+a in Z_{k-1}^{n-1}, one entry per multiset of residues with its integer
+multiplicity), the real spectrum of the two-vertex family
+D_k(K_2) = J - I, and the block-matrix route that reaches the same
+eigenvalues through a 2(k-1) x 2(k-1) integer matrix: the very Macaulay
+matrix of D_k(K_2) whose determinant `hyperdet` takes.  An explicit
+unimodular similarity takes it to block lower triangular form with
+diagonal blocks -I_{k-1} and Wendt's circulant W_{k-1}, checked exactly
+in integers at every k, so hyperdet(D_k(K_2)) = (-1)^{k-1} W_{k-1}.
+`edge_charpoly` gives the exact integer polynomial
+Q_{k-1} = det(tI - W_{k-1}) whose roots are the nontrivial D_k(K_2)
+eigenvalues, from the resultant oracle alone; the float eigenvalue lists
+serve output only.
 
 Numerics: an NQZ-style power iteration producing certified enclosures of
 the spectral radius of any nonnegative symmetric hypermatrix whose slices
@@ -25,7 +26,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -40,76 +40,56 @@ from .hypermatrix import (
 from .resultant import gradient_system, macaulay_matrix
 from .wendt import wendt_matrix
 
-MERGE_TOL = 1e-9
-
-
 @dataclass(frozen=True)
 class EigenPair:
-    """One eigenvalue with its (exact, positive, rational) multiplicity."""
+    """One eigenvalue with its positive integer multiplicity."""
 
     value: complex
-    multiplicity: Fraction
+    multiplicity: int
 
     def __post_init__(self):
         if self.multiplicity <= 0:
             raise ValueError("multiplicity must be positive")
 
 
-def merge_eigenpairs(pairs: Sequence[EigenPair]) -> list[EigenPair]:
-    """Sum multiplicities of values equal within MERGE_TOL*(1 + max modulus)."""
-    if not pairs:
-        return []
-    eps = MERGE_TOL * (1.0 + max(abs(p.value) for p in pairs))
-    ordered = sorted(pairs, key=lambda p: (p.value.real, p.value.imag))
-    merged: list[list] = []
-    for p in ordered:
-        for cluster in merged:
-            if abs(cluster[0] - p.value) <= eps:
-                cluster[1] += p.multiplicity
-                break
-        else:
-            merged.append([p.value, p.multiplicity])
-    return [EigenPair(v, m) for v, m in merged]
-
-
 def charpoly_allones(n: int, k: int) -> list[EigenPair]:
     """Eigenvalues of the order-k dimension-n all-ones hypermatrix.
 
-    Zero with multiplicity (n-1)(k-1)^{n-1}, plus one value per weak
-    composition r of n into k-1 parts: (sum_j r_j w^j)^{k-1} with
-    w = e^{2 pi i/(k-1)}, carrying multiplicity multinomial(n; r)/(k-1).
-    The weak compositions are the count vectors of the size-n multisets
-    over 1..k-1 (r_j = how often j occurs), and multinomial(n; r) is the
-    multiset's `multinomial_weight`.  Merged multiplicities are integral;
-    the total is n(k-1)^{n-1}.
+    With m = k - 1 and w = e^{2 pi i/m}: zero with multiplicity
+    (n-1)m^{n-1}, then the m^{n-1} values (1 + sum_i w^{a_i})^m over
+    a in Z_m^{n-1}, one entry per multiset c of n - 1 residues carrying
+    `multinomial_weight(c)`, the number of a that sort to c.  So every
+    multiplicity is an integer and the total is n m^{n-1}; equal values
+    from different c stay separate entries.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     if k < 2:
         raise ValueError("order k must be at least 2")
-    parts = k - 1
-    omega = cmath.exp(2j * math.pi / parts)
-    powers = [omega**j for j in range(1, parts + 1)]
-    pairs = []
-    zero_mult = Fraction((n - 1) * parts ** (n - 1))
-    if zero_mult > 0:
-        pairs.append(EigenPair(0j, zero_mult))
-    for ms in multisets(parts, n):
-        s = sum(ms.count(j) * w for j, w in enumerate(powers, 1))
-        pairs.append(EigenPair(s**parts, Fraction(multinomial_weight(ms), parts)))
-    merged = merge_eigenpairs(pairs)
-    if sum(p.multiplicity for p in merged) != n * parts ** (n - 1):
-        raise ArithmeticError("total multiplicity mismatch after merging")
-    for p in merged:
-        if p.multiplicity.denominator != 1:
-            raise ArithmeticError(f"non-integral merged multiplicity {p.multiplicity}")
-    return merged
+    m = k - 1
+    powers = [cmath.exp(2j * math.pi * a / m) for a in range(m)]
+    pairs = [EigenPair(0j, (n - 1) * m ** (n - 1))]
+    for c in multisets(m, n - 1):
+        s = 1 + sum(powers[a % m] for a in c)
+        pairs.append(EigenPair(s**m, multinomial_weight(c)))
+    return pairs
 
 
 def charpoly_D_dim2(k: int) -> list[EigenPair]:
-    """Spectrum of D_k(K_2) as the all-ones spectrum at n = 2 shifted by -1."""
-    shifted = [EigenPair(p.value - 1, p.multiplicity) for p in charpoly_allones(2, k)]
-    return merge_eigenpairs(shifted)
+    """Spectrum of D_k(K_2) = J - I, real, ascending by (value, multiplicity).
+
+    With m = k - 1: -1 on the -I_m block, and the eigenvalues
+    (1 + w^d)^m - 1 = (-1)^d (2 cos(pi d/m))^m - 1, d in Z_m, of Wendt's
+    symmetric circulant W_m: 2^m - 1 once (d = 0), -1 at d = m/2 for even
+    m, and each 1 <= d < m/2 twice (d and m - d).
+    """
+    if k < 2:
+        raise ValueError("order k must be at least 2")
+    m = k - 1
+    pairs = [EigenPair(-1.0, m + (m + 1) % 2), EigenPair(2.0**m - 1, 1)]
+    for d in range(1, (m + 1) // 2):
+        pairs.append(EigenPair((-1) ** d * (2 * math.cos(math.pi * d / m)) ** m - 1, 2))
+    return sorted(pairs, key=lambda p: (p.value, p.multiplicity))
 
 
 def spectral_radius_K2(k: int) -> int:

@@ -88,6 +88,26 @@ def edge_block_charpoly(q) -> tuple:
     return tuple(out)
 
 
+def poly_gcd(p, q) -> tuple:
+    """Monic gcd over Q of two nonzero polynomials given by ascending
+    coefficients, by Euclid's algorithm in Fractions."""
+
+    def trim(c):
+        c = list(c)
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    a, b = trim(map(Fraction, p)), trim(map(Fraction, q))
+    while b:
+        r = a
+        while len(r) >= len(b):
+            f, shift = r[-1] / b[-1], len(r) - len(b)
+            r = trim(r[:shift] + [c - f * d for c, d in zip(r[shift:], b)])
+        a, b = b, r
+    return tuple(c / a[-1] for c in a)
+
+
 def sweep_report_json_reference(report, witness=None) -> str:
     """Reference sweep encoder: one {"prufer", "canonical", **values} dict
     per row, in one dict of the whole report (plus "witness" when given),
@@ -167,16 +187,21 @@ def run_relabel_invariance(cases: int, seed: int) -> int:
 
 
 def run_multiplicity_integrality(cases: int, seed: int) -> int:
-    """charpoly_allones: merged multiplicities integral, total n(k-1)^(n-1)."""
+    """charpoly_allones: positive integer multiplicities, total n(k-1)^(n-1),
+    and sum mult * value = n(k-1)^(n-1), the all-ones hypermatrix's trace
+    (Hu, Huang, Ling & Qi, JSC 2013)."""
     rng = random.Random(seed)
     for case in range(cases):
         n = rng.randint(2, 4)
         k = rng.randint(2, 6)
         pairs = charpoly_allones(n, k)
-        total = sum((p.multiplicity for p in pairs), Fraction(0))
+        total = sum(p.multiplicity for p in pairs)
         assert total == n * (k - 1) ** (n - 1), (case, n, k, total)
         for p in pairs:
-            assert p.multiplicity.denominator == 1 and p.multiplicity > 0, (case, n, k, p)
+            assert isinstance(p.multiplicity, int) and p.multiplicity > 0, (case, n, k, p)
+        trace = sum(p.multiplicity * p.value for p in pairs)
+        scale = sum(p.multiplicity * abs(p.value) for p in pairs)
+        assert abs(trace - n * (k - 1) ** (n - 1)) <= 1e-9 * scale, (case, n, k, trace)
     return cases
 
 

@@ -137,25 +137,36 @@ class TestSpectrum:
         )
         assert code == 1 and out == "" and "unrecognized arguments: --method nqz" in err
 
-    # every eigenvalue float of the closed form, signs of zero included
+    # every eigenvalue float of the real closed form; at k = 12 the pair
+    # d = 5, 6 at -1.000000993... stays apart from the 11 exact -1 entries
     K2_JSON = {
         3: (
-            '{"eigenvalues": [{"im": -0.0,"multiplicity": 3,"re": -1.0},'
-            '{"im": -1.959434878635765e-15,"multiplicity": 1,"re": 3.0}],'
+            '{"eigenvalues": [{"im": 0.0,"multiplicity": 3,"re": -1.0},'
+            '{"im": 0.0,"multiplicity": 1,"re": 3.0}],'
             '"enclosure": null,"k": 3,"method": "closed","n": 2,"spectral_radius": 3}'
         ),
         4: (
-            '{"eigenvalues": [{"im": 9.992007221626409e-16,"multiplicity": 2,"re": -2.0},'
+            '{"eigenvalues": [{"im": 0.0,"multiplicity": 2,"re": -2.000000000000001},'
             '{"im": 0.0,"multiplicity": 3,"re": -1.0},'
-            '{"im": -1.465494392505206e-14,"multiplicity": 1,"re": 6.999999999999995}],'
+            '{"im": 0.0,"multiplicity": 1,"re": 7.0}],'
             '"enclosure": null,"k": 4,"method": "closed","n": 2,"spectral_radius": 7}'
         ),
         7: (
-            '{"eigenvalues": [{"im": 1.0383998506471258e-13,"multiplicity": 2,"re": -28.00000000000004},'
-            '{"im": -1.092141460022596e-92,"multiplicity": 7,"re": -1.0},'
-            '{"im": -3.3306690738754625e-15,"multiplicity": 2,"re": -2.6645352591003757e-15},'
-            '{"im": -1.4921397450962104e-13,"multiplicity": 1,"re": 63.0}],'
+            '{"eigenvalues": [{"im": 0.0,"multiplicity": 2,"re": -28.00000000000001},'
+            '{"im": 0.0,"multiplicity": 7,"re": -1.0},'
+            '{"im": 0.0,"multiplicity": 2,"re": 1.3322676295501878e-15},'
+            '{"im": 0.0,"multiplicity": 1,"re": 63.0}],'
             '"enclosure": null,"k": 7,"method": "closed","n": 2,"spectral_radius": 63}'
+        ),
+        12: (
+            '{"eigenvalues": [{"im": 0.0,"multiplicity": 2,"re": -1300.540259501374},'
+            '{"im": 0.0,"multiplicity": 2,"re": -20.452185745848304},'
+            '{"im": 0.0,"multiplicity": 2,"re": -1.000000993303514},'
+            '{"im": 0.0,"multiplicity": 11,"re": -1.0},'
+            '{"im": 0.0,"multiplicity": 2,"re": -0.8697930943930712},'
+            '{"im": 0.0,"multiplicity": 2,"re": 304.86223933491937},'
+            '{"im": 0.0,"multiplicity": 1,"re": 2047.0}],'
+            '"enclosure": null,"k": 12,"method": "closed","n": 2,"spectral_radius": 2047}'
         ),
     }
 

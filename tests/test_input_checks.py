@@ -1,5 +1,4 @@
-"""Input checks across the package: each bad input raises its ValueError,
-and an empty eigenpair list merges to an empty list."""
+"""Input checks across the package: each bad input raises its ValueError."""
 
 import pytest
 
@@ -14,7 +13,7 @@ from steiner_spectra.graphs import (
 )
 from steiner_spectra.hypermatrix import SymmetricHypermatrix
 from steiner_spectra.resultant import HomogeneousSystem
-from steiner_spectra.spectra import edge_charpoly, merge_eigenpairs, spectral_radius_K2
+from steiner_spectra.spectra import charpoly_D_dim2, edge_charpoly, spectral_radius_K2
 from steiner_spectra.wendt import wendt_matrix, wendt_oracle
 
 
@@ -34,6 +33,7 @@ from steiner_spectra.wendt import wendt_matrix, wendt_oracle
         (lambda: char_poly_exact(IntMatrix([[1, 2]])), "square matrix"),
         (lambda: edge_charpoly(1), "at least 2"),
         (lambda: spectral_radius_K2(1), "at least 2"),
+        (lambda: charpoly_D_dim2(1), "at least 2"),
         (lambda: wendt_matrix(0), "at least 1"),
         (lambda: wendt_oracle(0), "at least 1"),
     ],
@@ -41,7 +41,3 @@ from steiner_spectra.wendt import wendt_matrix, wendt_oracle
 def test_bad_input_raises(call, message):
     with pytest.raises(ValueError, match=message):
         call()
-
-
-def test_no_eigenpairs_merge_to_none():
-    assert merge_eigenpairs([]) == []

@@ -1,10 +1,9 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from props import edge_block_charpoly, poly_at
+from props import edge_block_charpoly, poly_at, poly_gcd
 from steiner_spectra import resultant, spectra
 from steiner_spectra.exact import (
     CHARPOLY_EXACT_MAX_ROWS,
@@ -27,7 +26,6 @@ from steiner_spectra.spectra import (
     charpoly_allones,
     charpoly_D_dim2,
     edge_charpoly,
-    merge_eigenpairs,
     nqz_spectral_radius,
     spectral_radius_K2,
 )
@@ -36,25 +34,18 @@ from steiner_spectra.wendt import wendt, wendt_matrix
 
 
 def pairs_as_dict(pairs, ndigits=9):
-    return {
-        (round(p.value.real, ndigits), round(p.value.imag, ndigits)): p.multiplicity
-        for p in pairs
-    }
+    """Multiplicities summed over entries whose values agree when rounded."""
+    out = {}
+    for p in pairs:
+        key = (round(p.value.real, ndigits), round(p.value.imag, ndigits))
+        out[key] = out.get(key, 0) + p.multiplicity
+    return out
 
 
 class TestEigenPair:
     def test_requires_positive_multiplicity(self):
         with pytest.raises(ValueError):
-            EigenPair(1.0, Fraction(0))
-
-    def test_merge_clusters_close_values(self):
-        pairs = [
-            EigenPair(1.0 + 0j, Fraction(1)),
-            EigenPair(1.0 + 1e-15j, Fraction(2)),
-            EigenPair(2.0 + 0j, Fraction(1)),
-        ]
-        merged = merge_eigenpairs(pairs)
-        assert [p.multiplicity for p in merged] == [3, 1]
+            EigenPair(1.0, 0)
 
 
 class TestWeakCompositions:
@@ -75,8 +66,10 @@ class TestCharpolyAllOnes:
         assert got == {(0.0, 0.0): 1, (2.0, 0.0): 1}
 
     def test_n2_k3(self):
-        got = pairs_as_dict(charpoly_allones(2, 3))
-        assert got == {(0.0, 0.0): 3, (4.0, 0.0): 1}
+        # the zero block (0, 2), then (1 + w^d)^2 for d = 1, 0: about 0, and 4
+        pairs = charpoly_allones(2, 3)
+        assert [p.multiplicity for p in pairs] == [2, 1, 1]
+        assert pairs_as_dict(pairs) == {(0.0, 0.0): 3, (4.0, 0.0): 1}
 
     def test_n3_k2(self):
         got = pairs_as_dict(charpoly_allones(3, 2))
@@ -88,6 +81,12 @@ class TestCharpolyAllOnes:
                 pairs = charpoly_allones(n, k)
                 total = sum(p.multiplicity for p in pairs)
                 assert total == n * (k - 1) ** (n - 1), (n, k)
+
+    def test_zero_block_is_exactly_zero(self):
+        # no nearby float joins the zero block, however large the spectrum
+        for n, k in [(2, 12), (3, 12), (4, 8)]:
+            zero = sum(p.multiplicity for p in charpoly_allones(n, k) if p.value == 0)
+            assert zero == (n - 1) * (k - 1) ** (n - 1), (n, k)
 
     def test_validates_arguments(self):
         with pytest.raises(ValueError):
@@ -107,7 +106,19 @@ class TestK2Spectra:
         for k in range(2, 17):
             assert spectral_radius_K2(k) == 2 ** (k - 1) - 1
             radius = max(abs(p.value) for p in charpoly_D_dim2(k))
-            assert radius == pytest.approx(2 ** (k - 1) - 1, rel=1e-12)
+            assert radius == 2 ** (k - 1) - 1
+
+    def test_real_closed_form_multiplicities(self):
+        # -1 carries the -I block plus d = m/2 at even m = k - 1; the other
+        # values of the circulant come once (d = 0) or twice (d, m - d)
+        for k in range(2, 41):
+            pairs = charpoly_D_dim2(k)
+            assert sum(p.multiplicity for p in pairs) == 2 * (k - 1), k
+            assert EigenPair(-1.0, k - 1 + k % 2) in pairs, k
+            assert pairs[-1] == EigenPair(2 ** (k - 1) - 1, 1), k
+            assert pairs[-2].value < pairs[-1].value, k
+            assert all(p.value.imag == 0 for p in pairs), k
+            assert pairs == sorted(pairs, key=lambda p: (p.value, p.multiplicity)), k
 
     def test_constant_term_matches_hyperdet(self):
         for k in range(2, 17):
@@ -136,6 +147,26 @@ class TestEdgeCharpoly:
     def test_is_the_charpoly_of_wendts_circulant(self):
         for m in range(1, 21):
             assert edge_charpoly(m + 1) == char_poly_exact(wendt_matrix(m)), m
+
+    def test_repeated_roots_are_the_mirror_pairs(self):
+        # deg gcd(Q, Q') counts the repeated roots: one per pair d <-> m - d,
+        # 1 <= d < m/2, and no other coincidence, so no values need merging
+        for m in range(1, 21):
+            q = edge_charpoly(m + 1)
+            dq = [i * c for i, c in enumerate(q)][1:]
+            assert len(poly_gcd(q, dq)) - 1 == (m - 1) // 2, m
+
+    def test_float_list_reproduces_the_polynomial(self):
+        # the values outside the -I block are Q's roots: their product
+        # expands to Q's coefficients, to 1e-12 of those of prod (t + |l| + 1)
+        for m in range(1, 21):
+            roots = [p.value for p in charpoly_D_dim2(m + 1) for _ in range(p.multiplicity)]
+            for _ in range(m):
+                roots.remove(-1.0)
+            got = np.poly(roots)[::-1]
+            scale = np.poly(-(np.abs(roots) + 1))[::-1]
+            q = np.array(edge_charpoly(m + 1), dtype=float)
+            assert np.all(np.abs(got - q) <= 1e-12 * scale), m
 
     def test_refuses_a_non_integral_coefficient(self, monkeypatch):
         # values C(t + 1, 2) at t = 0..3 interpolate to (t^2 + t)/2
