@@ -7,7 +7,10 @@ arbitrary precision, the circulant oracle's resultant included, except
 nonzero pattern into strongly connected components, read off the
 reachability closure of the pattern (repeated squaring of a 0/1 matrix);
 per prime it runs a blocked Hessenberg reduction in float64 on each
-block of more than one row.
+block of more than one row.  `lowest_charpoly_term_mod` gives only the
+lowest nonzero term of that charpoly, from a blocked LU determinant
+(`_det_mod`, about half the Hessenberg cost) of each block that is
+nonsingular mod p.
 Entries stay in (-p, p) and every dot product has at most rows + 64
 terms, so for the primes it accepts, those below
 `_float_exact_bound(rows)`, where p * p * (rows + 64) < 2**53, every
@@ -364,6 +367,55 @@ def _char_poly_hessenberg(h: np.ndarray, p: int) -> np.ndarray:
     return charpoly
 
 
+def _det_mod(a: np.ndarray, p: int) -> int:
+    """det(a) mod p, in [0, p), for a square float64 array of integers in
+    (-p, p), which is overwritten by its LU factors.
+
+    Right-looking LU in panels of _PANEL columns.  Step j takes as pivot
+    the first entry of column j on or below the diagonal that is nonzero
+    mod p and swaps its row up, which flips the sign; a column with none
+    means det = 0, returned at once.  The multipliers a[i, j] / pivot are
+    stored in column j and update the rest of the panel's columns.  The
+    columns right of the panel are held back: step j brings only its pivot
+    row there up to date, less its multipliers times the panel's earlier
+    pivot rows, and the panel ends with one product of its multipliers and
+    pivot rows subtracted from the trailing block.
+
+    Entries stay in (-p, p) (`_reduce`), and every product has at most
+    _PANEL terms below p**2, so an unreduced entry stays below
+    p + _PANEL * p**2 < 2**53 for p below `_float_exact_bound(n)`.
+    """
+    n = a.shape[0]
+    det = 1
+    for c0 in range(0, n, _PANEL):
+        e = min(c0 + _PANEL, n)
+        for j in range(c0, e):
+            nz = a[j:, j].nonzero()[0]
+            if nz.size == 0:
+                return 0
+            piv = j + int(nz[0])
+            if piv != j:
+                a[[j, piv]] = a[[piv, j]]
+                det = -det
+            pivot = int(a[j, j]) % p
+            det = det * pivot % p
+            if j > c0 and e < n:
+                row = a[j, e:]
+                row -= a[j, c0:j] @ a[c0:j, e:]
+                _reduce(row, p)
+            if j + 1 < n:
+                f = _reduce(a[j + 1 :, j] * pow(pivot, -1, p), p)
+                a[j + 1 :, j] = f
+                panel = a[j + 1 :, j + 1 : e]
+                panel -= f[:, None] * a[j, j + 1 : e]
+                _reduce(panel, p)
+        if e < n:
+            trailing = a[e:, e:]
+            trailing -= a[e:, c0:e] @ a[c0:e, e:]
+            _reduce(trailing, p)
+    return det
+
+
 def _charpoly_plan(m: IntMatrix) -> tuple:
     """The prime-independent part of char_poly_mod(m, p), built on first use.
 
@@ -429,6 +481,40 @@ def char_poly_mod(m: IntMatrix, p: int) -> tuple:
         h = (block % p).astype(np.float64)
         charpoly = np.convolve(charpoly, _char_poly_hessenberg(h, p)) % p
     return tuple(int(c) for c in charpoly)
+
+
+def _lowest_term(poly, p: int) -> tuple:
+    """(order, coefficient in [0, p)) of the lowest term of the ascending
+    coefficients poly that is nonzero mod p; poly is monic, so one is."""
+    order = next(i for i, c in enumerate(poly) if c % p)
+    return order, int(poly[order]) % p
+
+
+def lowest_charpoly_term_mod(m: IntMatrix, p: int) -> tuple:
+    """`_lowest_term(char_poly_mod(m, p), p)`, mostly from determinants.
+
+    The lowest term of a product is the product of the lowest terms, so
+    it is read off the diagonal blocks of `_charpoly_plan`: the 1-row
+    blocks' product x - m_ii as one polynomial, and each larger block B
+    that is nonsingular mod p as (0, (-1)^rows det B), from the LU of
+    `_det_mod` at about half the cost of the Hessenberg reduction.  A
+    block singular mod p takes `_char_poly_hessenberg` after all.  The
+    moduli are those char_poly_mod accepts.
+    """
+    if m.rows != m.cols:
+        raise ValueError("characteristic polynomial requires a square matrix")
+    _check_modulus(p, m.rows)
+    linear, blocks, _ = _charpoly_plan(m)
+    order, coeff = _lowest_term(linear, p)
+    for block in blocks:
+        det = _det_mod((block % p).astype(np.float64), p)
+        if det:
+            coeff = coeff * (-1) ** len(block) * det % p
+        else:
+            low, c = _lowest_term(_char_poly_hessenberg((block % p).astype(np.float64), p), p)
+            order += low
+            coeff = coeff * c % p
+    return order, coeff
 
 
 def det_mod_matches(stack: np.ndarray, target: int, p: int) -> np.ndarray:

@@ -28,7 +28,13 @@ and AM-GM, see `_gcp_constant_modular`).  The lesser of the two, in
 integers, takes 15 primes on the benchmark's 560-row system, where the
 norm bound alone takes 24.  The primes are `exact._crt_primes` of M's
 row count and that bound, from about 2**21.9 down at 560 rows: primes
-`char_poly_mod` takes.
+`char_poly_mod` takes.  Only Q(0) is read, so after the first prime a
+matrix whose diagonal blocks were all nonsingular there gives just the
+lowest term of its charpoly, from block determinants: Q(0) is the ratio
+of the two lowest coefficients when their orders agree and 0 when M's
+is higher.  That skips the remainder check, so one more prime checks
+the CRT value.  On the paper's trees both matrices take that route at
+every even k.
 Macaulay matrices of at most 15 rows (on the hyperdet path, n = 3 with
 k = 3) still take the same two charpolys exactly over Z (`_gcp_constant`),
 a remnant that goes once the benchmark's tracer self-test stops counting
@@ -41,6 +47,7 @@ single coefficient of the one form.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -50,9 +57,12 @@ from .exact import (
     IntMatrix,
     _charpoly_plan,
     _crt_primes,
+    _lowest_term,
+    _modular_primes,
     char_poly_exact,
     char_poly_mod,
     det_exact,
+    lowest_charpoly_term_mod,
 )
 from .hypermatrix import SymmetricHypermatrix, exponent_vectors
 
@@ -151,6 +161,14 @@ def _charpoly_quotient(pp, qq, p=None) -> np.ndarray:
     return quot
 
 
+def _blocks_nonsingular(m: IntMatrix, charpoly, p: int) -> bool:
+    """Whether m has diagonal blocks of more than one row (`_charpoly_plan`)
+    and each is nonsingular mod p, read off m's charpoly mod p: a singular
+    block raises the lowest order past that of the 1-row blocks' product."""
+    linear, blocks, _ = _charpoly_plan(m)
+    return bool(blocks) and _lowest_term(charpoly, p)[0] == _lowest_term(linear, p)[0]
+
+
 # At or below this many Macaulay rows (on the hyperdet path, n = 3 with
 # k = 3) the charpolys are taken exactly over Z.  This is no faster than
 # the CRT (about 9 against 4 ms at 15 rows); it stays only because
@@ -189,6 +207,20 @@ def _gcp_constant_modular(s: HomogeneousSystem, matrix: IntMatrix, reduced: list
     Everything is in Python ints.  The min keeps B^k where it binds, as on
     c x_i^d, whose resultant is exactly B^k in absolute value, so no
     system takes more primes than B^k alone would ask for.
+
+    The first prime takes both whole charpolys, the quotient and its
+    remainder check.  Each of M and M' whose diagonal blocks of more than
+    one row are all nonsingular there (`_blocks_nonsingular`; a matrix
+    with no such block does not count) gives at the later primes only the
+    lowest nonzero term of its charpoly, (a, alpha) for M and (b, beta)
+    for M', from block determinants (`exact.lowest_charpoly_term_mod`);
+    the other keeps char_poly_mod.  charpoly_M = Q charpoly_M' makes the
+    lowest terms multiply, so Q(0) = alpha / beta if a = b, Q(0) = 0 if
+    a > b, and a < b raises ArithmeticError.  Where both charpolys are
+    whole the remainder check runs as at the first prime.  A value that
+    used any determinant must agree with the next prime of
+    `exact._modular_primes` too, taken by the same routes, or it raises
+    ArithmeticError.
     """
     minor = _nonreduced_minor(matrix, reduced)
     k = sum(reduced)  # N - N'
@@ -197,15 +229,37 @@ def _gcp_constant_modular(s: HomogeneousSystem, matrix: IntMatrix, reduced: list
     norm = max(sum(map(abs, f.values())) for f in s.polys)
     _, _, mass = _charpoly_plan(matrix)
     bound = 2 * min(norm**k, math.isqrt(-(-(mass**k) // k**k)) + 1)
+    primes = _crt_primes(matrix.rows, bound)
+    pair = (matrix, minor)
+    first = primes[0]
+    charpolys = [char_poly_mod(m, first) for m in pair]
+    by_det = [_blocks_nonsingular(m, cp, first) for m, cp in zip(pair, charpolys)]
+
+    def quotient_constant(p):
+        """Q(0) mod p, by the routes by_det picked."""
+        if not any(by_det):
+            return int(_charpoly_quotient(*(char_poly_mod(m, p) for m in pair), p)[0])
+        (a, alpha), (b, beta) = (
+            lowest_charpoly_term_mod(m, p) if d else _lowest_term(char_poly_mod(m, p), p)
+            for m, d in zip(pair, by_det)
+        )
+        if a < b:
+            raise ArithmeticError("charpoly of M has a lower order than that of M'")
+        return alpha * pow(beta, -1, p) % p if a == b else 0
+
+    constants = [int(_charpoly_quotient(*charpolys, first)[0])]
+    constants += [quotient_constant(p) for p in primes[1:]]
     sign, residue, modulus = (-1) ** k, 0, 1
-    for p in _crt_primes(matrix.rows, bound):
-        pp = char_poly_mod(matrix, p)
-        qq = char_poly_mod(minor, p)
-        c = sign * int(_charpoly_quotient(pp, qq, p)[0])
+    for p, q in zip(primes, constants):
+        c = sign * q
         residue += modulus * ((c - residue) * pow(modulus, -1, p) % p)
         modulus *= p
     if residue > modulus // 2:
         residue -= modulus
+    if any(by_det) and len(primes) > 1:
+        check = next(itertools.islice(_modular_primes(matrix.rows), len(primes), None))
+        if (residue - sign * quotient_constant(check)) % check:
+            raise ArithmeticError("CRT value disagrees with the check prime")
     return residue
 
 
@@ -228,7 +282,9 @@ def macaulay_resultant(s: HomogeneousSystem) -> int:
     twice the lesser bound (`_gcp_constant_modular`), and the symmetric
     residue is the resultant.  A zero form leaves its rows of M zero, so
     it needs no special case: det(M) and C(0) vanish, and with every form
-    zero B = S = 0 and one prime closes.
+    zero B = S = 0 and one prime closes.  After the first prime, M and M'
+    may each give only the lowest term of their charpolys, from block
+    determinants, and then one more prime checks the value.
     """
     check_hyperdet_cap(s.nvars, s.degree + 1)
     matrix, reduced = macaulay_matrix(s)

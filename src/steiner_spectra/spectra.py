@@ -81,11 +81,14 @@ def charpoly_D_dim2(k: int) -> list[EigenPair]:
     With m = k - 1: -1 on the -I_m block, and the eigenvalues
     (1 + w^d)^m - 1 = (-1)^d (2 cos(pi d/m))^m - 1, d in Z_m, of Wendt's
     symmetric circulant W_m: 2^m - 1 once (d = 0), -1 at d = m/2 for even
-    m, and each 1 <= d < m/2 twice (d and m - d).
+    m, and each 1 <= d < m/2 twice (d and m - d).  From m = 1024 on
+    2^m - 1 is past the float64 limit, so such orders are refused.
     """
     if k < 2:
         raise ValueError("order k must be at least 2")
     m = k - 1
+    if m >= 1024:
+        raise ValueError(f"order k = {k} puts 2^{m} - 1 past the float64 limit: need k <= 1024")
     pairs = [EigenPair(-1.0, m + (m + 1) % 2), EigenPair(2.0**m - 1, 1)]
     for d in range(1, (m + 1) // 2):
         pairs.append(EigenPair((-1) ** d * (2 * math.cos(math.pi * d / m)) ** m - 1, 2))

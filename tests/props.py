@@ -27,6 +27,16 @@ from steiner_spectra import (
 from steiner_spectra.harness import report_json
 from steiner_spectra.hypermatrix import multisets
 
+# The benchmark's crt-degenerate system: four quartic forms in four
+# variables, four +-1 terms each, so B = 4; its 560-row Macaulay matrix
+# has 256 reduced rows and e1 is a common root.
+CRT_DEGENERATE_FORMS = (
+    {(0, 1, 3, 0): 1, (3, 0, 1, 0): 1, (1, 0, 3, 0): -1, (0, 0, 2, 2): 1},
+    {(0, 3, 0, 1): 1, (1, 1, 2, 0): 1, (0, 0, 2, 2): 1, (2, 0, 1, 1): 1},
+    {(2, 0, 0, 2): 1, (1, 0, 0, 3): -1, (2, 1, 0, 1): -1, (2, 2, 0, 0): 1},
+    {(0, 1, 2, 1): -1, (0, 4, 0, 0): -1, (1, 1, 2, 0): 1, (0, 0, 4, 0): -1},
+)
+
 
 def steiner_by_edge_subsets(g: Graph, s):
     """Oracle: try every edge subset, smallest one whose span connects s."""

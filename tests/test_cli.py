@@ -177,6 +177,17 @@ class TestSpectrum:
             code, out, _ = run(capsys, ["spectrum", "--graph", str(gfile), "--k", str(k), "--json"])
             assert (code, out) == (0, want + "\n"), k
 
+    def test_closed_form_stops_at_the_float64_limit(self, capsys, tmp_path):
+        # 2^(k-1) - 1 is the largest eigenvalue: 2^1023 - 1 is a float64,
+        # 2^1024 - 1 is not
+        gfile = tmp_path / "k2.txt"
+        write_graph(path_graph(2), gfile)
+        code, out, _ = run(capsys, ["spectrum", "--graph", str(gfile), "--k", "1024", "--json"])
+        assert code == 0 and json.loads(out)["spectral_radius"] == 2**1023 - 1
+        code, out, err = run(capsys, ["spectrum", "--graph", str(gfile), "--k", "1025"])
+        assert (code, out) == (1, "")
+        assert err == "error: order k = 1025 puts 2^1024 - 1 past the float64 limit: need k <= 1024\n"
+
 
 class TestSweep:
     def test_requires_a_quantity(self, capsys):

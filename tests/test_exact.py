@@ -18,9 +18,14 @@ from steiner_spectra.exact import (
 )
 from steiner_spectra.graphs import labeled_tree_blocks, path_graph, star_graph
 from steiner_spectra.hypermatrix import build_steiner_hypermatrix
-from steiner_spectra.resultant import _nonreduced_minor, gradient_system, macaulay_matrix
+from steiner_spectra.resultant import (
+    HomogeneousSystem,
+    _nonreduced_minor,
+    gradient_system,
+    macaulay_matrix,
+)
 
-from props import bfs_rows
+from props import CRT_DEGENERATE_FORMS, bfs_rows
 
 
 def cofactor_det(rows):
@@ -537,6 +542,95 @@ class TestBlockedHessenberg:
             assert len(exact._strong_components(np.array(rows, dtype=object))) == 1
             p = ceiling_prime(n)
             assert char_poly_mod(m, p) == blocks_charpoly_mod(t, block, p), (n, p)
+
+
+class TestDetMod:
+    """The LU kernel against det_exact mod the largest prime
+    `_modular_primes(rows)` gives, on both sides of each panel edge."""
+
+    ROWS = (1, 2, 31, 32, 33, 64, 65, 100)
+
+    @staticmethod
+    def matrices(rng, n):
+        """(name, rows) pairs: dense, zero column, zero diagonal,
+        anti-triangular, and a last row the sum of the first two."""
+        dense = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        out = [("dense", dense)]
+        column = [list(r) for r in dense]
+        for r in column:
+            r[n // 2] = 0
+        out.append(("zero column", column))
+        diagonal = [list(r) for r in dense]
+        for i in range(n):
+            diagonal[i][i] = 0
+        out.append(("zero diagonal", diagonal))
+        # J U, J the exchange matrix and U upper triangular with a nonzero
+        # diagonal: column 0's one nonzero is in the last row, and half the
+        # steps swap a row from below (50 of 100 at 100 rows)
+        upper = [
+            [rng.randint(1, 9) if j == i else rng.randint(-9, 9) if j > i else 0 for j in range(n)]
+            for i in range(n)
+        ]
+        out.append(("anti-triangular", upper[::-1]))
+        if n > 2:
+            late = [list(r) for r in dense]
+            late[-1] = [x + y for x, y in zip(dense[0], dense[1])]
+            out.append(("singular at the last step", late))
+        return out
+
+    @pytest.mark.parametrize("n", ROWS)
+    def test_matches_det_exact(self, n):
+        rng = random.Random(3100 + n)
+        p = next(exact._modular_primes(n))
+        assert p == ceiling_prime(n)
+        zeros = 0
+        for name, rows in self.matrices(rng, n):
+            want = det_exact(IntMatrix(rows)) % p
+            got = exact._det_mod((np.array(rows) % p).astype(np.float64), p)
+            assert got == want, (n, name)
+            zeros += want == 0
+        assert zeros >= (2 if n > 2 else 1)  # the zero column, the repeated sum
+
+    @pytest.mark.parametrize("n", (31, 33, 65))
+    def test_entries_across_the_whole_residue_range(self, n):
+        # entries up to p - 1 make the panel products as large as the
+        # bound allows: p + _PANEL * p**2 must stay below 2**53
+        p = next(exact._modular_primes(n))
+        assert p + exact._PANEL * p * p < 2**53
+        rng = random.Random(n)
+        for _ in range(2):
+            rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+            want = det_exact(IntMatrix(rows)) % p
+            assert exact._det_mod(np.array(rows, dtype=np.float64), p) == want
+
+
+class TestLowestCharpolyTerm:
+    """lowest_charpoly_term_mod reads the lowest nonzero term of
+    char_poly_mod off block determinants, with Hessenberg on the blocks
+    singular mod p: the Macaulay M and M' the resultant gives it."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["P3-k4", "P3-k5", "P3-k6", "P4-k3", "P4-k4", "S4-k3", "S4-k4", "crt-degenerate"],
+    )
+    def test_matches_the_lowest_term_of_char_poly_mod(self, name):
+        if name == "crt-degenerate":
+            s = HomogeneousSystem(4, 4, CRT_DEGENERATE_FORMS)
+        else:
+            g = {"P3": path_graph(3), "P4": path_graph(4), "S4": star_graph(4)}[name[:2]]
+            s = gradient_system(build_steiner_hypermatrix(g, int(name[-1])))
+        matrix, reduced = macaulay_matrix(s)
+        minor = _nonreduced_minor(matrix, reduced)
+        singular = []
+        for p in itertools.islice(exact._modular_primes(matrix.rows), 3):
+            for m in (matrix, minor):
+                want = exact._lowest_term(char_poly_mod(m, p), p)
+                assert exact.lowest_charpoly_term_mod(m, p) == want, (name, m.rows, p)
+                linear = exact._charpoly_plan(m)[0]
+                singular.append(want[0] > exact._lowest_term(linear, p)[0])
+        # odd k and crt-degenerate have a block of M singular mod p, so
+        # both branches run
+        assert any(singular) == (name[-1] in "35" or name == "crt-degenerate")
 
 
 def decisions_by_det_exact(stack, target, p):

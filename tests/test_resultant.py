@@ -28,7 +28,7 @@ from steiner_spectra.resultant import (
 )
 from steiner_spectra.wendt import theorem1_vanishes, wendt
 
-from props import random_hypermatrix
+from props import CRT_DEGENERATE_FORMS, random_hypermatrix
 
 
 def eval_poly(poly, point):
@@ -227,7 +227,7 @@ class TestMacaulayResultant:
         # n = 4, all forms zero: the CRT bound is 0, so one prime closes
         primes.clear()
         assert macaulay_resultant(HomogeneousSystem(4, 2, ({},) * 4)) == 0
-        assert len(primes) == 2  # charpolys of M and M' at one prime
+        assert len(primes) == 2  # charpolys of M and M' at one prime, no check prime
 
     def test_returns_int_when_possible(self):
         a = build_steiner_hypermatrix(complete_graph(2), 3)
@@ -332,22 +332,65 @@ class TestCharpolyQuotient:
     def test_perturbed_residue_raises_on_the_crt_route(self, monkeypatch):
         # H(3, 6): 105 Macaulay rows, M' of 30; one coefficient of
         # charpoly_M between its trailing order and N' is off by one at
-        # the second prime only
+        # the first prime, the one prime where both whole charpolys run
         s = gradient_system(build_steiner_hypermatrix(path_graph(3), 6))
         matrix, reduced = macaulay_matrix(s)
         minor_rows = reduced.count(False)
-        second = list(itertools.islice(exact._modular_primes(matrix.rows), 2))[1]
+        first = next(exact._modular_primes(matrix.rows))
 
         def perturbed(m, p):
             coeffs = list(char_poly_mod(m, p))
-            if m.rows == matrix.rows and p == second:
+            if m.rows == matrix.rows and p == first:
                 order = next(i for i, c in enumerate(coeffs) if c)
                 assert (order, minor_rows) == (10, 30)
                 coeffs[order + 1] = (coeffs[order + 1] + 1) % p
             return tuple(coeffs)
 
         monkeypatch.setattr(resultant, "char_poly_mod", perturbed)
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(ArithmeticError, match="not a polynomial"):
+            macaulay_resultant(s)
+
+    def test_perturbed_determinant_raises_at_the_check_prime(self, monkeypatch):
+        # H(3, 6) again: every block of M and M' is nonsingular at the first
+        # prime, so both take determinants after it; one block determinant
+        # of M off by one at the second prime moves the CRT value, and the
+        # prime after the last CRT prime sees it
+        s = gradient_system(build_steiner_hypermatrix(path_graph(3), 6))
+        matrix, _ = macaulay_matrix(s)
+        second = list(itertools.islice(exact._modular_primes(matrix.rows), 2))[1]
+        det_mod = exact._det_mod
+        seen = []
+
+        def perturbed(a, p):
+            det = det_mod(a, p)
+            if a.shape[0] == 95 and p == second:
+                det = (det + 1) % p
+            seen.append(p)
+            return det
+
+        monkeypatch.setattr(exact, "_det_mod", perturbed)
+        with pytest.raises(ArithmeticError, match="check prime"):
+            macaulay_resultant(s)
+        assert second in seen
+
+    def test_lower_order_of_m_raises(self, monkeypatch):
+        # ord(M) < ord(M') leaves no polynomial quotient: at H(3, 6) both
+        # orders are 10 (test_perturbed_residue_raises_on_the_crt_route),
+        # and M's is lowered at the second prime
+        s = gradient_system(build_steiner_hypermatrix(path_graph(3), 6))
+        matrix, _ = macaulay_matrix(s)
+        second = list(itertools.islice(exact._modular_primes(matrix.rows), 2))[1]
+        lowest = exact.lowest_charpoly_term_mod
+
+        def lowered(m, p):
+            order, coeff = lowest(m, p)
+            if m.rows == matrix.rows and p == second:
+                assert order == 10
+                order -= 1
+            return order, coeff
+
+        monkeypatch.setattr(resultant, "lowest_charpoly_term_mod", lowered)
+        with pytest.raises(ArithmeticError, match="lower order"):
             macaulay_resultant(s)
 
     def test_perturbed_coefficient_raises_on_the_exact_route(self, monkeypatch):
@@ -391,32 +434,31 @@ class TestModularPrimes:
         assert primes[-1] > bound // 2
 
     def test_crt_stops_once_the_modulus_passes_the_bound(self, monkeypatch):
+        # the first prime takes M's whole charpoly, the later ones its
+        # lowest term from block determinants, and one prime more checks
         s = gradient_system(build_steiner_hypermatrix(path_graph(3), 6))
         matrix, reduced = macaulay_matrix(s)
         primes = []
 
-        def spy(m, p):
-            if m is matrix:
-                primes.append(p)
-            return char_poly_mod(m, p)
+        def spy(route):
+            def call(m, p):
+                if m is matrix:
+                    primes.append(p)
+                return route(m, p)
 
-        monkeypatch.setattr(resultant, "char_poly_mod", spy)
+            return call
+
+        monkeypatch.setattr(resultant, "char_poly_mod", spy(char_poly_mod))
+        monkeypatch.setattr(
+            resultant, "lowest_charpoly_term_mod", spy(exact.lowest_charpoly_term_mod)
+        )
         assert _gcp_constant_modular(s, matrix, reduced) == 43782435923605828680933188175642624
+        pool = list(itertools.islice(exact._modular_primes(matrix.rows), len(primes)))
+        assert primes == pool
+        primes.pop()  # the check prime
         bound = crt_bound(form_norm(s), exact._charpoly_plan(matrix)[2], sum(reduced))
         assert math.prod(primes) > bound >= math.prod(primes[:-1])
         assert len(primes) == 24
-        assert primes == list(itertools.islice(exact._modular_primes(matrix.rows), len(primes)))
-
-
-# The benchmark's crt-degenerate system: four quartic forms in four
-# variables, four +-1 terms each, so B = 4; its 560-row Macaulay matrix
-# has 256 reduced rows and e1 is a common root.
-CRT_DEGENERATE_FORMS = (
-    {(0, 1, 3, 0): 1, (3, 0, 1, 0): 1, (1, 0, 3, 0): -1, (0, 0, 2, 2): 1},
-    {(0, 3, 0, 1): 1, (1, 1, 2, 0): 1, (0, 0, 2, 2): 1, (2, 0, 1, 1): 1},
-    {(2, 0, 0, 2): 1, (1, 0, 0, 3): -1, (2, 1, 0, 1): -1, (2, 2, 0, 0): 1},
-    {(0, 1, 2, 1): -1, (0, 4, 0, 0): -1, (1, 1, 2, 0): 1, (0, 0, 4, 0): -1},
-)
 
 
 class TestCrtBound:
