@@ -9,8 +9,8 @@ reachability closure of the pattern (repeated squaring of a 0/1 matrix);
 per prime it runs a blocked Hessenberg reduction in float64 on each
 block of more than one row.  `lowest_charpoly_term_mod` gives only the
 lowest nonzero term of that charpoly, from a blocked LU determinant
-(`_det_mod`, about half the Hessenberg cost) of each block that is
-nonsingular mod p.
+(`_det_mod`, left-looking inside each panel, a quarter to a third of
+the Hessenberg cost) of each block that is nonsingular mod p.
 Entries stay in (-p, p) and every dot product has at most rows + 64
 terms, so for the primes it accepts, those below
 `_float_exact_bound(rows)`, where p * p * (rows + 64) < 2**53, every
@@ -19,7 +19,9 @@ BLAS product is exact; `_modular_primes(rows)` lists them downward and
 Both charpolys, exact (`char_poly_exact`) and modular, are tuples of
 ascending coefficients.  Over the same primes `det_mod_matches` decides
 det = target (mod p) for a whole stack of small matrices with one
-fraction-free float64 elimination.
+fraction-free float64 elimination.  `poly_gcd` is Euclid's algorithm
+over Q on ascending coefficient lists, for the resultant's line-root
+certificate.
 """
 
 from __future__ import annotations
@@ -371,17 +373,19 @@ def _det_mod(a: np.ndarray, p: int) -> int:
     """det(a) mod p, in [0, p), for a square float64 array of integers in
     (-p, p), which is overwritten by its LU factors.
 
-    Right-looking LU in panels of _PANEL columns.  Step j takes as pivot
-    the first entry of column j on or below the diagonal that is nonzero
-    mod p and swaps its row up, which flips the sign; a column with none
-    means det = 0, returned at once.  The multipliers a[i, j] / pivot are
-    stored in column j and update the rest of the panel's columns.  The
-    columns right of the panel are held back: step j brings only its pivot
-    row there up to date, less its multipliers times the panel's earlier
-    pivot rows, and the panel ends with one product of its multipliers and
-    pivot rows subtracted from the trailing block.
+    LU in panels of _PANEL columns, left-looking inside a panel.  Step j
+    first brings column j up to date, from the diagonal down, less the
+    panel's multipliers times its entries in the panel's earlier pivot
+    rows.  It takes as pivot the first entry of that column that is
+    nonzero mod p and swaps its row up, which flips the sign; a column
+    with none means det = 0, returned at once.  The pivot row gets the
+    panel's update across every column right of j, so the pivot rows are
+    final when later columns read them, and the multipliers a[i, j] / pivot
+    are stored in column j.  Each step is two matrix-vector products; the
+    panel ends with one product of its multipliers and pivot rows
+    subtracted from the trailing block.
 
-    Entries stay in (-p, p) (`_reduce`), and every product has at most
+    Entries stay in (-p, p) (`_reduce`), and every product has fewer than
     _PANEL terms below p**2, so an unreduced entry stays below
     p + _PANEL * p**2 < 2**53 for p below `_float_exact_bound(n)`.
     """
@@ -390,7 +394,11 @@ def _det_mod(a: np.ndarray, p: int) -> int:
     for c0 in range(0, n, _PANEL):
         e = min(c0 + _PANEL, n)
         for j in range(c0, e):
-            nz = a[j:, j].nonzero()[0]
+            column = a[j:, j]
+            if j > c0:
+                column -= a[j:, c0:j] @ a[c0:j, j]
+                _reduce(column, p)
+            nz = column.nonzero()[0]
             if nz.size == 0:
                 return 0
             piv = j + int(nz[0])
@@ -399,16 +407,12 @@ def _det_mod(a: np.ndarray, p: int) -> int:
                 det = -det
             pivot = int(a[j, j]) % p
             det = det * pivot % p
-            if j > c0 and e < n:
-                row = a[j, e:]
-                row -= a[j, c0:j] @ a[c0:j, e:]
-                _reduce(row, p)
             if j + 1 < n:
-                f = _reduce(a[j + 1 :, j] * pow(pivot, -1, p), p)
-                a[j + 1 :, j] = f
-                panel = a[j + 1 :, j + 1 : e]
-                panel -= f[:, None] * a[j, j + 1 : e]
-                _reduce(panel, p)
+                if j > c0:
+                    row = a[j, j + 1 :]
+                    row -= a[j, c0:j] @ a[c0:j, j + 1 :]
+                    _reduce(row, p)
+                a[j + 1 :, j] = _reduce(a[j + 1 :, j] * pow(pivot, -1, p), p)
         if e < n:
             trailing = a[e:, e:]
             trailing -= a[e:, c0:e] @ a[c0:e, e:]
@@ -559,6 +563,26 @@ def det_mod_matches(stack: np.ndarray, target: int, p: int) -> np.ndarray:
             pivots = _reduce(pivots * pivot, p)
             rhs = _reduce(rhs * pivots, p)
     return np.where(singular, target % p == 0, _reduce(a[n - 1, n - 1] - rhs, p) == 0)
+
+
+def poly_gcd(f, g) -> tuple:
+    """Monic gcd over Q of two nonzero polynomials given by ascending
+    coefficients, as a tuple of Fractions, by Euclid's algorithm."""
+
+    def trim(c):
+        c = list(c)
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    a, b = trim(map(Fraction, f)), trim(map(Fraction, g))
+    while b:
+        r = a
+        while len(r) >= len(b):
+            q, shift = r[-1] / b[-1], len(r) - len(b)
+            r = trim(r[:shift] + [c - q * d for c, d in zip(r[shift:], b)])
+        a, b = b, r
+    return tuple(c / a[-1] for c in a)
 
 
 def circulant_det_oracle(first_row) -> int:

@@ -35,6 +35,12 @@ of the two lowest coefficients when their orders agree and 0 when M's
 is higher.  That skips the remainder check, so one more prime checks
 the CRT value.  On the paper's trees both matrices take that route at
 every even k.
+Before the CRT, a zero is decided exactly: the resultant vanishes iff
+the forms share a nontrivial root, and `line_root` looks for one on the
+line through e_1 - e_2 along e_1 - e_3 with a Euclid gcd over Q of the
+forms' restrictions.  On every Steiner tree at odd k (case (a) of the
+paper) the restrictions are one polynomial, so those hyperdets take no
+prime; where no root is found the CRT runs as before.
 Macaulay matrices of at most 15 rows (on the hyperdet path, n = 3 with
 k = 3) still take the same two charpolys exactly over Z (`_gcp_constant`),
 a remnant that goes once the benchmark's tracer self-test stops counting
@@ -63,6 +69,7 @@ from .exact import (
     char_poly_mod,
     det_exact,
     lowest_charpoly_term_mod,
+    poly_gcd,
 )
 from .hypermatrix import SymmetricHypermatrix, exponent_vectors
 
@@ -263,13 +270,49 @@ def _gcp_constant_modular(s: HomogeneousSystem, matrix: IntMatrix, reduced: list
     return residue
 
 
+def line_root(s: HomogeneousSystem) -> bool:
+    """Whether the forms of s, n >= 3, share a root on the line u + t v,
+    u = e_1 - e_2 and v = e_1 - e_3: a certificate that their resultant is 0.
+
+    Each form is restricted to the line in Python ints: at
+    x = (1 + t, -1, -t, 0, ..., 0) a monomial is (-1)^(e_2 + e_3) t^(e_3)
+    (1 + t)^(e_1), or 0 when a later variable divides it.  Restrictions
+    that are identically 0 are skipped; if every one is, the whole line is
+    common roots.  Otherwise a root alpha of the gcd over Q of the rest
+    (`exact.poly_gcd`) gives the common zero u + alpha v, which is nonzero
+    because u and v are independent, so a gcd of positive degree proves
+    the resultant vanishes (Cox, Little & O'Shea, Using Algebraic Geometry,
+    ch. 3).  False proves nothing: a common root may lie off the line, or
+    at v itself, which no finite t reaches.  On a Steiner tree at odd k every form
+    is -sum_e a_e(x)^(k - 1) on sum x = 0, where the line lies, so the n
+    restrictions are one polynomial of degree k - 1.
+    """
+    if s.nvars < 3:
+        raise ValueError("the line needs at least three variables")
+    gcd = None
+    for form in s.polys:
+        r = [0] * (s.degree + 1)
+        for e, c in form.items():
+            if not any(e[3:]):
+                c *= (-1) ** (e[1] + e[2])
+                for i in range(e[0] + 1):
+                    r[e[2] + i] += c * math.comb(e[0], i)
+        if any(r):
+            gcd = poly_gcd(gcd or r, r)
+            if len(gcd) == 1:
+                return False
+    return gcd is None or len(gcd) > 1
+
+
 def macaulay_resultant(s: HomogeneousSystem) -> int:
     """Exact resultant of a system within the hyperdet cap at k = degree + 1.
 
     The Macaulay matrix M is built once.  When M' is empty the resultant
     is det(M).  Otherwise it is C(0) of the perturbation identity, from
-    exact charpolys up to GCP_EXACT_MAX_ROWS rows (`_gcp_constant`) and
-    else mod primes (`_crt_primes`), taken downward from the bound
+    exact charpolys up to GCP_EXACT_MAX_ROWS rows (`_gcp_constant`).  Past
+    that, a common root of the forms on one line (`line_root`) proves the
+    resultant is 0 before any prime; else C(0) is taken mod primes
+    (`_crt_primes`), downward from the bound
     below which char_poly_mod of M accepts them.  Every prime is usable:
     det(tI + M') is monic, so C(t) is the exact quotient over F_p as over
     Z, whether or not M' is singular mod p, and a nonzero remainder is an
@@ -282,9 +325,10 @@ def macaulay_resultant(s: HomogeneousSystem) -> int:
     twice the lesser bound (`_gcp_constant_modular`), and the symmetric
     residue is the resultant.  A zero form leaves its rows of M zero, so
     it needs no special case: det(M) and C(0) vanish, and with every form
-    zero B = S = 0 and one prime closes.  After the first prime, M and M'
-    may each give only the lowest term of their charpolys, from block
-    determinants, and then one more prime checks the value.
+    zero every restriction to the line is 0, so `line_root` closes (the
+    CRT would close at one prime, with B = S = 0).  After the first prime,
+    M and M' may each give only the lowest term of their charpolys, from
+    block determinants, and then one more prime checks the value.
     """
     check_hyperdet_cap(s.nvars, s.degree + 1)
     matrix, reduced = macaulay_matrix(s)
@@ -292,6 +336,8 @@ def macaulay_resultant(s: HomogeneousSystem) -> int:
         return det_exact(matrix)
     if matrix.rows <= GCP_EXACT_MAX_ROWS:
         return _gcp_constant(matrix, reduced)
+    if line_root(s):
+        return 0
     return _gcp_constant_modular(s, matrix, reduced)
 
 

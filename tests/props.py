@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -24,6 +23,7 @@ from steiner_spectra import (
     nqz_spectral_radius,
     tree_from_prufer,
 )
+from steiner_spectra.exact import poly_gcd
 from steiner_spectra.harness import report_json
 from steiner_spectra.hypermatrix import multisets
 
@@ -96,26 +96,6 @@ def edge_block_charpoly(q) -> tuple:
         for j, c in enumerate(q):
             out[i + j] += math.comb(m, i) * c
     return tuple(out)
-
-
-def poly_gcd(p, q) -> tuple:
-    """Monic gcd over Q of two nonzero polynomials given by ascending
-    coefficients, by Euclid's algorithm in Fractions."""
-
-    def trim(c):
-        c = list(c)
-        while c and c[-1] == 0:
-            c.pop()
-        return c
-
-    a, b = trim(map(Fraction, p)), trim(map(Fraction, q))
-    while b:
-        r = a
-        while len(r) >= len(b):
-            f, shift = r[-1] / b[-1], len(r) - len(b)
-            r = trim(r[:shift] + [c - f * d for c, d in zip(r[shift:], b)])
-        a, b = b, r
-    return tuple(c / a[-1] for c in a)
 
 
 def sweep_report_json_reference(report, witness=None) -> str:

@@ -35,6 +35,7 @@ from steiner_spectra import (
     hyperdet_route,
     nqz_spectral_radius,
     path_graph,
+    resultant,
     theorem1_vanishes,
     wendt,
 )
@@ -90,7 +91,21 @@ def test_02_wendt_identity(capsys):
         assert zeros == {7, 13}
 
 
-def test_03_classifier_vs_computed_hyperdets(capsys):
+def test_03_classifier_vs_computed_hyperdets(capsys, monkeypatch):
+    # what decided each Macaulay resultant past the 15-row exact route: the
+    # line-root certificate, or its miss and then the CRT
+    seen = []
+
+    def line_root(s, check=resultant.line_root):
+        seen.append("line-root" if check(s) else "no root")
+        return seen[-1] == "line-root"
+
+    def crt(*args, run=resultant._gcp_constant_modular):
+        seen.append("crt")
+        return run(*args)
+
+    monkeypatch.setattr(resultant, "line_root", line_root)
+    monkeypatch.setattr(resultant, "_gcp_constant_modular", crt)
     with criterion(
         3, "vanishing classifier agrees with every computed hyperdet", capsys, limit=1800.0
     ):
@@ -106,11 +121,15 @@ def test_03_classifier_vs_computed_hyperdets(capsys):
                 for tree in reps:
                     a = build_steiner_hypermatrix(tree, k)
                     assert hyperdet_route(a) == "macaulay"
+                    seen.clear()
                     d = hyperdet(a)
                     if k == 4:
                         assert d != 0 and not claim, (n, k)
+                        assert seen == ["no root", "crt"], (n, k)
                     else:
                         assert d == 0 and claim, (n, k)
+                        # (3, 3) has 15 Macaulay rows, taken exactly
+                        assert seen == ([] if (n, k) == (3, 3) else ["line-root"]), (n, k)
 
 
 def test_04_charpoly_bridge(capsys):

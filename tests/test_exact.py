@@ -603,6 +603,74 @@ class TestDetMod:
             want = det_exact(IntMatrix(rows)) % p
             assert exact._det_mod(np.array(rows, dtype=np.float64), p) == want
 
+    # Inside a panel the LU is left-looking: column j is brought up to date
+    # by the panel's earlier steps only when step j reaches it, and its pivot
+    # is searched after that update and its reduction.
+
+    @staticmethod
+    def dense(rng, n):
+        return [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+
+    @staticmethod
+    def det_mod(rows, p):
+        return exact._det_mod((np.array(rows, dtype=object) % p).astype(np.float64), p)
+
+    @pytest.mark.parametrize("j", (5, 31, 40))
+    def test_column_zero_mod_p_only_after_its_update(self, j):
+        # column j = column 1 + p * v, v random, is nonzero and det = p det'
+        # != 0 over Z, but mod p it repeats column 1, so its update leaves
+        # multiples of p
+        n, p = 64, next(exact._modular_primes(64))
+        rng = random.Random(3200 + j)
+        rows = self.dense(rng, n)
+        for r in rows:
+            r[j] = r[1] + p * rng.randint(-9, 9)
+        assert det_exact(IntMatrix(rows)) != 0
+        assert det_exact(IntMatrix(rows)) % p == 0
+        assert self.det_mod(rows, p) == 0
+
+    @pytest.mark.parametrize("j", (5, 31, 40))
+    def test_column_zero_on_and_below_the_diagonal_before_its_update(self, j):
+        # rows j.. of column j are 0, so the column has its pivot only once
+        # the panel's earlier steps (or the previous panel's product) reach it
+        n, p = 64, next(exact._modular_primes(64))
+        rng = random.Random(3300 + j)
+        rows = self.dense(rng, n)
+        for r in rows[j:]:
+            r[j] = 0
+        want = det_exact(IntMatrix(rows)) % p
+        assert want != 0
+        assert self.det_mod(rows, p) == want
+
+    @pytest.mark.parametrize("j", (31, 32))
+    def test_zero_column_at_the_panel_edge(self, j):
+        # the last column of the first panel and the first of the second,
+        # zero from the start and zero only after every earlier step
+        n, p = 64, next(exact._modular_primes(64))
+        rng = random.Random(3400 + j)
+        zero, dependent = self.dense(rng, n), self.dense(rng, n)
+        for r, d in zip(zero, dependent):
+            r[j] = 0
+            d[j] = d[0] - 2 * d[j - 1]
+        assert self.det_mod(zero, p) == 0
+        assert self.det_mod(dependent, p) == 0
+
+    def test_pivot_row_from_below_the_panel(self):
+        # rows 5..31 agree on columns 0..5 with combinations of rows 0..4,
+        # so after five steps their column-5 entries are 0 and step 5 swaps
+        # up a pivot row from rows 32.. of the trailing block
+        n, p = 64, next(exact._modular_primes(64))
+        rng = random.Random(3500)
+        rows = self.dense(rng, n)
+        for r in rows[5:32]:
+            c = [rng.randint(-2, 2) for _ in range(5)]
+            r[:6] = [sum(ci * rows[i][col] for i, ci in enumerate(c)) for col in range(6)]
+        lead = np.array([r[:6] for r in rows[:32]])
+        assert np.linalg.matrix_rank(lead) == 5  # no pivot for column 5 in the panel
+        want = det_exact(IntMatrix(rows)) % p
+        assert want != 0
+        assert self.det_mod(rows, p) == want
+
 
 class TestLowestCharpolyTerm:
     """lowest_charpoly_term_mod reads the lowest nonzero term of

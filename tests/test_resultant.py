@@ -6,9 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from steiner_spectra import exact, resultant
+from steiner_spectra import exact, resultant, sweep_trees, tree_from_prufer
 from steiner_spectra.exact import IntMatrix, char_poly_exact, char_poly_mod, det_exact
-from steiner_spectra.graphs import complete_graph, path_graph, star_graph
+from steiner_spectra.graphs import complete_graph, enumerate_labeled_trees, path_graph, star_graph
 from steiner_spectra.hypermatrix import (
     SymmetricHypermatrix,
     build_steiner_hypermatrix,
@@ -23,6 +23,7 @@ from steiner_spectra.resultant import (
     gradient_system,
     hyperdet,
     hyperdet_route,
+    line_root,
     macaulay_matrix,
     macaulay_resultant,
 )
@@ -219,14 +220,21 @@ class TestMacaulayResultant:
             return char_poly_mod(m, p)
 
         monkeypatch.setattr(resultant, "char_poly_mod", spy)
-        # n = 3, degree 3: 36 rows, the CRT route, with the second form zero
+        # n = 3, degree 3: 36 rows, with the second form zero; the line
+        # root closes before the CRT, which is run here directly
         cubes = {e: 1 + e[0] for e in exponent_vectors(3, 3)}
         partial = HomogeneousSystem(3, 3, (cubes, {}, cubes))
         assert macaulay_resultant(partial) == 0
+        assert line_root(partial) and not primes
+        assert _gcp_constant_modular(partial, *macaulay_matrix(partial)) == 0
         assert primes
-        # n = 4, all forms zero: the CRT bound is 0, so one prime closes
+        # n = 4, all forms zero: every restriction to the line is 0, and
+        # for the CRT the bound is 0, so one prime closes
         primes.clear()
-        assert macaulay_resultant(HomogeneousSystem(4, 2, ({},) * 4)) == 0
+        zero = HomogeneousSystem(4, 2, ({},) * 4)
+        assert macaulay_resultant(zero) == 0
+        assert line_root(zero) and not primes
+        assert _gcp_constant_modular(zero, *macaulay_matrix(zero)) == 0
         assert len(primes) == 2  # charpolys of M and M' at one prime, no check prime
 
     def test_returns_int_when_possible(self):
@@ -582,7 +590,7 @@ class TestCrtBound:
             s = gradient_system(build_steiner_hypermatrix(g, int(name[-1])))
         monkeypatch.setattr(resultant, "_crt_primes", spy)
         with pytest.raises(BoundSeen) as seen:
-            macaulay_resultant(s)
+            _gcp_constant_modular(s, *macaulay_matrix(s))
         rows, bound = seen.value.args
         k = sum(macaulay_matrix(s)[1])
         assert len(exact._crt_primes(rows, 2 * form_norm(s) ** k)) == before
@@ -644,6 +652,115 @@ class TestVanishingInstances:
             verdict = theorem1_vanishes(k, 1)
             assert verdict.vanishes and verdict.branch == "n=1"
             assert hyperdet(build_steiner_hypermatrix(complete_graph(1), k)) == 0, k
+
+
+def labeled_systems(n, k):
+    """The gradient system of D_k(T) for every labeled tree T on n vertices."""
+    for _seq, tree in enumerate_labeled_trees(n):
+        yield gradient_system(build_steiner_hypermatrix(tree, k))
+
+
+def tree_classes(n):
+    """One labeled tree per isomorphism class on n vertices."""
+    return [tree_from_prufer(seq) for seq, _ in sweep_trees(n, 2, mode="unlabeled").records]
+
+
+class TestLineRoot:
+    """`line_root` finds a common root of the forms on the line through
+    e_1 - e_2 along e_1 - e_3, which proves the resultant is 0; where it
+    finds none, macaulay_resultant runs the CRT."""
+
+    @pytest.mark.parametrize("n", (3, 4))
+    def test_closes_on_every_labeled_tree_at_odd_k(self, n):
+        for k in (3, 5):
+            assert all(line_root(s) for s in labeled_systems(n, k)), k
+
+    @pytest.mark.parametrize("n", (3, 4))
+    def test_never_closes_at_even_k(self, n):
+        for k in (2, 4, 6):
+            assert not any(line_root(s) for s in labeled_systems(n, k)), k
+
+    def test_misses_the_crt_degenerate_root(self):
+        # the benchmark's system under each sign pattern x_j -> eps_j x_j:
+        # its common root e_1 lies off the line, so the CRT must decide it
+        for eps in itertools.product((-1, 1), repeat=4):
+            polys = tuple(
+                {m: c * math.prod(e**p for e, p in zip(eps, m)) for m, c in form.items()}
+                for form in CRT_DEGENERATE_FORMS
+            )
+            assert not line_root(HomogeneousSystem(4, 4, polys)), eps
+
+    def test_the_crt_gives_zero_wherever_it_closes_on_random_systems(self):
+        # every third system shares a random linear factor, whose zero line
+        # meets the line of the certificate; the rest are dense and random.
+        # Trial 12's factor 2 x_1 + 2 x_3 vanishes at v = e_1 - e_3 itself,
+        # the line's point at t = infinity, which the certificate does not
+        # look at, so 5 of the 6 planted systems close
+        rng = random.Random(3202)
+
+        def form(degree):
+            return {
+                e: rng.choice((-3, -2, -1, 1, 2, 3))
+                for e in exponent_vectors(3, degree)
+                if rng.random() < 0.8
+            }
+
+        def times(f, g):
+            out = {}
+            for (e, a), (h, b) in itertools.product(f.items(), g.items()):
+                m = tuple(x + y for x, y in zip(e, h))
+                out[m] = out.get(m, 0) + a * b
+            return {m: c for m, c in out.items() if c}
+
+        closed = 0
+        for trial in range(18):
+            d = 2 + trial % 2
+            if trial % 3:
+                polys = tuple(form(d) for _ in range(3))
+            else:
+                factor = form(1)
+                polys = tuple(times(factor, form(d - 1)) for _ in range(3))
+            s = HomogeneousSystem(3, d, polys)
+            closes = line_root(s)
+            closed += closes
+            if closes or trial % 3 == 0:
+                assert _gcp_constant_modular(s, *macaulay_matrix(s)) == 0, trial
+        assert closed == 5
+
+    @pytest.mark.parametrize(
+        "graph, k",
+        [
+            (path_graph(3), 5),
+            (path_graph(4), 3),
+            (star_graph(4), 3),
+            pytest.param(path_graph(4), 5, marks=pytest.mark.slow),
+            pytest.param(star_graph(4), 5, marks=pytest.mark.slow),
+        ],
+        ids=["P3-k5", "P4-k3", "S4-k3", "P4-k5", "S4-k5"],
+    )
+    def test_the_crt_agrees_on_tree_zeros(self, graph, k):
+        # macaulay_resultant no longer runs the CRT here; this keeps it
+        # checked on the zeros it used to prove (89 primes on P4 at k = 5)
+        s = gradient_system(build_steiner_hypermatrix(graph, k))
+        assert line_root(s)
+        assert _gcp_constant_modular(s, *macaulay_matrix(s)) == 0
+
+    def test_theorem1_zeros_beyond_the_hyperdet_cap(self):
+        # checked evidence for case (a) of Theorem 1 on every tree class
+        # where hyperdet refuses: the certificate needs no Macaulay matrix
+        classes = {n: tree_classes(n) for n in range(5, 9)}
+        assert [len(classes[n]) for n in range(5, 9)] == [3, 6, 11, 23]
+        for n, k in [(5, 3), (6, 3), (7, 3), (8, 3), (5, 5), (6, 5), (7, 5), (5, 7)]:
+            with pytest.raises(ValueError, match="hyperdet cap"):
+                check_hyperdet_cap(n, k)
+            assert theorem1_vanishes(k, n).vanishes
+            for tree in classes[n]:
+                assert line_root(gradient_system(build_steiner_hypermatrix(tree, k))), (n, k)
+
+    def test_refuses_fewer_than_three_variables(self):
+        s = gradient_system(build_steiner_hypermatrix(path_graph(2), 3))
+        with pytest.raises(ValueError, match="three variables"):
+            line_root(s)
 
 
 class TestPinnedValues:
