@@ -19,9 +19,9 @@ BLAS product is exact; `_modular_primes(rows)` lists them downward and
 Both charpolys, exact (`char_poly_exact`) and modular, are tuples of
 ascending coefficients.  Over the same primes `det_mod_matches` decides
 det = target (mod p) for a whole stack of small matrices with one
-fraction-free float64 elimination.  `poly_gcd` is Euclid's algorithm
-over Q on ascending coefficient lists, for the resultant's line-root
-certificate.
+fraction-free float64 elimination.  One Euclid sequence over Q on ascending
+coefficient lists (`_remainders`) gives `poly_gcd`, for the line-root
+certificate, and `poly_resultant`, the circulant oracle's Res(x^m - 1, c).
 """
 
 from __future__ import annotations
@@ -565,53 +565,53 @@ def det_mod_matches(stack: np.ndarray, target: int, p: int) -> np.ndarray:
     return np.where(singular, target % p == 0, _reduce(a[n - 1, n - 1] - rhs, p) == 0)
 
 
-def poly_gcd(f, g) -> tuple:
-    """Monic gcd over Q of two nonzero polynomials given by ascending
-    coefficients, as a tuple of Fractions, by Euclid's algorithm."""
+def _remainders(f, g) -> list:
+    """Euclid's remainder sequence over Q of f and g, ascending coefficients:
+    f, g, f mod g, ... to the last nonzero one, each a trimmed Fraction list."""
 
     def trim(c):
-        c = list(c)
         while c and c[-1] == 0:
             c.pop()
         return c
 
-    a, b = trim(map(Fraction, f)), trim(map(Fraction, g))
-    while b:
-        r = a
+    seq = [trim([Fraction(c) for c in f]), trim([Fraction(c) for c in g])]
+    while seq[-1]:
+        r, b = seq[-2], seq[-1]
         while len(r) >= len(b):
             q, shift = r[-1] / b[-1], len(r) - len(b)
             r = trim(r[:shift] + [c - q * d for c, d in zip(r[shift:], b)])
-        a, b = b, r
+        seq.append(r)
+    return seq[:-1]
+
+
+def poly_gcd(f, g) -> tuple:
+    """Monic gcd over Q, a tuple of Fractions, of two nonzero polynomials (ascending)."""
+    a = _remainders(f, g)[-1]
     return tuple(c / a[-1] for c in a)
 
 
-def circulant_det_oracle(first_row) -> int:
-    """Independent exact oracle for circulant determinants.
+def poly_resultant(f, g) -> int:
+    """Res(f, g) of integer polynomials (ascending coefficients) along `_remainders`:
+    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r) for r = a mod b,
+    Res(b, c) = c^(deg b) for a constant c, and 0 when the sequence ends above degree 0
+    or an input is 0 (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms, ch. 3)."""
+    seq = _remainders(f, g)
+    if len(seq) < 2 or not seq[0] or len(seq[-1]) > 1:
+        return 0
+    res = seq[-1][0] ** (len(seq[-2]) - 1)
+    for a, b, r in zip(seq, seq[1:], seq[2:]):
+        res *= (-1) ** ((len(a) - 1) * (len(b) - 1)) * b[-1] ** (len(a) - len(r))
+    return int(res)
 
-    The determinant is the eigenvalue product prod_j c(w^j) over the m-th
-    roots of unity, c(x) = sum_i row[i] x^i, which is the resultant
-    Res(x^m - 1, c).  Euclid's algorithm over Fractions computes it:
-    Res(f, g) = (-1)^(ab) lc(g)^(a - deg r) Res(g, r) for r = f mod g,
-    a = deg f and b = deg g; it is 0 when r = 0, and g^a when g is a
-    constant.  No determinant routine is involved.
-    """
+
+def circulant_det_oracle(first_row) -> int:
+    """Independent exact oracle for circulant determinants: the eigenvalue
+    product prod_j c(w^j) over the m-th roots of unity, c(x) = sum_i row[i] x^i,
+    is Res(x^m - 1, c), taken by `poly_resultant` with no determinant routine."""
     row = list(first_row)
     if not row:
         raise ValueError("empty row")
     for v in row:
         if not isinstance(v, numbers.Integral):
             raise ValueError(f"non-integer entry: {v!r}")
-    f = [1] + [0] * (len(row) - 1) + [-1]  # x^m - 1, coefficients descending
-    g = np.trim_zeros([Fraction(int(v)) for v in reversed(row)], "f")
-    det = Fraction(1)
-    while len(g) > 1:
-        a, b = len(f) - 1, len(g) - 1
-        r = list(f)
-        for i in range(a - b + 1):
-            q = r[i] / g[0]
-            for j in range(b + 1):
-                r[i + j] -= q * g[j]
-        r = np.trim_zeros(r[a - b + 1 :], "f")
-        det *= (-1) ** (a * b) * g[0] ** (a - len(r) + 1)
-        f, g = g, r
-    return int(det * g[0] ** (len(f) - 1)) if g else 0
+    return poly_resultant([-1] + [0] * (len(row) - 1) + [1], [int(v) for v in row])

@@ -53,6 +53,7 @@ single coefficient of the one form.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -276,20 +277,20 @@ def line_root(s: HomogeneousSystem) -> bool:
 
     Each form is restricted to the line in Python ints: at
     x = (1 + t, -1, -t, 0, ..., 0) a monomial is (-1)^(e_2 + e_3) t^(e_3)
-    (1 + t)^(e_1), or 0 when a later variable divides it.  Restrictions
-    that are identically 0 are skipped; if every one is, the whole line is
-    common roots.  Otherwise a root alpha of the gcd over Q of the rest
-    (`exact.poly_gcd`) gives the common zero u + alpha v, which is nonzero
-    because u and v are independent, so a gcd of positive degree proves
-    the resultant vanishes (Cox, Little & O'Shea, Using Algebraic Geometry,
-    ch. 3).  False proves nothing: a common root may lie off the line, or
-    at v itself, which no finite t reaches.  On a Steiner tree at odd k every form
-    is -sum_e a_e(x)^(k - 1) on sum x = 0, where the line lies, so the n
+    (1 + t)^(e_1), or 0 when a later variable divides it.  Their t^degree
+    coefficients are the F_i(v): if all are 0, v, the line's point at
+    t = infinity, is a common root.  Otherwise a root alpha of the gcd over
+    Q of the restrictions not identically 0 (`exact.poly_gcd`) gives the
+    common zero u + alpha v, nonzero as u and v are independent, so a gcd of
+    positive degree proves the resultant vanishes (Cox, Little & O'Shea,
+    Using Algebraic Geometry, ch. 3).  False proves nothing: a common root
+    may lie off the line.  On a Steiner tree at odd k every form is
+    -sum_e a_e(x)^(k - 1) on sum x = 0, where the line lies, so the n
     restrictions are one polynomial of degree k - 1.
     """
     if s.nvars < 3:
         raise ValueError("the line needs at least three variables")
-    gcd = None
+    restrictions = []
     for form in s.polys:
         r = [0] * (s.degree + 1)
         for e, c in form.items():
@@ -297,11 +298,10 @@ def line_root(s: HomogeneousSystem) -> bool:
                 c *= (-1) ** (e[1] + e[2])
                 for i in range(e[0] + 1):
                     r[e[2] + i] += c * math.comb(e[0], i)
-        if any(r):
-            gcd = poly_gcd(gcd or r, r)
-            if len(gcd) == 1:
-                return False
-    return gcd is None or len(gcd) > 1
+        restrictions.append(r)
+    if not any(r[-1] for r in restrictions):
+        return True
+    return len(functools.reduce(poly_gcd, filter(any, restrictions))) > 1
 
 
 def macaulay_resultant(s: HomogeneousSystem) -> int:

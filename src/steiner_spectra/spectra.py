@@ -12,8 +12,8 @@ diagonal blocks -I_{k-1} and Wendt's circulant W_{k-1}, checked exactly
 in integers at every k, so hyperdet(D_k(K_2)) = (-1)^{k-1} W_{k-1}.
 `edge_charpoly` gives the exact integer polynomial
 Q_{k-1} = det(tI - W_{k-1}) whose roots are the nontrivial D_k(K_2)
-eigenvalues, from the resultant oracle alone; the float eigenvalue lists
-serve output only.
+eigenvalues, from their power sums by Newton's identities; the float
+eigenvalue lists serve output only.
 
 Numerics: an NQZ-style power iteration producing certified enclosures of
 the spectral radius of any nonnegative symmetric hypermatrix whose slices
@@ -25,11 +25,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .exact import IntMatrix, circulant_det_oracle
+from .exact import IntMatrix
 from .graphs import complete_graph
 from .hypermatrix import (
     SymmetricHypermatrix,
@@ -39,6 +38,7 @@ from .hypermatrix import (
 )
 from .resultant import gradient_system, macaulay_matrix
 from .wendt import wendt_matrix
+
 
 @dataclass(frozen=True)
 class EigenPair:
@@ -102,31 +102,30 @@ def spectral_radius_K2(k: int) -> int:
     return 2 ** (k - 1) - 1
 
 
+def _from_power_sums(p) -> tuple:
+    """Ascending coefficients of the monic integer polynomial whose roots have the power
+    sums p = (p_1, ..., p_n): Newton's j e_j = sum_i (-1)^(i-1) e_(j-i) p_i, divided exactly."""
+    e = [1]
+    for j in range(1, len(p) + 1):
+        s = sum((-1) ** i * e[j - 1 - i] * p[i] for i in range(j))
+        if s % j:
+            raise ArithmeticError(f"non-integral e_{j} = {s}/{j} from the power sums {tuple(p)}")
+        e.append(s // j)
+    return tuple((-1) ** j * c for j, c in enumerate(e))[::-1]
+
+
 def edge_charpoly(k: int) -> tuple:
     """Ascending integer coefficients of Q_m(t) = prod_d (t - ((1 + w^d)^m - 1)),
-    m = k - 1, w = e^{2 pi i/m}: the nontrivial part of the D_k(K_2) spectrum.
-
-    Q_m(t) = det(tI - W_m), the circulant with first row
-    (t - 1, -C(m, 1), ..., -C(m, m-1)), so `circulant_det_oracle` gives it
-    at t = 0..m, a resultant with no determinant routine involved, and
-    Newton's forward differences interpolate it exactly in Fractions.  A
-    non-integral coefficient raises ArithmeticError.
-    """
+    m = k - 1, w = e^{2 pi i/m}: the nontrivial part of the D_k(K_2) spectrum,
+    Q_m(t) = det(tI - W_m).  The mu_d = (1 + w^d)^m have the power sums
+    p_j = m sum_{i = 0 mod m} C(mj, i), as sum_d w^(di) is m if m | i, else 0;
+    Newton's identities give P(t) = prod_d (t - mu_d), and Q_m(t) = P(t + 1)."""
     if k < 2:
         raise ValueError("order k must be at least 2")
     m = k - 1
-    row = [-math.comb(m, j) for j in range(1, m)]
-    values = [circulant_det_oracle([t - 1] + row) for t in range(m + 1)]
-    coeffs = [Fraction(0)] * (m + 1)
-    binom = [Fraction(1)]  # ascending coefficients of C(t, j)
-    for j in range(m + 1):
-        for i, c in enumerate(binom):
-            coeffs[i] += values[0] * c
-        values = [b - a for a, b in zip(values, values[1:])]
-        binom = [(lo - j * hi) / (j + 1) for lo, hi in zip([0] + binom, binom + [0])]
-    if any(c.denominator != 1 for c in coeffs):
-        raise ArithmeticError(f"non-integral coefficient in Q_{m}: {coeffs}")
-    return tuple(int(c) for c in coeffs)
+    p = [m * sum(math.comb(m * j, i) for i in range(0, m * j + 1, m)) for j in range(1, m + 1)]
+    coeffs = _from_power_sums(p)
+    return tuple(sum(c * math.comb(j, i) for j, c in enumerate(coeffs)) for i in range(k))
 
 
 # ---------------------------------------------------------------------------

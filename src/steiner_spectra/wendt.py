@@ -26,8 +26,8 @@ def wendt(m: int) -> int:
 
 
 def wendt_oracle(m: int) -> int:
-    """Independent W_m: the circulant eigenvalue product as the exact
-    resultant Res(x^m - 1, sum_{j<m} C(m, j) x^j) of `circulant_det_oracle`."""
+    """Independent W_m: the circulant eigenvalue product as the exact resultant
+    Res(x^m - 1, sum_{j<m} C(m, j) x^j), by Euclid over Q (`circulant_det_oracle`)."""
     if m < 1:
         raise ValueError("m must be at least 1")
     return circulant_det_oracle([math.comb(m, j) for j in range(m)])

@@ -15,6 +15,8 @@ from steiner_spectra.exact import (
     circulant_det_oracle,
     det_exact,
     det_mod_matches,
+    poly_gcd,
+    poly_resultant,
 )
 from steiner_spectra.graphs import labeled_tree_blocks, path_graph, star_graph
 from steiner_spectra.hypermatrix import build_steiner_hypermatrix
@@ -919,3 +921,60 @@ class TestCirculantOracle:
             circulant_det_oracle([1.5, 2])
         with pytest.raises(ValueError, match="non-integer entry"):
             circulant_det_oracle([1, Fraction(1, 2)])
+
+
+def sylvester_det(f, g):
+    """Res(f, g) as the determinant of the Sylvester matrix of f and g, given
+    by ascending coefficients with nonzero leading ones: deg g shifted rows
+    of f above deg f shifted rows of g, 1 for two constants."""
+    a, b = len(f) - 1, len(g) - 1
+    if a + b == 0:
+        return 1
+    rows = [[0] * i + f[::-1] + [0] * (b - 1 - i) for i in range(b)]
+    rows += [[0] * i + g[::-1] + [0] * (a - 1 - i) for i in range(a)]
+    return det_exact(IntMatrix(rows))
+
+
+def poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for (i, a), (j, b) in itertools.product(enumerate(f), enumerate(g)):
+        out[i + j] += a * b
+    return out
+
+
+class TestPolyResultant:
+    @staticmethod
+    def random_poly(rng, degree):
+        """Ascending coefficients of exact degree `degree`."""
+        return [rng.randint(-9, 9) for _ in range(degree)] + [rng.choice((-3, -2, -1, 1, 2, 3))]
+
+    def test_equals_the_sylvester_determinant(self):
+        rng = random.Random(3301)
+        for _ in range(300):
+            f = self.random_poly(rng, rng.randint(0, 6))
+            g = self.random_poly(rng, rng.randint(0, 6))
+            # zero leading coefficients are trimmed away
+            padded = f + [0] * rng.randint(0, 2), g + [0] * rng.randint(0, 2)
+            res = poly_resultant(*padded)
+            assert res == sylvester_det(f, g), (f, g)
+            sign = (-1) ** ((len(f) - 1) * (len(g) - 1))
+            assert poly_resultant(g, f) == sign * res, (f, g)
+
+    def test_a_shared_factor_gives_zero(self):
+        rng = random.Random(3302)
+        for _ in range(50):
+            h = self.random_poly(rng, rng.randint(1, 2))
+            f = poly_mul(h, self.random_poly(rng, rng.randint(0, 4)))
+            g = poly_mul(h, self.random_poly(rng, rng.randint(0, 4)))
+            assert poly_resultant(f, g) == 0 == sylvester_det(f, g), (f, g)
+            assert len(poly_gcd(f, g)) >= len(h), (f, g)
+
+    def test_constants_and_the_zero_polynomial(self):
+        g = [5, -1, 0, 2]  # degree 3
+        assert poly_resultant([-2], g) == (-2) ** 3 == poly_resultant(g, [-2])
+        assert poly_resultant([7], [-4]) == 1
+        for zero in ([], [0], [0, 0]):
+            assert poly_resultant(zero, g) == poly_resultant(g, zero) == 0
+            for c in ([1], [3]):
+                assert poly_resultant(zero, c) == poly_resultant(c, zero) == 0
+            assert poly_resultant(zero, zero) == 0

@@ -694,8 +694,7 @@ class TestLineRoot:
         # every third system shares a random linear factor, whose zero line
         # meets the line of the certificate; the rest are dense and random.
         # Trial 12's factor 2 x_1 + 2 x_3 vanishes at v = e_1 - e_3 itself,
-        # the line's point at t = infinity, which the certificate does not
-        # look at, so 5 of the 6 planted systems close
+        # the line's point at t = infinity, so all 6 planted systems close
         rng = random.Random(3202)
 
         def form(degree):
@@ -725,7 +724,7 @@ class TestLineRoot:
             closed += closes
             if closes or trial % 3 == 0:
                 assert _gcp_constant_modular(s, *macaulay_matrix(s)) == 0, trial
-        assert closed == 5
+        assert closed == 6
 
     @pytest.mark.parametrize(
         "graph, k",

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from steiner_spectra.exact import (
     CHARPOLY_EXACT_MAX_ROWS,
     char_poly_exact,
     circulant,
+    circulant_det_oracle,
     det_exact,
 )
 from steiner_spectra.graphs import complete_graph, path_graph, star_graph
@@ -135,18 +137,36 @@ class TestEdgeCharpoly:
 
     def test_monic_with_signed_wendt_constant_and_radius_root(self):
         zeros = set()
-        for m in range(1, 21):
+        for m in range(1, 41):
             q = edge_charpoly(m + 1)
             assert len(q) == m + 1 and q[-1] == 1, m
             assert q[0] == (-1) ** m * wendt(m), m
             assert poly_at(q, 2**m - 1) == 0, m
             if q[0] == 0:
                 zeros.add(m)
-        assert zeros == {6, 12, 18}
+        assert zeros == {6, 12, 18, 24, 30, 36}
 
     def test_is_the_charpoly_of_wendts_circulant(self):
-        for m in range(1, 21):
+        for m in range(1, 31):
             assert edge_charpoly(m + 1) == char_poly_exact(wendt_matrix(m)), m
+
+    def test_is_the_circulant_resultant_at_small_t(self):
+        # Q_m(t) = det(tI - W_m), the circulant with first row
+        # (t - 1, -C(m, 1), ..., -C(m, m - 1)), whose determinant the
+        # resultant oracle takes with no determinant routine
+        for m in range(1, 21):
+            q = edge_charpoly(m + 1)
+            row = [-math.comb(m, j) for j in range(1, m)]
+            for t in range(4):
+                assert poly_at(q, t) == circulant_det_oracle([t - 1] + row), (m, t)
+
+    def test_k_up_to_41_within_a_second(self):
+        # the power sums take about 0.15 s in all on 2 vCPUs; a resultant
+        # for each of m + 1 values of t would not fit, from k = 22 on
+        start = time.perf_counter()
+        for k in range(2, 42):
+            edge_charpoly(k)
+        assert time.perf_counter() - start < 1.0
 
     def test_repeated_roots_are_the_mirror_pairs(self):
         # deg gcd(Q, Q') counts the repeated roots: one per pair d <-> m - d,
@@ -168,11 +188,15 @@ class TestEdgeCharpoly:
             q = np.array(edge_charpoly(m + 1), dtype=float)
             assert np.all(np.abs(got - q) <= 1e-12 * scale), m
 
-    def test_refuses_a_non_integral_coefficient(self, monkeypatch):
-        # values C(t + 1, 2) at t = 0..3 interpolate to (t^2 + t)/2
-        monkeypatch.setattr(spectra, "circulant_det_oracle", lambda row: math.comb(row[0] + 2, 2))
+    def test_newton_identities(self):
+        # roots 2, 3, -1: power sums 4, 14, 34 give (t - 2)(t - 3)(t + 1)
+        assert spectra._from_power_sums((4, 14, 34)) == (6, 1, -4, 1)
+        assert spectra._from_power_sums(()) == (1,)
+
+    def test_refuses_a_non_integral_coefficient(self):
+        # power sums (1, 0) give e_1 = 1 and e_2 = (e_1 p_1 - p_2)/2 = 1/2
         with pytest.raises(ArithmeticError, match="non-integral"):
-            edge_charpoly(4)
+            spectra._from_power_sums((1, 0))
 
 
 class TestNQZ:
