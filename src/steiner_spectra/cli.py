@@ -4,8 +4,8 @@
 
 Subcommands: wendt, classify, hyperdet, spectrum, sweep, gp-check,
 extremal.  --json (machine-readable output) is valid on every
-subcommand; --seed (relabel checks), --cache (JSON-lines result
-cache) and --jobs (worker processes) only on sweep.
+subcommand; --seed (relabel checks) and --cache (JSON-lines result
+cache) only on sweep.
 
 Exit codes: 0 all pass, 2 a conjecture-falsifying witness was found,
 1 error, including arguments the parser rejects.
@@ -92,7 +92,6 @@ def _cmd_sweep(args) -> int:
         mode=args.mode,
         tol=args.tol,
         seed=args.seed,
-        jobs=args.jobs,
         cache=cache,
     )
     witness = falsifying_witness(report)
@@ -172,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=NQZ_TOL)
     p.add_argument("--seed", type=int, default=0, help="seed for the relabel checks")
     p.add_argument("--cache", default=None, help="JSON-lines result cache path")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("gp-check", parents=[common], help="distance-determinant regression")

@@ -8,9 +8,9 @@ nonzero pattern into strongly connected components, read off the
 reachability closure of the pattern (repeated squaring of a 0/1 matrix);
 per prime it runs a blocked Hessenberg reduction in float64 on each
 block of more than one row.  `lowest_charpoly_term_mod` gives only the
-lowest nonzero term of that charpoly, from a blocked LU determinant
-(`_det_mod`, left-looking inside each panel, a quarter to a third of
-the Hessenberg cost) of each block that is nonsingular mod p.
+lowest nonzero term of that charpoly, from a left-looking LU
+determinant (`_det_mod`, a quarter to a third of the Hessenberg cost)
+of each block that is nonsingular mod p.
 Entries stay in (-p, p) and every dot product has at most rows + 64
 terms, so for the primes it accepts, those below
 `_float_exact_bound(rows)`, where p * p * (rows + 64) < 2**53, every
@@ -269,6 +269,19 @@ def _check_modulus(p: int, rows: int) -> None:
         raise ValueError(f"modulus must be a prime below {bound} for {rows} rows")
 
 
+def _check_mod_args(m: IntMatrix, p: int) -> None:
+    """Refuse what char_poly_mod and lowest_charpoly_term_mod cannot take:
+    a matrix that is not square or has more than `_MOD_MAX_ROWS` rows, or
+    a modulus that `_check_modulus` refuses."""
+    if m.rows != m.cols:
+        raise ValueError("characteristic polynomial requires a square matrix")
+    if m.rows > _MOD_MAX_ROWS:
+        raise ValueError(
+            f"matrix size {m.rows} exceeds the modular charpoly cap of {_MOD_MAX_ROWS}"
+        )
+    _check_modulus(p, m.rows)
+
+
 def _char_poly_hessenberg(h: np.ndarray, p: int) -> np.ndarray:
     """Ascending int64 coefficients of det(lambda*I - h) over F_p.
 
@@ -373,50 +386,42 @@ def _det_mod(a: np.ndarray, p: int) -> int:
     """det(a) mod p, in [0, p), for a square float64 array of integers in
     (-p, p), which is overwritten by its LU factors.
 
-    LU in panels of _PANEL columns, left-looking inside a panel.  Step j
-    first brings column j up to date, from the diagonal down, less the
-    panel's multipliers times its entries in the panel's earlier pivot
-    rows.  It takes as pivot the first entry of that column that is
-    nonzero mod p and swaps its row up, which flips the sign; a column
-    with none means det = 0, returned at once.  The pivot row gets the
-    panel's update across every column right of j, so the pivot rows are
-    final when later columns read them, and the multipliers a[i, j] / pivot
-    are stored in column j.  Each step is two matrix-vector products; the
-    panel ends with one product of its multipliers and pivot rows
-    subtracted from the trailing block.
+    Left-looking (Crout) LU.  Step j first brings column j up to date,
+    from the diagonal down, less the multipliers of the earlier steps
+    times its entries in their pivot rows.  It takes as pivot the first
+    entry of that column that is nonzero mod p and swaps its row up, which
+    flips the sign; a column with none means det = 0, returned at once.
+    The pivot row gets the same update across every column right of j, so
+    the pivot rows are final when later columns read them, and the
+    multipliers a[i, j] / pivot are stored in column j.  Each step is two
+    matrix-vector products.
 
-    Entries stay in (-p, p) (`_reduce`), and every product has fewer than
-    _PANEL terms below p**2, so an unreduced entry stays below
-    p + _PANEL * p**2 < 2**53 for p below `_float_exact_bound(n)`.
+    Entries stay in (-p, p) (`_reduce`), and every product has at most
+    n - 1 terms below p**2, so an unreduced entry stays below
+    p + (n - 1) * p**2 < 2**53 for p below `_float_exact_bound(n)`.
     """
     n = a.shape[0]
     det = 1
-    for c0 in range(0, n, _PANEL):
-        e = min(c0 + _PANEL, n)
-        for j in range(c0, e):
-            column = a[j:, j]
-            if j > c0:
-                column -= a[j:, c0:j] @ a[c0:j, j]
-                _reduce(column, p)
-            nz = column.nonzero()[0]
-            if nz.size == 0:
-                return 0
-            piv = j + int(nz[0])
-            if piv != j:
-                a[[j, piv]] = a[[piv, j]]
-                det = -det
-            pivot = int(a[j, j]) % p
-            det = det * pivot % p
-            if j + 1 < n:
-                if j > c0:
-                    row = a[j, j + 1 :]
-                    row -= a[j, c0:j] @ a[c0:j, j + 1 :]
-                    _reduce(row, p)
-                a[j + 1 :, j] = _reduce(a[j + 1 :, j] * pow(pivot, -1, p), p)
-        if e < n:
-            trailing = a[e:, e:]
-            trailing -= a[e:, c0:e] @ a[c0:e, e:]
-            _reduce(trailing, p)
+    for j in range(n):
+        column = a[j:, j]
+        if j:
+            column -= a[j:, :j] @ a[:j, j]
+            _reduce(column, p)
+        nz = column.nonzero()[0]
+        if nz.size == 0:
+            return 0
+        piv = j + int(nz[0])
+        if piv != j:
+            a[[j, piv]] = a[[piv, j]]
+            det = -det
+        pivot = int(a[j, j]) % p
+        det = det * pivot % p
+        if j + 1 < n:
+            if j:
+                row = a[j, j + 1 :]
+                row -= a[j, :j] @ a[:j, j + 1 :]
+                _reduce(row, p)
+            a[j + 1 :, j] = _reduce(a[j + 1 :, j] * pow(pivot, -1, p), p)
     return det
 
 
@@ -473,12 +478,7 @@ def char_poly_mod(m: IntMatrix, p: int) -> tuple:
     below that bound it stays under 2**53 and the arithmetic is exact.
     Other moduli are refused.
     """
-    if m.rows != m.cols:
-        raise ValueError("characteristic polynomial requires a square matrix")
-    n = m.rows
-    if n > _MOD_MAX_ROWS:
-        raise ValueError(f"matrix size {n} exceeds the modular charpoly cap of {_MOD_MAX_ROWS}")
-    _check_modulus(p, n)
+    _check_mod_args(m, p)
     linear, blocks, _ = _charpoly_plan(m)
     charpoly = np.array([c % p for c in linear], dtype=np.int64)
     for block in blocks:
@@ -501,13 +501,12 @@ def lowest_charpoly_term_mod(m: IntMatrix, p: int) -> tuple:
     it is read off the diagonal blocks of `_charpoly_plan`: the 1-row
     blocks' product x - m_ii as one polynomial, and each larger block B
     that is nonsingular mod p as (0, (-1)^rows det B), from the LU of
-    `_det_mod` at about half the cost of the Hessenberg reduction.  A
-    block singular mod p takes `_char_poly_hessenberg` after all.  The
-    moduli are those char_poly_mod accepts.
+    `_det_mod` at a quarter to a third of the cost of the Hessenberg
+    reduction.  A block singular mod p takes `_char_poly_hessenberg` after
+    all.  The matrices and moduli are those char_poly_mod accepts
+    (`_check_mod_args`).
     """
-    if m.rows != m.cols:
-        raise ValueError("characteristic polynomial requires a square matrix")
-    _check_modulus(p, m.rows)
+    _check_mod_args(m, p)
     linear, blocks, _ = _charpoly_plan(m)
     order, coeff = _lowest_term(linear, p)
     for block in blocks:

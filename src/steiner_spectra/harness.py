@@ -18,7 +18,6 @@ in pieces that the CLI writes as they come.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import random
@@ -201,9 +200,8 @@ class SweepReport:
         yield "]" + tail
 
 
-def _class_job(args):
-    """Worker task: all requested quantities for one isomorphism class."""
-    g, k, want_det, want_radius, tol = args
+def _class_job(g, k, want_det, want_radius, tol):
+    """All requested quantities for one isomorphism class."""
     a = build_steiner_hypermatrix(g, k)
     out = {}
     if want_det:
@@ -225,13 +223,13 @@ def _labeled_trees(n):
         yield from zip(map(tuple, seqs.tolist()), edges, tree_keys(n, edges))
 
 
-def _evaluate_classes(n, items, k, det, radius, tol, jobs=1, cache=None):
+def _evaluate_classes(n, items, k, det, radius, tol, cache=None):
     """Evaluate each class of the (label, edges, canonical key) items once.
 
     Returns `labeled`, the (label, key) pairs in item order; `reps`, the
     first item per class as key -> (label, Graph), the only Graphs built;
-    and each class's {"det", "radius"} values: cache hits first, then one
-    `_class_job` per miss, serial or pooled, each cached as soon as it is done.
+    and each class's {"det", "radius"} values, class by class: cache hits,
+    else one `_class_job`, whose values are cached as soon as it is done.
     """
     labeled, reps = [], {}
     for label, edges, key in items:
@@ -245,7 +243,6 @@ def _evaluate_classes(n, items, k, det, radius, tol, jobs=1, cache=None):
     }
     wanted = [q for q, on in (("det", det), ("radius", radius)) if on]
     values = {}
-    pending = []
     for ckey, (_, g) in reps.items():
         found = values[ckey] = {}
         for q in wanted:
@@ -253,16 +250,8 @@ def _evaluate_classes(n, items, k, det, radius, tol, jobs=1, cache=None):
                 found[q] = cache.get(ckey, k, names[q])
         missing = [q for q in wanted if q not in found]
         if missing:
-            pending.append((ckey, (g, k, "det" in missing, "radius" in missing, tol)))
-
-    with contextlib.ExitStack() as stack:
-        run = map  # like Pool.imap, it yields in task order
-        if jobs > 1 and pending:
-            from multiprocessing import Pool  # loaded only when a pool runs
-
-            run = stack.enter_context(Pool(processes=min(jobs, len(pending)))).imap
-        for (ckey, _), out in zip(pending, run(_class_job, [args for _, args in pending])):
-            values[ckey].update(out)
+            out = _class_job(g, k, "det" in missing, "radius" in missing, tol)
+            found.update(out)
             if cache is not None:
                 for q, value in out.items():
                     cache.put(ckey, k, names[q], value)
@@ -281,7 +270,6 @@ def sweep_trees(
     mode: str = "labeled",
     tol: float = NQZ_TOL,
     seed: int = 0,
-    jobs: int = 1,
     cache: ResultCache | None = None,
 ) -> SweepReport:
     """Evaluate every labeled tree on n vertices at order k.
@@ -301,16 +289,12 @@ def sweep_trees(
     """
     if mode not in ("labeled", "unlabeled"):
         raise ValueError(f"unknown mode {mode!r}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if det:
         check_hyperdet_cap(n, k)
     if n > TREE_WALK_CAP:
         raise ValueError(f"sweep capped at n <= {TREE_WALK_CAP}")
 
-    rows, reps, classes = _evaluate_classes(
-        n, _labeled_trees(n), k, det, radius, tol, jobs, cache
-    )
+    rows, reps, classes = _evaluate_classes(n, _labeled_trees(n), k, det, radius, tol, cache)
     if mode == "unlabeled":
         rows = [(seq, ckey) for ckey, (seq, _) in reps.items()]
 

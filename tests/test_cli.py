@@ -27,7 +27,7 @@ def fix_radii(monkeypatch, path, star):
 
     star_key = canonical_key(star_graph(4))
 
-    def fixed(args):
+    def fixed(*args):
         lo, hi = star if canonical_key(args[0]) == star_key else path
         return {"radius": {"value": (lo + hi) / 2, "lo": lo, "hi": hi, "iterations": 1}}
 
@@ -199,9 +199,10 @@ class TestSweep:
         code, _, err = run(capsys, ["sweep", "--n", "4", "--k", "three", "--det"])
         assert code == 1 and "invalid int value" in err
 
-    def test_jobs_below_one_exits_1(self, capsys):
-        code, out, err = run(capsys, ["sweep", "--n", "4", "--k", "2", "--det", "--jobs", "0"])
-        assert code == 1 and out == "" and "jobs" in err
+    def test_jobs_flag_rejected(self, capsys):
+        # sweeps evaluate their classes serially: there is no worker count to set
+        code, out, err = run(capsys, ["sweep", "--n", "4", "--k", "2", "--det", "--jobs", "2"])
+        assert code == 1 and out == "" and "unrecognized arguments: --jobs 2" in err
 
     def test_refuses_past_the_tree_cap(self, capsys):
         code, out, err = run(capsys, ["sweep", "--n", "9", "--k", "3", "--radius"])

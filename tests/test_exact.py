@@ -387,6 +387,15 @@ class TestCharPolyMod:
         with pytest.raises(ValueError, match="cap"):
             char_poly_mod(IntMatrix(np.eye(3, dtype=np.int64)), 7)
 
+    def test_lowest_term_refuses_what_char_poly_mod_refuses(self, monkeypatch):
+        with pytest.raises(ValueError, match="square"):
+            exact.lowest_charpoly_term_mod(IntMatrix([[1, 2, 3], [4, 5, 6]]), 7)
+        with pytest.raises(ValueError, match="prime"):
+            exact.lowest_charpoly_term_mod(IntMatrix([[1]]), 6)
+        monkeypatch.setattr(exact, "_MOD_MAX_ROWS", 2)
+        with pytest.raises(ValueError, match="cap"):
+            exact.lowest_charpoly_term_mod(IntMatrix(np.eye(3, dtype=np.int64)), 7)
+
     def test_primes_end_at_the_float_exact_bound(self):
         # the largest prime taken keeps every float64 product exact; the
         # first prime past the bound is refused, not worked around
@@ -548,7 +557,8 @@ class TestBlockedHessenberg:
 
 class TestDetMod:
     """The LU kernel against det_exact mod the largest prime
-    `_modular_primes(rows)` gives, on both sides of each panel edge."""
+    `_modular_primes(rows)` gives, and against the Hessenberg charpoly's
+    constant term past 100 rows."""
 
     ROWS = (1, 2, 31, 32, 33, 64, 65, 100)
 
@@ -595,19 +605,19 @@ class TestDetMod:
 
     @pytest.mark.parametrize("n", (31, 33, 65))
     def test_entries_across_the_whole_residue_range(self, n):
-        # entries up to p - 1 make the panel products as large as the
-        # bound allows: p + _PANEL * p**2 must stay below 2**53
+        # entries up to p - 1 make the products as large as the bound
+        # allows: p + (n - 1) * p**2 must stay below 2**53
         p = next(exact._modular_primes(n))
-        assert p + exact._PANEL * p * p < 2**53
+        assert p + (n - 1) * p * p < 2**53
         rng = random.Random(n)
         for _ in range(2):
             rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
             want = det_exact(IntMatrix(rows)) % p
             assert exact._det_mod(np.array(rows, dtype=np.float64), p) == want
 
-    # Inside a panel the LU is left-looking: column j is brought up to date
-    # by the panel's earlier steps only when step j reaches it, and its pivot
-    # is searched after that update and its reduction.
+    # The LU is left-looking: column j is brought up to date by the earlier
+    # steps only when step j reaches it, and its pivot is searched after
+    # that update and its reduction.
 
     @staticmethod
     def dense(rng, n):
@@ -634,7 +644,7 @@ class TestDetMod:
     @pytest.mark.parametrize("j", (5, 31, 40))
     def test_column_zero_on_and_below_the_diagonal_before_its_update(self, j):
         # rows j.. of column j are 0, so the column has its pivot only once
-        # the panel's earlier steps (or the previous panel's product) reach it
+        # the earlier steps reach it
         n, p = 64, next(exact._modular_primes(64))
         rng = random.Random(3300 + j)
         rows = self.dense(rng, n)
@@ -646,8 +656,8 @@ class TestDetMod:
 
     @pytest.mark.parametrize("j", (31, 32))
     def test_zero_column_at_the_panel_edge(self, j):
-        # the last column of the first panel and the first of the second,
-        # zero from the start and zero only after every earlier step
+        # columns 31 and 32, either side of where a _PANEL-column panel
+        # would end, zero from the start and zero only after every earlier step
         n, p = 64, next(exact._modular_primes(64))
         rng = random.Random(3400 + j)
         zero, dependent = self.dense(rng, n), self.dense(rng, n)
@@ -660,7 +670,7 @@ class TestDetMod:
     def test_pivot_row_from_below_the_panel(self):
         # rows 5..31 agree on columns 0..5 with combinations of rows 0..4,
         # so after five steps their column-5 entries are 0 and step 5 swaps
-        # up a pivot row from rows 32.. of the trailing block
+        # up a pivot row from rows 32..
         n, p = 64, next(exact._modular_primes(64))
         rng = random.Random(3500)
         rows = self.dense(rng, n)
@@ -668,10 +678,21 @@ class TestDetMod:
             c = [rng.randint(-2, 2) for _ in range(5)]
             r[:6] = [sum(ci * rows[i][col] for i, ci in enumerate(c)) for col in range(6)]
         lead = np.array([r[:6] for r in rows[:32]])
-        assert np.linalg.matrix_rank(lead) == 5  # no pivot for column 5 in the panel
+        assert np.linalg.matrix_rank(lead) == 5  # no pivot for column 5 in the first 32 rows
         want = det_exact(IntMatrix(rows)) % p
         assert want != 0
         assert self.det_mod(rows, p) == want
+
+    @pytest.mark.parametrize("n", (95, 182, 337, 456))
+    def test_matches_the_hessenberg_constant_term_past_100_rows(self, n):
+        # det(b) = (-1)^n charpoly(0) on dense blocks with entries across
+        # the whole residue range, beside the ceiling prime
+        p = ceiling_prime(n)
+        rng = np.random.default_rng(3600 + n)
+        b = rng.integers(0, p, (n, n)).astype(np.float64)
+        constant = int(exact._char_poly_hessenberg(b.copy(), p)[0])
+        assert constant != 0
+        assert exact._det_mod(b, p) == (-1) ** n * constant % p
 
 
 class TestLowestCharpolyTerm:

@@ -30,14 +30,11 @@ from steiner_spectra.wendt import wendt
 from props import bfs_rows, sweep_report_json_reference
 
 
-def _fail_on_double_star(args):
-    """`_class_job`, except that it raises on the double star, the third class at n = 6.
-
-    Defined at module level so that a worker pool can pickle it.
-    """
+def _fail_on_double_star(*args):
+    """`_class_job`, except that it raises on the double star, the third class at n = 6."""
     if sorted(map(len, args[0].adjacency()[1:])) == [1, 1, 1, 1, 3, 3]:
         raise RuntimeError("job failed on the double star")
-    return _class_job(args)
+    return _class_job(*args)
 
 
 def _falsified_sweep(monkeypatch, verdict):
@@ -55,8 +52,8 @@ def _falsified_sweep(monkeypatch, verdict):
 
     path_key, star_key = canonical_key(path_graph(5)), canonical_key(star_graph(5))
 
-    def fake(args):
-        out = _class_job(args)
+    def fake(*args):
+        out = _class_job(*args)
         key = canonical_key(args[0])
         if verdict == "conjecture1" and key != path_key:
             out["det"] = 50
@@ -245,9 +242,6 @@ class TestSweepTrees:
             sweep_trees(3, 3, det=True, mode="nope")
         with pytest.raises(ValueError, match="cap"):
             sweep_trees(5, 3, det=True)
-        for jobs in (0, -3):
-            with pytest.raises(ValueError, match="jobs"):
-                sweep_trees(3, 3, det=True, jobs=jobs)
 
     def test_cache_persists_and_reruns_identically(self, tmp_path):
         cache = ResultCache(tmp_path / "c.jsonl")
@@ -263,7 +257,7 @@ class TestSweepTrees:
 
         import steiner_spectra.harness as harness
 
-        def boom(args):
+        def boom(*args):
             raise AssertionError("cache miss where a hit was expected")
 
         monkeypatch.setattr(harness, "_class_job", boom)
@@ -283,9 +277,9 @@ class TestSweepTrees:
         jobs = []
         real = harness._class_job
 
-        def counted(args):
+        def counted(*args):
             jobs.append(args[2:4])
-            return real(args)
+            return real(*args)
 
         monkeypatch.setattr(harness, "_class_job", counted)
         cache = ResultCache(path)
@@ -309,25 +303,19 @@ class TestSweepTrees:
         fresh = sweep_trees(4, 3, radius=True, tol=tight).to_json()
         assert sweep_trees(4, 3, radius=True, tol=tight, cache=cache).to_json() == fresh
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_classes_done_before_a_failure_stay_cached(self, tmp_path, monkeypatch, jobs):
+    def test_classes_done_before_a_failure_stay_cached(self, tmp_path, monkeypatch):
         import steiner_spectra.harness as harness
 
         classes = sweep_trees(6, 3, radius=True, mode="unlabeled").classes
         monkeypatch.setattr(harness, "_class_job", _fail_on_double_star)
         path = tmp_path / "c.jsonl"
         with pytest.raises(RuntimeError, match="double star"):
-            sweep_trees(6, 3, radius=True, jobs=jobs, cache=ResultCache(path))
+            sweep_trees(6, 3, radius=True, cache=ResultCache(path))
         assert len(path.read_text().splitlines()) == 2
         cache = ResultCache(path)
         quantity = f"radius:{1e-8!r}:{CACHE_VERSION}"
         radii = [values["radius"] for values in classes.values()]
         assert [cache.get(key, 3, quantity) for key in classes] == radii[:2] + [None] * 4
-
-    def test_jobs_do_not_change_report(self):
-        serial = sweep_trees(4, 3, det=True, radius=True, jobs=1)
-        parallel = sweep_trees(4, 3, det=True, radius=True, jobs=2)
-        assert serial.to_json() == parallel.to_json()
 
     def test_relabel_spot_check_catches_bad_hyperdet(self, monkeypatch):
         import steiner_spectra.harness as harness
@@ -383,7 +371,6 @@ class TestSweepTrees:
         assert hashlib.sha256(report.encode()).hexdigest() == (
             "11a8889b5e0b9bd80ceeba77892a3ec1a3e43e3ea4c4b9a535452fafe05d325d"
         )
-        assert sweep_trees(3, 6, det=True, seed=5, jobs=2).to_json() == report
 
     def test_seed_recorded(self):
         rep = sweep_trees(3, 2, det=True, seed=7)
@@ -694,7 +681,7 @@ class TestRadiusTies:
 
         path_key = canonical_key(path_graph(5))
 
-        def tied(args):
+        def tied(*args):
             # the two non-path classes at n = 5 share one radius, above the path's
             g, k, want_det, want_radius, tol = args
             value = 1.0 if canonical_key(g) == path_key else 5.0

@@ -1,6 +1,7 @@
 """Every third-party module the package imports is a declared dependency,
-importing the package loads neither mpmath nor multiprocessing, and the
-package exports exactly the names its `__init__` imports."""
+no module imports multiprocessing, importing the package loads neither
+mpmath nor multiprocessing, and the package exports exactly the names its
+`__init__` imports."""
 
 import ast
 import re
@@ -34,9 +35,15 @@ def test_third_party_imports_are_declared():
     assert third_party == declared_dependencies() == {"numpy"}
 
 
+def test_no_module_imports_multiprocessing():
+    # sweeps evaluate their classes in one serial loop
+    assert "multiprocessing" not in imported_top_level_modules()
+
+
 def test_import_loads_no_mpmath():
     # a fresh interpreter: the test session itself may have loaded either;
-    # multiprocessing is imported only by a sweep that starts a worker pool
+    # nothing in the package imports multiprocessing, and nothing it
+    # imports should pull it in
     code = "import sys, steiner_spectra; print(sorted({'mpmath', 'multiprocessing'} & set(sys.modules)))"
     out = subprocess.run(
         [sys.executable, "-c", code],
