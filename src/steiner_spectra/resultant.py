@@ -20,21 +20,18 @@ with C(0) the resultant.  Both determinants are monic in t, so the
 identity survives reduction modulo any prime: C(t) mod p is the exact
 quotient of one pair of charpolys mod p, a nonzero remainder is an
 error, and Chinese remaindering of C(0) past twice a bound on |C(0)|
-gives the integer.  C(0) is a product of N - N' eigenvalues of -M, so
-|C(0)| is at most ||M||_inf^(N - N'), with ||M||_inf read off the forms,
-and at most (S / (N - N'))^((N - N')/2), with S the sum of the squared
-entries inside M's strongly connected diagonal blocks (Weyl's inequality
-and AM-GM, see `_gcp_constant_modular`).  The lesser of the two, in
-integers, takes 15 primes on the benchmark's 560-row system, where the
-norm bound alone takes 24.  The primes are `exact._crt_primes` of M's
-row count and that bound, from about 2**21.9 down at 560 rows: primes
-`char_poly_mod` takes.  Only Q(0) is read, so after the first prime a
-matrix whose diagonal blocks were all nonsingular there gives just the
-lowest term of its charpoly, from block determinants: Q(0) is the ratio
-of the two lowest coefficients when their orders agree and 0 when M's
-is higher.  That skips the remainder check, so one more prime checks
-the CRT value.  On the paper's trees both matrices take that route at
-every even k.
+gives the integer.  C(0) is a product of N - N' eigenvalues of -M, and
+`_gcp_constant_modular` bounds it by Weyl's inequality and AM-GM through
+S, the sum of the squared entries inside M's strongly connected diagonal
+blocks; the bound takes 15 primes on the benchmark's 560-row system.
+The primes are `exact._crt_primes` of M's row count and that bound, from
+about 2**21.9 down at 560 rows: primes `char_poly_mod` takes.  Only Q(0)
+is read, so after the first prime, when the diagonal blocks of M and M'
+were all nonsingular there, both give just the lowest term of their
+charpolys, from block determinants: Q(0) is the ratio of the two lowest
+coefficients when their orders agree and 0 when M's is higher.  That
+skips the remainder check, so one more prime checks the CRT value.  On
+the paper's trees both matrices take that route at every even k.
 Before the CRT, a zero is decided exactly: the resultant vanishes iff
 the forms share a nontrivial root, and `line_root` looks for one on the
 line through e_1 - e_2 along e_1 - e_3 with a Euclid gcd over Q of the
@@ -169,14 +166,6 @@ def _charpoly_quotient(pp, qq, p=None) -> np.ndarray:
     return quot
 
 
-def _blocks_nonsingular(m: IntMatrix, charpoly, p: int) -> bool:
-    """Whether m has diagonal blocks of more than one row (`_charpoly_plan`)
-    and each is nonsingular mod p, read off m's charpoly mod p: a singular
-    block raises the lowest order past that of the 1-row blocks' product."""
-    linear, blocks, _ = _charpoly_plan(m)
-    return bool(blocks) and _lowest_term(charpoly, p)[0] == _lowest_term(linear, p)[0]
-
-
 # At or below this many Macaulay rows (on the hyperdet path, n = 3 with
 # k = 3) the charpolys are taken exactly over Z.  This is no faster than
 # the CRT (about 9 against 4 ms at 15 rows); it stays only because
@@ -192,65 +181,58 @@ def _gcp_constant(matrix: IntMatrix, reduced: list) -> int:
     return (-1) ** sum(reduced) * _charpoly_quotient(char_poly_exact(matrix), qq)[0]
 
 
-def _gcp_constant_modular(s: HomogeneousSystem, matrix: IntMatrix, reduced: list) -> int:
+def _gcp_constant_modular(matrix: IntMatrix, reduced: list) -> int:
     """C(0) from det(tI + M) = C(t) det(tI + M'), remaindered over primes,
-    for M = macaulay_matrix(s) and a nonempty M': mod p, C(0) is
-    (-1)^(N - N') Q(0) for the quotient Q of the two charpolys
-    (`_charpoly_quotient`).
+    for a nonempty M': mod p, C(0) is (-1)^(N - N') Q(0) for the quotient
+    Q of the two charpolys (`_charpoly_quotient`).
 
     The primes are the fewest whose product exceeds
-    2 min(B^k, isqrt(ceil(S^k / k^k)) + 1), k = N - N', which is more
-    than 2 |C(0)|, so the symmetric residue is C(0).  Both bounds hold
-    because the roots of C are a sub-multiset of k eigenvalues of -M:
-    - each eigenvalue is at most B = ||M||_inf = max_i ||F_i||_1 in
-      absolute value, so |C(0)| <= B^k;
-    - M is block triangular up to a symmetric permutation
-      (`exact._charpoly_plan`), so its eigenvalues are those of
-      D = blockdiag(its strongly connected diagonal blocks);
+    2 (isqrt(ceil(S^k / k^k)) + 1), k = N - N', with S the block mass of
+    M: the sum of the squared entries inside its strongly connected
+    diagonal blocks (`exact._charpoly_plan`).  That is more than 2 |C(0)|,
+    so the symmetric residue is C(0):
+    - the roots of C are a sub-multiset of the eigenvalues of -M, so
+      |C(0)| is a product of k of M's eigenvalues in absolute value;
+    - M is block triangular up to a symmetric permutation, so its
+      eigenvalues are those of D = blockdiag(its strongly connected
+      diagonal blocks);
     - by Weyl's inequality the product of D's k largest |eigenvalues| is
       at most the product of its k largest singular values sigma_i;
     - by AM-GM that product is at most (sum of sigma_i^2 / k)^(k/2)
-      <= (||D||_F^2 / k)^(k/2), and ||D||_F^2 = S, the plan's mass.
-    So |C(0)|^2 <= S^k / k^k, and |C(0)| < isqrt(ceil(S^k / k^k)) + 1.
-    Everything is in Python ints.  The min keeps B^k where it binds, as on
-    c x_i^d, whose resultant is exactly B^k in absolute value, so no
-    system takes more primes than B^k alone would ask for.
+      <= (||D||_F^2 / k)^(k/2), and ||D||_F^2 = S, the block mass.
+    So |C(0)|^2 <= S^k / k^k, and |C(0)| < isqrt(ceil(S^k / k^k)) + 1,
+    all in Python ints.
 
     The first prime takes both whole charpolys, the quotient and its
-    remainder check.  Each of M and M' whose diagonal blocks of more than
-    one row are all nonsingular there (`_blocks_nonsingular`; a matrix
-    with no such block does not count) gives at the later primes only the
-    lowest nonzero term of its charpoly, (a, alpha) for M and (b, beta)
-    for M', from block determinants (`exact.lowest_charpoly_term_mod`);
-    the other keeps char_poly_mod.  charpoly_M = Q charpoly_M' makes the
-    lowest terms multiply, so Q(0) = alpha / beta if a = b, Q(0) = 0 if
-    a > b, and a < b raises ArithmeticError.  Where both charpolys are
-    whole the remainder check runs as at the first prime.  A value that
-    used any determinant must agree with the next prime of
-    `exact._modular_primes` too, taken by the same routes, or it raises
-    ArithmeticError.
+    remainder check.  When every diagonal block of more than one row, in
+    M and in M', is nonsingular there (the lowest order of each charpoly
+    is that of its 1-row blocks' product), both give at the later primes
+    only the lowest nonzero term of their charpoly, (a, alpha) for M and
+    (b, beta) for M', from block determinants
+    (`exact.lowest_charpoly_term_mod`).  charpoly_M = Q charpoly_M' makes
+    the lowest terms multiply, so Q(0) = alpha / beta if a = b, Q(0) = 0
+    if a > b, and a < b raises ArithmeticError.  Such a value must agree
+    with the next prime of `exact._modular_primes` too, or it raises
+    ArithmeticError.  Otherwise both keep whole charpolys, and the
+    remainder check runs at every prime.
     """
     minor = _nonreduced_minor(matrix, reduced)
     k = sum(reduced)  # N - N'
-    # ||M||_inf: a row of M is one form's coefficients in distinct columns,
-    # and every form owns at least the row of x_i^D
-    norm = max(sum(map(abs, f.values())) for f in s.polys)
     _, _, mass = _charpoly_plan(matrix)
-    bound = 2 * min(norm**k, math.isqrt(-(-(mass**k) // k**k)) + 1)
-    primes = _crt_primes(matrix.rows, bound)
+    primes = _crt_primes(matrix.rows, 2 * (math.isqrt(-(-(mass**k) // k**k)) + 1))
     pair = (matrix, minor)
     first = primes[0]
     charpolys = [char_poly_mod(m, first) for m in pair]
-    by_det = [_blocks_nonsingular(m, cp, first) for m, cp in zip(pair, charpolys)]
+    by_det = all(
+        _lowest_term(cp, first)[0] == _lowest_term(_charpoly_plan(m)[0], first)[0]
+        for m, cp in zip(pair, charpolys)
+    )
 
     def quotient_constant(p):
-        """Q(0) mod p, by the routes by_det picked."""
-        if not any(by_det):
+        """Q(0) mod p, by the route by_det picked."""
+        if not by_det:
             return int(_charpoly_quotient(*(char_poly_mod(m, p) for m in pair), p)[0])
-        (a, alpha), (b, beta) = (
-            lowest_charpoly_term_mod(m, p) if d else _lowest_term(char_poly_mod(m, p), p)
-            for m, d in zip(pair, by_det)
-        )
+        (a, alpha), (b, beta) = (lowest_charpoly_term_mod(m, p) for m in pair)
         if a < b:
             raise ArithmeticError("charpoly of M has a lower order than that of M'")
         return alpha * pow(beta, -1, p) % p if a == b else 0
@@ -264,7 +246,7 @@ def _gcp_constant_modular(s: HomogeneousSystem, matrix: IntMatrix, reduced: list
         modulus *= p
     if residue > modulus // 2:
         residue -= modulus
-    if any(by_det) and len(primes) > 1:
+    if by_det and len(primes) > 1:
         check = next(itertools.islice(_modular_primes(matrix.rows), len(primes), None))
         if (residue - sign * quotient_constant(check)) % check:
             raise ArithmeticError("CRT value disagrees with the check prime")
@@ -317,17 +299,14 @@ def macaulay_resultant(s: HomogeneousSystem) -> int:
     det(tI + M') is monic, so C(t) is the exact quotient over F_p as over
     Z, whether or not M' is singular mod p, and a nonzero remainder is an
     error.  The roots of det(tI + M') are among those of det(tI + M), so
-    C(0) is a product of k = N - N' eigenvalues of -M.  Each is at most
-    B = ||M||_inf = max_i ||F_i||_1 in absolute value, and by Weyl's
-    inequality and AM-GM their product is at most (S / k)^(k/2), S the
-    sum of the squared entries inside M's strongly connected diagonal
-    blocks.  Remaindering takes the fewest primes whose product exceeds
-    twice the lesser bound (`_gcp_constant_modular`), and the symmetric
-    residue is the resultant.  A zero form leaves its rows of M zero, so
-    it needs no special case: det(M) and C(0) vanish, and with every form
-    zero every restriction to the line is 0, so `line_root` closes (the
-    CRT would close at one prime, with B = S = 0).  After the first prime,
-    M and M' may each give only the lowest term of their charpolys, from
+    C(0) is a product of k = N - N' eigenvalues of -M.  Remaindering takes
+    the fewest primes whose product exceeds twice a bound on that product
+    (`_gcp_constant_modular`), and the symmetric residue is the
+    resultant.  A zero form leaves its rows of M zero, so it needs no
+    special case: det(M) and C(0) vanish, and with every form zero every
+    restriction to the line is 0, so `line_root` closes (the CRT would
+    close at one prime, with a block mass of 0).  After the first prime,
+    M and M' may both give only the lowest term of their charpolys, from
     block determinants, and then one more prime checks the value.
     """
     check_hyperdet_cap(s.nvars, s.degree + 1)
@@ -338,7 +317,7 @@ def macaulay_resultant(s: HomogeneousSystem) -> int:
         return _gcp_constant(matrix, reduced)
     if line_root(s):
         return 0
-    return _gcp_constant_modular(s, matrix, reduced)
+    return _gcp_constant_modular(matrix, reduced)
 
 
 def check_hyperdet_cap(n: int, k: int) -> None:

@@ -798,8 +798,8 @@ class TestCrtPrimes:
         # bound 0 still takes one prime, so the per-prime checks run; a bound
         # equal to the first two primes' product needs a third; 2 * 4^256 at
         # 560 rows, crt-degenerate's norm bound (||M||_inf = 4, N - N' = 256),
-        # takes 24 (the resultant takes its lesser block-mass bound and 15
-        # primes, test_resultant.py::TestCrtBound)
+        # takes 24 (the resultant takes its block-mass bound and 15 primes,
+        # test_resultant.py::TestCrtBound)
         for bound, count in [(0, 1), (pool[0] * pool[1], 3), (2 * 4**256, 24)]:
             assert exact._crt_primes(560, bound) == pool[:count]
         assert math.prod(pool[:23]) <= 2 * 4**256 < math.prod(pool)

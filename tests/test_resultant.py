@@ -8,7 +8,15 @@ import pytest
 
 from steiner_spectra import exact, resultant, sweep_trees, tree_from_prufer
 from steiner_spectra.exact import IntMatrix, char_poly_exact, char_poly_mod, det_exact
-from steiner_spectra.graphs import complete_graph, enumerate_labeled_trees, path_graph, star_graph
+from steiner_spectra.graphs import (
+    Graph,
+    all_connected_graphs,
+    canonical_key,
+    complete_graph,
+    enumerate_labeled_trees,
+    path_graph,
+    star_graph,
+)
 from steiner_spectra.hypermatrix import (
     SymmetricHypermatrix,
     build_steiner_hypermatrix,
@@ -226,15 +234,15 @@ class TestMacaulayResultant:
         partial = HomogeneousSystem(3, 3, (cubes, {}, cubes))
         assert macaulay_resultant(partial) == 0
         assert line_root(partial) and not primes
-        assert _gcp_constant_modular(partial, *macaulay_matrix(partial)) == 0
+        assert _gcp_constant_modular(*macaulay_matrix(partial)) == 0
         assert primes
         # n = 4, all forms zero: every restriction to the line is 0, and
-        # for the CRT the bound is 0, so one prime closes
+        # for the CRT the block mass is 0, so one prime closes
         primes.clear()
         zero = HomogeneousSystem(4, 2, ({},) * 4)
         assert macaulay_resultant(zero) == 0
         assert line_root(zero) and not primes
-        assert _gcp_constant_modular(zero, *macaulay_matrix(zero)) == 0
+        assert _gcp_constant_modular(*macaulay_matrix(zero)) == 0
         assert len(primes) == 2  # charpolys of M and M' at one prime, no check prime
 
     def test_returns_int_when_possible(self):
@@ -274,7 +282,7 @@ class TestSingleRoute:
             ratio = Fraction(det_exact(matrix), det_minor)
             assert ratio.denominator == 1
             assert macaulay_resultant(s) == ratio
-            assert _gcp_constant_modular(s, *macaulay_matrix(s)) == ratio
+            assert _gcp_constant_modular(*macaulay_matrix(s)) == ratio
             checked += 1
         assert checked >= 3
 
@@ -307,7 +315,7 @@ class TestSingleRoute:
             want = 0 if ord_m > ord_minor else Fraction(lead_m, lead_minor)
             assert macaulay_resultant(s) == want, (g, k)
             if not empty:
-                assert _gcp_constant_modular(s, matrix, reduced) == want, (g, k)
+                assert _gcp_constant_modular(matrix, reduced) == want, (g, k)
 
 
 class TestCharpolyQuotient:
@@ -419,14 +427,86 @@ class TestCharpolyQuotient:
 
 
 def form_norm(s):
-    """max_i ||F_i||_1, the norm the CRT bound reads off the forms."""
+    """B = max_i ||F_i||_1 = ||M||_inf, read off the forms (`TestCrtNorm`).
+    B^k bounds |C(0)| too, but less tightly than the block mass on every
+    system the CRT receives (`TestCrtBound::test_prime_counts`)."""
     return max(sum(map(abs, f.values())) for f in s.polys)
 
 
-def crt_bound(norm, mass, k):
-    """2 min(B^k, isqrt(ceil(S^k / k^k)) + 1): the CRT bound for
-    B = ||M||_inf, S the block mass of M and k = N - N'."""
-    return 2 * min(norm**k, math.isqrt(-(-(mass**k) // k**k)) + 1)
+def crt_bound(mass, k):
+    """2 (isqrt(ceil(S^k / k^k)) + 1): the CRT bound for S the block mass
+    of M and k = N - N'."""
+    return 2 * (math.isqrt(-(-(mass**k) // k**k)) + 1)
+
+
+CRT_GRAPHS = {
+    "P3": path_graph(3),
+    "K3": complete_graph(3),
+    "P4": path_graph(4),
+    "S4": star_graph(4),
+    "C4": Graph.from_edges(4, [(1, 2), (2, 3), (3, 4), (4, 1)]),
+    "paw": Graph.from_edges(4, [(1, 2), (2, 3), (1, 3), (3, 4)]),
+    "diamond": Graph.from_edges(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]),
+    "K4": complete_graph(4),
+}
+
+
+def crt_system(name):
+    """The benchmark's crt-degenerate system, or the gradient system of
+    D_k(G) for a name "G-kK" with G in CRT_GRAPHS."""
+    if name == "crt-degenerate":
+        return HomogeneousSystem(4, 4, CRT_DEGENERATE_FORMS)
+    graph, k = name.rsplit("-k", 1)
+    return gradient_system(build_steiner_hypermatrix(CRT_GRAPHS[graph], int(k)))
+
+
+# Every system within the hyperdet cap that reaches the CRT, that is, that
+# neither the 15-row exact route nor `line_root` closes
+# (`test_crt_traffic_is_complete`), with the primes it would take under
+# the norm bound 2 B^k alone and the primes it takes under the block-mass
+# bound (`TestCrtBound::test_prime_counts`).
+CRT_TRAFFIC = {
+    "crt-degenerate": (24, 15),
+    "P3-k4": (7, 5),
+    "P3-k6": (30, 24),
+    "K3-k4": (7, 5),
+    "K3-k5": (15, 12),
+    "K3-k6": (29, 24),
+    "paw-k3": (7, 5),
+    "diamond-k3": (7, 5),
+    "K4-k3": (7, 5),
+    "P4-k4": (36, 28),
+    "S4-k4": (35, 27),
+    "C4-k4": (34, 27),
+    "paw-k4": (35, 27),
+    "diamond-k4": (34, 27),
+    "K4-k4": (33, 26),
+    "paw-k5": (109, 88),
+    "diamond-k5": (107, 87),
+    "K4-k5": (106, 87),
+    "P4-k6": (268, 220),
+    "S4-k6": (266, 219),
+    "C4-k6": (263, 218),
+    "paw-k6": (266, 219),
+    "diamond-k6": (263, 218),
+    "K4-k6": (262, 218),
+}
+
+
+def test_crt_traffic_is_complete():
+    # n <= 2 and k = 2 take det(M); n = 3 at k = 3 has 15 rows; a tree at
+    # odd k has a line root
+    reached = set()
+    for n in (3, 4):
+        for g in all_connected_graphs(n):
+            for k in range(3, MAX_DEGREE + 2):
+                rows = math.comb(n * (k - 2) + n, n - 1)
+                s = gradient_system(build_steiner_hypermatrix(g, k))
+                if rows > resultant.GCP_EXACT_MAX_ROWS and not line_root(s):
+                    reached.add((canonical_key(g), k))
+    names = [name.rsplit("-k", 1) for name in CRT_TRAFFIC if name != "crt-degenerate"]
+    assert reached == {(canonical_key(CRT_GRAPHS[g]), int(k)) for g, k in names}
+    assert len(reached) == 23
 
 
 class TestModularPrimes:
@@ -460,24 +540,23 @@ class TestModularPrimes:
         monkeypatch.setattr(
             resultant, "lowest_charpoly_term_mod", spy(exact.lowest_charpoly_term_mod)
         )
-        assert _gcp_constant_modular(s, matrix, reduced) == 43782435923605828680933188175642624
+        assert _gcp_constant_modular(matrix, reduced) == 43782435923605828680933188175642624
         pool = list(itertools.islice(exact._modular_primes(matrix.rows), len(primes)))
         assert primes == pool
         primes.pop()  # the check prime
-        bound = crt_bound(form_norm(s), exact._charpoly_plan(matrix)[2], sum(reduced))
+        bound = crt_bound(exact._charpoly_plan(matrix)[2], sum(reduced))
         assert math.prod(primes) > bound >= math.prod(primes[:-1])
         assert len(primes) == 24
 
 
 class TestCrtBound:
     """The CRT route asks `_crt_primes` for exactly
-    2 min(B^k, isqrt(ceil(S^k / k^k)) + 1), B = max_i ||F_i||_1, S the
-    sum of squared entries inside M's diagonal blocks, k = N - N'.  Each
-    prime is about 2**21, so the prime count moves only when the bound
-    crosses a product of primes, and a test of the primes alone misses a
-    bound off by a small factor: half of it certifies |C(0)| < modulus,
-    not the 2|C(0)| < modulus the symmetric residue needs.  These tests
-    read the bound itself."""
+    2 (isqrt(ceil(S^k / k^k)) + 1), S the sum of squared entries inside
+    M's diagonal blocks, k = N - N'.  Each prime is about 2**21, so the
+    prime count moves only when the bound crosses a product of primes,
+    and a test of the primes alone misses a bound off by a small factor:
+    half of it certifies |C(0)| < modulus, not the 2|C(0)| < modulus the
+    symmetric residue needs.  These tests read the bound itself."""
 
     @staticmethod
     def spy_bounds(monkeypatch):
@@ -498,7 +577,7 @@ class TestCrtBound:
         assert sum(reduced) == 256 and form_norm(s) == 4
         assert exact._charpoly_plan(matrix)[2] == 1358
         assert bounds == [(560, 2 * (math.isqrt(-(-(1358**256) // 256**256)) + 1))]
-        assert bounds[0][1] < 2 * 4**256  # the block mass binds
+        assert bounds[0][1] < 2 * 4**256  # below 2 B^k, B = ||M||_inf = 4
 
     def test_path3_order4(self, monkeypatch):
         bounds = self.spy_bounds(monkeypatch)
@@ -512,14 +591,16 @@ class TestCrtBound:
         assert bounds[0][1] < 2 * 45**27
 
     def test_pure_powers_meet_the_norm_bound(self, monkeypatch):
-        # 5 x_i^3: M = 5I, |Res| = 5^27 = B^k exactly, and B^k is the lesser
-        # bound (S / k = 25 * 36 / 27 > B^2 = 25)
+        # 5 x_i^3: M = 5I, |Res| = 5^27 = B^k exactly; the block mass
+        # S = 25 * 36 gives a bound above that (S / k > B^2 = 25), and the
+        # same 3 primes as 2 B^k would
         bounds = self.spy_bounds(monkeypatch)
         cubes = tuple({tuple(3 * (j == i) for j in range(3)): 5} for i in range(3))
         s = HomogeneousSystem(3, 3, cubes)
         assert macaulay_resultant(s) == 5**27
-        assert bounds == [(36, 2 * 5**27)]
-        assert len(exact._crt_primes(36, 2 * 5**27)) == 3
+        assert bounds == [(36, crt_bound(25 * 36, 27))]
+        assert 2 * 5**27 < bounds[0][1]
+        assert len(exact._crt_primes(36, bounds[0][1])) == 3
 
     @staticmethod
     def exact_constant(matrix, reduced):
@@ -532,11 +613,11 @@ class TestCrtBound:
         matrix, reduced = macaulay_matrix(s)
         assert matrix.rows <= exact.CHARPOLY_EXACT_MAX_ROWS
         c0 = self.exact_constant(matrix, reduced)
-        assert _gcp_constant_modular(s, matrix, reduced) == c0
+        assert _gcp_constant_modular(matrix, reduced) == c0
         (rows, bound) = bounds.pop()
         k, mass = sum(reduced), exact._charpoly_plan(matrix)[2]
-        assert rows == matrix.rows and bound == crt_bound(form_norm(s), mass, k)
-        assert 2 * abs(c0) < bound <= 2 * form_norm(s) ** k
+        assert rows == matrix.rows and bound == crt_bound(mass, k)
+        assert 2 * abs(c0) < bound
         assert c0**2 * k**k <= mass**k  # Weyl and AM-GM, before any rounding
         return c0
 
@@ -565,42 +646,78 @@ class TestCrtBound:
 
     @pytest.mark.parametrize(
         "name, before, after",
-        [
-            ("crt-degenerate", 24, 15),
-            ("P4-k4", 36, 28),
-            ("S4-k4", 35, 27),
-            ("P3-k6", 30, 24),
-            ("P4-k5", 111, 89),
-            ("P3-k4", 7, 5),
-        ],
+        [(name, *counts) for name, counts in CRT_TRAFFIC.items()] + [("P4-k5", 111, 89)],
     )
     def test_prime_counts(self, monkeypatch, name, before, after):
-        # the primes each system takes under B^k alone and under the lesser
-        # bound; the spy stops the CRT once it has the bound
+        # the primes each system takes under the block-mass bound, against
+        # those the norm bound 2 B^k alone would ask for; the spy stops the
+        # CRT once it has the bound.  P4-k5 never reaches the CRT through
+        # macaulay_resultant (`line_root` closes it).
         class BoundSeen(Exception):
             pass
 
         def spy(rows, bound):
             raise BoundSeen(rows, bound)
 
-        if name == "crt-degenerate":
-            s = HomogeneousSystem(4, 4, CRT_DEGENERATE_FORMS)
-        else:
-            g = {"P3": path_graph(3), "P4": path_graph(4), "S4": star_graph(4)}[name[:2]]
-            s = gradient_system(build_steiner_hypermatrix(g, int(name[-1])))
+        s = crt_system(name)
         monkeypatch.setattr(resultant, "_crt_primes", spy)
         with pytest.raises(BoundSeen) as seen:
-            _gcp_constant_modular(s, *macaulay_matrix(s))
+            _gcp_constant_modular(*macaulay_matrix(s))
         rows, bound = seen.value.args
         k = sum(macaulay_matrix(s)[1])
+        assert bound < 2 * form_norm(s) ** k
         assert len(exact._crt_primes(rows, 2 * form_norm(s) ** k)) == before
         assert len(exact._crt_primes(rows, bound)) == after
 
 
+@pytest.mark.parametrize("name", list(CRT_TRAFFIC))
+def test_m_and_m_prime_take_one_route(monkeypatch, name):
+    # At the first prime, either every diagonal block of more than one row
+    # is nonsingular in both M and M', or both have a singular block: on
+    # every Steiner system the former, and the later primes take lowest
+    # terms from block determinants for both; on crt-degenerate the latter,
+    # and both keep whole charpolys.  The spies stop the CRT at the second
+    # prime.
+    class RouteSeen(Exception):
+        pass
+
+    matrix, reduced = macaulay_matrix(crt_system(name))
+    first, second = itertools.islice(exact._modular_primes(matrix.rows), 2)
+    calls = []
+
+    def spy(route, fn):
+        def call(m, p):
+            calls.append((route, m, p))
+            result = fn(m, p)
+            if [q for _, _, q in calls].count(second) == 2:
+                raise RouteSeen
+            return result
+
+        return call
+
+    monkeypatch.setattr(resultant, "char_poly_mod", spy("charpoly", char_poly_mod))
+    monkeypatch.setattr(
+        resultant, "lowest_charpoly_term_mod", spy("lowest", exact.lowest_charpoly_term_mod)
+    )
+    with pytest.raises(RouteSeen):
+        _gcp_constant_modular(matrix, reduced)
+    at_first = [m for route, m, p in calls if p == first and route == "charpoly"]
+    assert [m.rows for m in at_first] == [matrix.rows, reduced.count(False)]
+    steiner = name != "crt-degenerate"
+    for m in at_first:
+        blocks = exact._charpoly_plan(m)[1]
+        assert blocks
+        dets = [exact._det_mod((b % first).astype(np.float64), first) for b in blocks]
+        assert all(dets) == steiner, m.rows
+    route = "lowest" if steiner else "charpoly"
+    assert [(r, m) for r, m, p in calls if p == second] == [(route, m) for m in at_first]
+
+
 class TestCrtNorm:
-    """The CRT bound's B = max_i ||F_i||_1 is ||M||_inf of the Macaulay
-    matrix, so reading it off the forms changes no prime count; on these
-    systems it is also at most ||M||_1, the other norm the bound could use."""
+    """B = max_i ||F_i||_1, read off the forms, is ||M||_inf of the Macaulay
+    matrix, so the norm-bound column of `CRT_TRAFFIC` counts the primes
+    2 ||M||_inf^k asks for; on these systems B is also at most ||M||_1, the
+    other norm such a bound could use."""
 
     @staticmethod
     def assert_form_norm_is_row_norm(s):
@@ -723,7 +840,7 @@ class TestLineRoot:
             closes = line_root(s)
             closed += closes
             if closes or trial % 3 == 0:
-                assert _gcp_constant_modular(s, *macaulay_matrix(s)) == 0, trial
+                assert _gcp_constant_modular(*macaulay_matrix(s)) == 0, trial
         assert closed == 6
 
     @pytest.mark.parametrize(
@@ -742,7 +859,7 @@ class TestLineRoot:
         # checked on the zeros it used to prove (89 primes on P4 at k = 5)
         s = gradient_system(build_steiner_hypermatrix(graph, k))
         assert line_root(s)
-        assert _gcp_constant_modular(s, *macaulay_matrix(s)) == 0
+        assert _gcp_constant_modular(*macaulay_matrix(s)) == 0
 
     def test_theorem1_zeros_beyond_the_hyperdet_cap(self):
         # checked evidence for case (a) of Theorem 1 on every tree class
