@@ -1,9 +1,13 @@
 """Exact integer linear algebra: Bareiss determinants, circulants, characteristic polynomials.
 
 `IntMatrix` holds each matrix as one read-only numpy array: int64 when
-every entry fits, else dtype object of Python ints.  Everything here is
-arbitrary precision, the circulant oracle's resultant included, except
-`char_poly_mod`, which works over F_p.  Once per matrix it splits the
+every entry fits, else dtype object of Python ints.  Every exact
+determinant comes from one fraction-free Bareiss elimination along a
+stack of matrices (`det_stack`), in int64 when Hadamard's bound proves
+it exact, else on Python ints; `det_exact` is its stack of one matrix.
+Everything here is arbitrary precision, the circulant oracle's
+resultant included, except `char_poly_mod`, which works over F_p, for
+the resultant's CRT.  Once per matrix it splits the
 nonzero pattern into strongly connected components, read off the
 reachability closure of the pattern (repeated squaring of a 0/1 matrix);
 per prime it runs a blocked Hessenberg reduction in float64 on each
@@ -17,9 +21,7 @@ terms, so for the primes it accepts, those below
 BLAS product is exact; `_modular_primes(rows)` lists them downward and
 `_crt_primes` takes the fewest whose product passes a bound.
 Both charpolys, exact (`char_poly_exact`) and modular, are tuples of
-ascending coefficients.  Over the same primes `det_mod_matches` decides
-det = target (mod p) for a whole stack of small matrices with one
-fraction-free float64 elimination.  One Euclid sequence over Q on ascending
+ascending coefficients.  One Euclid sequence over Q on ascending
 coefficient lists (`_remainders`) gives `poly_gcd`, for the line-root
 certificate, and `poly_resultant`, the circulant oracle's Res(x^m - 1, c).
 """
@@ -91,35 +93,67 @@ def circulant(first_row) -> IntMatrix:
     return IntMatrix([row[-i:] + row[:-i] for i in range(m)])
 
 
-def det_exact(m: IntMatrix):
-    """Exact determinant by fraction-free Bareiss elimination on a copy of
-    m's array as Python ints (dtype object).
+def det_stack(stack) -> np.ndarray:
+    """Exact determinants of a (count, n, n) integer stack, by one
+    fraction-free Bareiss elimination along the whole stack.
 
-    Step k looks for a pivot only when a[k, k] is 0: the first nonzero
-    entry below it is swapped up and the sign flips; with none the
-    determinant is 0.  The trailing block T then becomes
+    The stack is held as (n, n, count), so every vector operation runs
+    along it.  Step k swaps up, in each matrix whose a[k, k] is 0, the
+    first row below with a nonzero column-k entry, and flips that
+    matrix's sign.  A matrix with none has det 0; it keeps the previous
+    pivot as its pivot, which leaves its trailing block as it was, so its
+    later divisions stay exact.  The trailing block T then becomes
     (a[k, k] * T - outer(column k, row k)) // (the previous pivot), an
     exact division.
+
+    Every entry so computed is a minor of the input (Bareiss, Math. Comp.
+    22, 1968), so by Hadamard each product before a division is at most
+    R^n, R the largest squared row norm (at least 1).  The elimination
+    runs in int64 when 2 R^n < 2^63, and on Python ints (dtype object)
+    otherwise: numpy's int64 wraps without a warning, so this test alone
+    keeps the int64 path exact.  The determinants come back in the dtype
+    the elimination ran in.
     """
-    if m.rows != m.cols:
+    stack = np.asarray(stack)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError("determinant requires a square matrix")
-    n = m.rows
-    a = m._a.astype(object)
-    sign = 1
-    prev = 1
+    count, n, _ = stack.shape
+    # the largest |entry|, taken as Python ints: abs(-2**63) wraps in int64
+    top = max(int(stack.max(initial=0)), -int(stack.min(initial=0)))
+    dtype = object
+    if n * top * top < 2**63:  # the squared row norms fit in int64
+        squares = stack.astype(np.int64)
+        squares *= squares
+        if 2 * int(squares.sum(axis=2).max(initial=1)) ** n < 2**63:
+            dtype = np.int64
+    a = np.moveaxis(stack, 0, -1).astype(dtype, order="C")
+    sign = np.ones(count, dtype)
+    prev = np.ones(count, dtype)
     for k in range(n - 1):
-        if not a[k, k]:
-            below = a[k + 1 :, k].nonzero()[0]
-            if not below.size:
-                return 0
-            i = k + 1 + int(below[0])
-            a[[k, i]] = a[[i, k]]
-            sign = -sign
-        pk = a[k, k]
-        column, row = a[k + 1 :, k, None], a[k, None, k + 1 :]
-        a[k + 1 :, k + 1 :] = (pk * a[k + 1 :, k + 1 :] - column * row) // prev
-        prev = pk
-    return int(sign * a[n - 1, n - 1])
+        zero = np.flatnonzero(a[k, k] == 0)
+        if zero.size:
+            # a matrix with no pivot swaps in row k + 1 to no effect
+            column = a[k + 1 :, k, zero] != 0
+            below = k + 1 + column.argmax(axis=0)
+            row = a[k, k:, zero]
+            a[k, k:, zero] = a[below, k:, zero]
+            a[below, k:, zero] = row
+            sign[zero] *= -1
+            dead = zero[~column.any(axis=0)]
+            sign[dead] = 0
+            a[k, k, dead] = prev[dead]
+        pivot = a[k, k]
+        trailing = a[k + 1 :, k + 1 :]
+        trailing *= pivot
+        trailing -= a[k + 1 :, k, None] * a[k, None, k + 1 :]
+        trailing //= prev
+        prev = pivot
+    return sign * a[n - 1, n - 1]
+
+
+def det_exact(m: IntMatrix):
+    """Exact determinant of m as a Python int: `det_stack` of the stack of m alone."""
+    return int(det_stack(m._a[None])[0])
 
 
 CHARPOLY_EXACT_MAX_ROWS = 40
@@ -262,24 +296,19 @@ def _crt_primes(rows: int, bound: int) -> list:
             return primes
 
 
-def _check_modulus(p: int, rows: int) -> None:
-    """Refuse p unless it is a prime below `_float_exact_bound(rows)`."""
-    bound = _float_exact_bound(rows)
-    if not 2 <= p < bound or not _is_prime_trial(p):
-        raise ValueError(f"modulus must be a prime below {bound} for {rows} rows")
-
-
 def _check_mod_args(m: IntMatrix, p: int) -> None:
     """Refuse what char_poly_mod and lowest_charpoly_term_mod cannot take:
     a matrix that is not square or has more than `_MOD_MAX_ROWS` rows, or
-    a modulus that `_check_modulus` refuses."""
+    a modulus that is not a prime below `_float_exact_bound(m.rows)`."""
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial requires a square matrix")
     if m.rows > _MOD_MAX_ROWS:
         raise ValueError(
             f"matrix size {m.rows} exceeds the modular charpoly cap of {_MOD_MAX_ROWS}"
         )
-    _check_modulus(p, m.rows)
+    bound = _float_exact_bound(m.rows)
+    if not 2 <= p < bound or not _is_prime_trial(p):
+        raise ValueError(f"modulus must be a prime below {bound} for {m.rows} rows")
 
 
 def _char_poly_hessenberg(h: np.ndarray, p: int) -> np.ndarray:
@@ -518,50 +547,6 @@ def lowest_charpoly_term_mod(m: IntMatrix, p: int) -> tuple:
             order += low
             coeff = coeff * c % p
     return order, coeff
-
-
-def det_mod_matches(stack: np.ndarray, target: int, p: int) -> np.ndarray:
-    """Whether det(m) = target (mod p), for each square matrix m of a
-    (count, n, n) integer stack, as a boolean array; p is a prime below
-    `_float_exact_bound(n)`.
-
-    One fraction-free elimination in float64 serves the whole stack, held
-    as (n, n, count) so every vector operation runs along the stack.  At
-    step k a matrix whose diagonal entry is 0 mod p adds to row k the first
-    row below it whose column-k entry is not, which keeps det; no such row
-    means det = 0 (mod p).  Every later row i then becomes
-    pivot * row_i - a_ik * row_k, which multiplies det by pivot^(n-1-k),
-    so with no division the last diagonal entry ends as
-    det * prod_{k <= n-2} pivot_k^(n-2-k), and it is compared with target
-    times that product, built as the product over steps k <= n - 3 of the
-    running pivot products pivot_0 ... pivot_k.  Every pivot is a unit
-    mod the prime p, so the two agree iff det = target (mod p).
-    Entries stay in (-p, p) (`_reduce`)
-    and every value is a difference of two products below p**2, so the
-    arithmetic is exact.
-    """
-    count, n, _ = stack.shape
-    _check_modulus(p, n)
-    a = np.moveaxis(stack % p, 0, -1).astype(np.float64, order="C")
-    rhs = np.full(count, float(target % p))
-    pivots = np.ones(count)
-    singular = np.zeros(count, dtype=bool)
-    for k in range(n - 1):
-        zero = np.flatnonzero(a[k, k] == 0)
-        if zero.size:
-            column = a[k + 1 :, k, zero] != 0
-            singular[zero] |= ~column.any(axis=0)
-            below = k + 1 + column.argmax(axis=0)
-            a[k, k:, zero] = _reduce(a[k, k:, zero] + a[below, k:, zero], p)
-        pivot = a[k, k]
-        trailing = a[k + 1 :, k + 1 :]
-        trailing *= pivot
-        trailing -= a[k + 1 :, k, None] * a[k, None, k + 1 :]
-        _reduce(trailing, p)
-        if k < n - 2:
-            pivots = _reduce(pivots * pivot, p)
-            rhs = _reduce(rhs * pivots, p)
-    return np.where(singular, target % p == 0, _reduce(a[n - 1, n - 1] - rhs, p) == 0)
 
 
 def _remainders(f, g) -> list:

@@ -242,11 +242,17 @@ def labeled_tree_blocks(n: int):
 
 
 def tree_from_prufer(seq) -> Graph:
-    """Decode a Prüfer sequence into the labeled tree on len(seq)+2 vertices."""
+    """Decode a Prüfer sequence into the labeled tree on len(seq)+2 vertices.
+    Entries are read with `operator.index`, as `Graph` reads its endpoints,
+    so a non-integral one is refused rather than truncated."""
     seq = list(seq)
     n = len(seq) + 2
-    for x in seq:
-        if not (1 <= x <= n):
+    for i, x in enumerate(seq):
+        try:
+            seq[i] = operator.index(x)
+        except TypeError:
+            raise ValueError(f"Prüfer entry {x!r} is not an integer") from None
+        if not (1 <= seq[i] <= n):
             raise ValueError(f"Prüfer entry {x} out of range 1..{n}")
     return Graph.from_edges(n, _prufer_decode(n, np.array(seq, dtype=np.intp).reshape(1, -1))[0])
 

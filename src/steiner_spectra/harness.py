@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact import IntMatrix, _crt_primes, det_exact, det_mod_matches
+from .exact import det_stack
 from .graphs import (
     Graph,
     all_connected_graphs,
@@ -54,9 +54,9 @@ class ResultCache:
 
     A write cut short by a crash leaves a torn final line: loading skips
     it with a warning, and the next `put` truncates it away and starts on
-    a fresh line.  Any other bad line, one that is not JSON or a JSON line
-    that is not a record (`_record_problem`), raises one ValueError that
-    names the path and the line.
+    a fresh line.  Any other bad line, one that is not UTF-8, not JSON or
+    a JSON line that is not a record (`_record_problem`), raises one
+    ValueError that names the path and the line.
     """
 
     def __init__(self, path):
@@ -75,14 +75,17 @@ class ResultCache:
         for i, line in enumerate(lines):
             if line.strip():
                 try:
-                    rec = json.loads(line)
+                    rec = json.loads(line.decode("utf-8"))
                     problem = _record_problem(rec)
-                except json.JSONDecodeError as exc:
+                except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                     if i == len(lines) - 1:
                         warnings.warn(f"{self.path}: skipped a torn final line", stacklevel=2)
                         self._resume_at = offset
                         break
-                    problem = f"{exc.msg}: column {exc.colno}"
+                    if isinstance(exc, UnicodeDecodeError):
+                        problem = f"not UTF-8 ({exc.reason}): byte {exc.start + 1}"
+                    else:
+                        problem = f"{exc.msg}: column {exc.colno}"
                 if problem:
                     raise ValueError(f"{self.path}: line {i + 1}: {problem}")
                 self._data[tuple(rec["key"])] = rec["value"]
@@ -396,15 +399,11 @@ def graham_pollak_check(n_max: int) -> dict:
     """det(distance matrix) = (1-n)(-2)^(n-2) over every labeled tree, n = 2..n_max.
 
     Trees come from `labeled_tree_blocks`; each block's distance matrices
-    come from one `distance_stack` and are decided by one
-    `det_mod_matches` per prime of `_crt_primes` past
-    (n-1)^(3n/2) + |expected|.  A row of a tree's distance matrix has
-    n - 1 nonzero entries, each at most n - 1, so its norm is at most
-    (n-1)^(3/2), and by Hadamard |det| <= (n-1)^(3n/2).  Then
-    |det - expected| is below the primes' product, and det = expected
-    modulo every one proves det = expected.  Only the first five failures
-    of each n, in Prüfer order, get their exact determinant (`det_exact`);
-    a row passes when no tree fails.  n_max is capped at `TREE_WALK_CAP`.
+    come from one `distance_stack`, and one `det_stack` gives all their
+    exact determinants, each compared with the expected value.  The first
+    five failures of each n, in Prüfer order, are kept with their
+    determinant; a row passes when no tree fails.  n_max is capped at
+    `TREE_WALK_CAP`.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
@@ -413,17 +412,13 @@ def graham_pollak_check(n_max: int) -> dict:
     per_n = []
     for n in range(2, n_max + 1):
         expected = (1 - n) * (-2) ** (n - 2)
-        primes = _crt_primes(n, math.isqrt((n - 1) ** (3 * n)) + 1 + abs(expected))
         trees = failed = 0
         failures = []
         for seqs, edges in labeled_tree_blocks(n):
-            dist = distance_stack(n, edges)
-            good = np.ones(len(seqs), dtype=bool)
-            for p in primes:
-                good &= det_mod_matches(dist, expected, p)
-            bad = np.flatnonzero(~good)
+            dets = det_stack(distance_stack(n, edges))
+            bad = np.flatnonzero(dets != expected)
             for i in bad[: 5 - len(failures)]:
-                failures.append({"prufer": seqs[i].tolist(), "det": det_exact(IntMatrix(dist[i]))})
+                failures.append({"prufer": seqs[i].tolist(), "det": int(dets[i])})
             trees += len(seqs)
             failed += len(bad)
         per_n.append(

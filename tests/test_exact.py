@@ -14,7 +14,7 @@ from steiner_spectra.exact import (
     circulant,
     circulant_det_oracle,
     det_exact,
-    det_mod_matches,
+    det_stack,
     poly_gcd,
     poly_resultant,
 )
@@ -724,11 +724,6 @@ class TestLowestCharpolyTerm:
         assert any(singular) == (name[-1] in "35" or name == "crt-degenerate")
 
 
-def decisions_by_det_exact(stack, target, p):
-    """det_mod_matches computed one matrix at a time through det_exact."""
-    return [(det_exact(IntMatrix(m)) - target) % p == 0 for m in stack.tolist()]
-
-
 def random_det_stack(rng, n, count):
     """Small-entry matrices, some with a zero leading column, a zero
     diagonal (every step needs a row from below) or a repeated row."""
@@ -749,47 +744,84 @@ def random_det_stack(rng, n, count):
     return np.array(stack, dtype=np.int64)
 
 
-class TestDetModMatches:
-    # small primes make determinants vanish mod p, so the no-pivot branch
-    # runs beside the last-entry comparison
-    PRIMES = (2, 3, 5, 7, 13)
+class TestDetStack:
+    """One Bareiss along a stack, against the Fraction elimination and the
+    cofactor expansion above."""
 
-    def test_agrees_with_det_exact_on_tree_distance_matrices(self):
-        for n in range(2, 7):
-            trees = np.concatenate([edges for _, edges in labeled_tree_blocks(n)])
-            stack = np.array([bfs_rows(n, edges) for edges in trees.tolist()], dtype=np.int64)
-            expected = (1 - n) * (-2) ** (n - 2)
-            for p in self.PRIMES + (ceiling_prime(n),):
-                for target in {expected, expected + 1, 0, 1}:
-                    got = det_mod_matches(stack, target, p).tolist()
-                    assert got == decisions_by_det_exact(stack, target, p), (n, p, target)
-
-    def test_agrees_with_det_exact_on_random_stacks(self):
+    def test_random_stacks(self):
         rng = random.Random(22)
         for n in range(1, 7):
             stack = random_det_stack(rng, n, 60)
-            dets = [det_exact(IntMatrix(m)) for m in stack.tolist()]
-            assert 0 in dets
-            for p in self.PRIMES + (ceiling_prime(n),):
-                for target in {0, 1, -1, dets[0], dets[1]}:
-                    got = det_mod_matches(stack, target, p).tolist()
-                    assert got == decisions_by_det_exact(stack, target, p), (n, p, target)
+            dets = det_stack(stack)
+            assert dets.dtype == np.int64
+            want = [gauss_det(m) for m in stack.tolist()]
+            assert dets.tolist() == want, n
+            assert 0 in want and any(want), n
+            if n <= 4:
+                assert want == [cofactor_det(m) for m in stack.tolist()]
 
-    def test_entries_beyond_the_prime(self):
+    def test_tree_distance_stacks(self):
+        # a zero diagonal: every matrix needs a swap at step 0
+        for n in range(2, 7):
+            trees = np.concatenate([edges for _, edges in labeled_tree_blocks(n)])
+            stack = np.array([bfs_rows(n, edges) for edges in trees.tolist()], dtype=np.int64)
+            dets = det_stack(stack).tolist()
+            assert dets == [gauss_det(m) for m in stack.tolist()], n
+            assert set(dets) == {(1 - n) * (-2) ** (n - 2)}, n
+
+    def test_entries_near_1e15(self):
         rng = random.Random(23)
-        stack = np.array(
-            [[[rng.randint(-(10**15), 10**15) for _ in range(5)] for _ in range(5)] for _ in range(20)]
-        )
-        p = ceiling_prime(5)
-        for m in stack.tolist():
-            target = det_exact(IntMatrix(m))
-            assert det_mod_matches(stack, target, p).tolist() == decisions_by_det_exact(stack, target, p)
+        stack = [
+            [[rng.randint(-(10**15), 10**15) for _ in range(5)] for _ in range(5)]
+            for _ in range(20)
+        ]
+        dets = det_stack(np.array(stack))
+        assert dets.dtype == object
+        assert dets.tolist() == [gauss_det(m) for m in stack]
 
-    def test_refuses_moduli_outside_the_exact_range(self):
-        stack = np.zeros((1, 3, 3), dtype=np.int64)
-        for p in (1, 9, exact._float_exact_bound(3) + 1):
-            with pytest.raises(ValueError, match="prime below"):
-                det_mod_matches(stack, 0, p)
+    def test_small_entries_past_the_int64_bound(self):
+        # R <= 16 * 20**2, so 2 R^16 >= 2^63: the determinants themselves
+        # pass 2^63, and int64 would wrap without a warning
+        rng = random.Random(24)
+        stack = np.array(
+            [[[rng.randint(-20, 20) for _ in range(16)] for _ in range(16)] for _ in range(4)]
+        )
+        dets = det_stack(stack)
+        assert dets.dtype == object
+        want = [gauss_det(m) for m in stack.tolist()]
+        assert dets.tolist() == want
+        assert max(map(abs, want)) >= 2**63
+
+    def test_dtype_follows_the_hadamard_bound(self):
+        # 2 R^n < 2^63 runs in int64, else on Python ints; -2^63, whose
+        # abs wraps in int64, counts at its full size
+        for rows, dtype in [
+            ([[2**31 - 1]], np.int64),
+            ([[2**31]], object),
+            ([[-(2**63)]], object),
+            ([[-(2**63), 0], [0, 1]], object),
+            ([[3, 0], [0, 0]], np.int64),
+        ]:
+            dets = det_stack(np.array([rows], dtype=np.int64))
+            assert dets.dtype == dtype, rows
+            assert dets.tolist() == [cofactor_det(rows)], rows
+
+    def test_mixes_singular_and_nonsingular(self):
+        # column 2 = column 0 + column 1 in every other matrix: its column
+        # runs out of pivots at step 2, and it keeps the previous pivot so
+        # the later steps' divisions stay exact for the whole stack
+        rng = random.Random(25)
+        stack = []
+        for i in range(40):
+            rows = [[rng.randint(-4, 4) for _ in range(6)] for _ in range(6)]
+            if i % 2:
+                for r in rows:
+                    r[2] = r[0] + r[1]
+            stack.append(rows)
+        dets = det_stack(np.array(stack)).tolist()
+        want = [gauss_det(m) for m in stack]
+        assert dets == want
+        assert all(d == 0 for d in want[1::2]) and all(want[::2])
 
 
 class TestCrtPrimes:
@@ -804,16 +836,6 @@ class TestCrtPrimes:
             assert exact._crt_primes(560, bound) == pool[:count]
         assert math.prod(pool[:23]) <= 2 * 4**256 < math.prod(pool)
 
-    def test_certifying_primes_exceed_the_hadamard_bound(self):
-        for n in range(2, 9):
-            expected = (1 - n) * (-2) ** (n - 2)
-            primes = exact._crt_primes(n, math.isqrt((n - 1) ** (3 * n)) + 1 + abs(expected))
-            assert primes == [p for p, _ in zip(exact._modular_primes(n), primes)]
-            # product > (n-1)^(3n/2) + |expected|, squared to stay in integers
-            margin = math.prod(primes) - abs(expected)
-            assert margin > 0 and margin**2 > (n - 1) ** (3 * n)
-            assert len(primes) == [1, 1, 1, 1, 1, 2, 2][n - 2]
-
     def test_both_modular_routines_refuse_the_same_moduli(self):
         for rows in (3, 8):
             q = bound = exact._float_exact_bound(rows)
@@ -824,9 +846,9 @@ class TestCrtPrimes:
             for p in (1, 9, q):
                 with pytest.raises(ValueError) as by_charpoly:
                     char_poly_mod(m, p)
-                with pytest.raises(ValueError) as by_det:
-                    det_mod_matches(np.zeros((2, rows, rows), dtype=np.int64), 0, p)
-                assert str(by_charpoly.value) == str(by_det.value) == want, (rows, p)
+                with pytest.raises(ValueError) as by_lowest_term:
+                    exact.lowest_charpoly_term_mod(m, p)
+                assert str(by_charpoly.value) == str(by_lowest_term.value) == want, (rows, p)
 
 
 class TestStrongComponents:

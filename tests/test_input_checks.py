@@ -10,6 +10,7 @@ from steiner_spectra.graphs import (
     parse_graph,
     path_graph,
     steiner_distance,
+    tree_from_prufer,
 )
 from steiner_spectra.hypermatrix import SymmetricHypermatrix
 from steiner_spectra.resultant import HomogeneousSystem
@@ -24,6 +25,7 @@ from steiner_spectra.wendt import wendt_matrix, wendt_oracle
         (lambda: steiner_distance(path_graph(3), {0, 1}), r"not within 1\.\.3"),
         (lambda: graph_canonical_form(complete_graph(9)), "capped at n = 8"),
         (lambda: parse_graph("# only a comment\n"), "empty graph file"),
+        (lambda: tree_from_prufer([1.5, 2]), r"Prüfer entry 1\.5 is not an integer"),
         (lambda: SymmetricHypermatrix(2, 0, {}), "dimension must be at least 1"),
         (lambda: SymmetricHypermatrix(2, 1, {(1, 2): 1}), "out of range"),
         (lambda: HomogeneousSystem(0, 1, ()), "at least one variable"),
