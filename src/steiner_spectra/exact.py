@@ -115,8 +115,8 @@ def det_stack(stack) -> np.ndarray:
     the elimination ran in.
     """
     stack = np.asarray(stack)
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise ValueError("determinant requires a square matrix")
+    if stack.ndim != 3 or not 0 < stack.shape[1] == stack.shape[2]:
+        raise ValueError("determinant requires a nonempty square matrix")
     count, n, _ = stack.shape
     # the largest |entry|, taken as Python ints: abs(-2**63) wraps in int64
     top = max(int(stack.max(initial=0)), -int(stack.min(initial=0)))

@@ -113,7 +113,7 @@ def steiner_distance(g: Graph, s) -> int:
 
 
 def steiner_distances(g: Graph, sets) -> list:
-    """Steiner distance of each vertex set in sets, in order.
+    """Steiner distance of each vertex set in sets, in order; terminals pass `operator.index`.
 
     The sets share the neighbor lists, at most one BFS row per source
     vertex and one Dreyfus-Wagner table.  The row from r = min(s) answers
@@ -145,7 +145,7 @@ def steiner_distances(g: Graph, sets) -> list:
         return {v: min(m + d[v] for m, d in merged) for v in comp}
 
     def one(s):
-        s = set(s)
+        s = {_integer(v, "terminal") for v in s}
         if not s:
             raise ValueError("empty set")
         if not s <= set(range(1, g.n + 1)):
@@ -171,6 +171,14 @@ def steiner_distances(g: Graph, sets) -> list:
         return tree(sum(1 << v for v in s))[r]
 
     return [one(s) for s in sets]
+
+
+def _integer(x, what: str) -> int:
+    """x read with `operator.index`, or a ValueError naming it as `what`."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} {x!r} is not an integer") from None
 
 
 def _bfs_dist(adj: list, source: int, n: int) -> list:
@@ -245,14 +253,10 @@ def tree_from_prufer(seq) -> Graph:
     """Decode a Prüfer sequence into the labeled tree on len(seq)+2 vertices.
     Entries are read with `operator.index`, as `Graph` reads its endpoints,
     so a non-integral one is refused rather than truncated."""
-    seq = list(seq)
+    seq = [_integer(x, "Prüfer entry") for x in seq]
     n = len(seq) + 2
-    for i, x in enumerate(seq):
-        try:
-            seq[i] = operator.index(x)
-        except TypeError:
-            raise ValueError(f"Prüfer entry {x!r} is not an integer") from None
-        if not (1 <= seq[i] <= n):
+    for x in seq:
+        if not (1 <= x <= n):
             raise ValueError(f"Prüfer entry {x} out of range 1..{n}")
     return Graph.from_edges(n, _prufer_decode(n, np.array(seq, dtype=np.intp).reshape(1, -1))[0])
 

@@ -15,9 +15,9 @@ Q_{k-1} = det(tI - W_{k-1}) whose roots are the nontrivial D_k(K_2)
 eigenvalues, from their power sums by Newton's identities; the float
 eigenvalue lists serve output only.
 
-Numerics: an NQZ-style power iteration producing certified enclosures of
-the spectral radius of any nonnegative symmetric hypermatrix whose slices
-each carry a positive off-diagonal entry.
+Numerics: an NQZ-style power iteration giving float64 Collatz-Wielandt bounds
+(rounding not covered: ROADMAP item 21) on the spectral radius of any nonnegative
+symmetric hypermatrix whose slices each carry a positive off-diagonal entry.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ def edge_charpoly(k: int) -> tuple:
 
 @dataclass
 class RadiusEnclosure:
-    """Certified enclosure [lo, hi] of a spectral radius, value = midpoint."""
+    """Float64 Collatz-Wielandt bounds [lo, hi] on a spectral radius, value = midpoint."""
 
     value: float
     lo: float
@@ -156,7 +156,7 @@ class RadiusEnclosure:
 
 
 class NoConvergence(RuntimeError):
-    """Iteration cap reached; carries the last enclosure."""
+    """Iteration cap reached or width stalled; carries the last enclosure."""
 
     def __init__(self, message: str, enclosure: RadiusEnclosure):
         super().__init__(message)
@@ -168,63 +168,57 @@ NQZ_MAX_ITER = 10_000
 NQZ_TOL = 1e-8
 
 
-def nqz_spectral_radius(
-    a: SymmetricHypermatrix, tol: float, max_iter: int = NQZ_MAX_ITER
-) -> RadiusEnclosure:
-    """Spectral radius of a nonnegative symmetric hypermatrix with certified bounds.
+def nqz_spectral_radius(a: SymmetricHypermatrix, tol: float) -> RadiusEnclosure:
+    """Spectral radius of a nonnegative symmetric hypermatrix, with Collatz-Wielandt bounds.
 
     Power iteration x <- normalize(contract(a, x)^(1/(k-1))) from the
     all-ones vector.  Each step yields lo = min_i y_i/x_i^{k-1} and
-    hi = max_i; the true radius always lies in [lo, hi], and the width
-    shrinks monotonically.  Stops when hi - lo < tol.  Raises
-    NoConvergence after max_iter steps, or as soon as the width stops
-    shrinking while tol is at most 8 ulp of hi: below the float64
+    hi = max_i.  In exact arithmetic the radius lies in [lo, hi] and the
+    width shrinks monotonically; here both are float64 ratios and rounding
+    is not accounted for (ROADMAP item 21).  Stops when hi - lo < tol.
+    Raises NoConvergence after NQZ_MAX_ITER steps, or as soon as the width
+    stops shrinking while tol is at most 8 ulp of hi: below the float64
     resolution of the radius, more steps cannot close the gap.
     """
     if not tol > 0:  # also rejects NaN
         raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     if a.dim < 2:
         raise ValueError("dimension must be at least 2")
-    positive_slice = [False] * a.dim
-    for key, v in a.entries.items():
-        if v < 0:
-            raise ValueError(f"negative entry {v} at {key}")
-        if v > 0 and len(set(key)) > 1:
-            for i in set(key):
-                positive_slice[i - 1] = True
-    if not all(positive_slice):
-        bad = positive_slice.index(False) + 1
-        raise ValueError(f"slice {bad} has no positive off-diagonal entry")
-
     km1 = a.order - 1
+    # row i holds every entry whose index has i, off-diagonal iff x_i's exponent is below k - 1
+    _, _, counts, weights = a.gradient_forms()
+    if (weights < 0).any():
+        key, v = next((key, v) for key, v in a.entries.items() if v < 0)
+        raise ValueError(f"negative entry {v} at {key}")
+    off_diagonal = ((weights > 0) & (counts.T < km1)).any(axis=1)
+    if not off_diagonal.all():
+        raise ValueError(f"slice {off_diagonal.argmin() + 1} has no positive off-diagonal entry")
+
     x = np.ones(a.dim)
     history = []
     prev_width = math.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, NQZ_MAX_ITER + 1):
         y = a.contract(x)
         ratios = y / x**km1
         lo, hi = float(ratios.min()), float(ratios.max())
         width = hi - lo
-        # certified bounds can only tighten; tiny slack absorbs roundoff
+        # the bounds only tighten; tiny slack absorbs roundoff
         if width > prev_width + 1e-9 * (1.0 + abs(hi)):
             raise ArithmeticError(f"enclosure widened at iteration {it}: {width} > {prev_width}")
-        stalled = width >= prev_width
-        prev_width = width
         history.append((lo, hi))
+        enc = RadiusEnclosure((lo + hi) / 2, lo, hi, it, history)
         if width < tol:
-            return RadiusEnclosure((lo + hi) / 2, lo, hi, it, history)
-        if stalled and tol <= 8 * math.ulp(hi):
+            return enc
+        if width >= prev_width and tol <= 8 * math.ulp(hi):
             raise NoConvergence(
                 f"tol {tol} is below the float64 resolution of the radius {hi}: "
                 f"the width stalled at {width} after {it} iterations",
-                RadiusEnclosure((lo + hi) / 2, lo, hi, it, history),
+                enc,
             )
+        prev_width = width
         x = y ** (1.0 / km1)
         x /= x.max()
-    last = RadiusEnclosure((history[-1][0] + history[-1][1]) / 2, *history[-1], max_iter, history)
-    raise NoConvergence(f"no convergence to {tol} within {max_iter} iterations", last)
+    raise NoConvergence(f"no convergence to {tol} within {NQZ_MAX_ITER} iterations", enc)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Input checks across the package: each bad input raises its ValueError."""
 
+import numpy as np
 import pytest
 
-from steiner_spectra.exact import IntMatrix, char_poly_exact, circulant
+from steiner_spectra.exact import IntMatrix, char_poly_exact, circulant, det_stack
 from steiner_spectra.graphs import (
     Graph,
     complete_graph,
@@ -23,6 +24,7 @@ from steiner_spectra.wendt import wendt_matrix, wendt_oracle
     [
         (lambda: Graph(0), "at least one vertex"),
         (lambda: steiner_distance(path_graph(3), {0, 1}), r"not within 1\.\.3"),
+        (lambda: steiner_distance(path_graph(3), [1.0, 3]), r"terminal 1\.0 is not an integer"),
         (lambda: graph_canonical_form(complete_graph(9)), "capped at n = 8"),
         (lambda: parse_graph("# only a comment\n"), "empty graph file"),
         (lambda: tree_from_prufer([1.5, 2]), r"Prüfer entry 1\.5 is not an integer"),
@@ -33,6 +35,7 @@ from steiner_spectra.wendt import wendt_matrix, wendt_oracle
         (lambda: HomogeneousSystem(2, 1, ({(1,): 1}, {(0, 1): 1})), "bad exponent vector"),
         (lambda: circulant([]), "empty row"),
         (lambda: char_poly_exact(IntMatrix([[1, 2]])), "square matrix"),
+        (lambda: det_stack(np.zeros((2, 0, 0), np.int64)), "nonempty square matrix"),
         (lambda: edge_charpoly(1), "at least 2"),
         (lambda: spectral_radius_K2(1), "at least 2"),
         (lambda: charpoly_D_dim2(1), "at least 2"),

@@ -626,12 +626,7 @@ class TestCrtBound:
         rng = random.Random(2803)
         nonzero = 0
         for d in (2, 2, 2, 2, 2, 2, 3, 3, 3, 3):
-            terms = exponent_vectors(3, d)
-            polys = tuple(
-                {e: rng.choice((-3, -2, -1, 1, 2, 3)) for e in terms if rng.random() < 0.8}
-                for _ in range(3)
-            )
-            nonzero += self.assert_sound(bounds, HomogeneousSystem(3, d, polys)) != 0
+            nonzero += self.assert_sound(bounds, seeded_system(rng, 3, d)) != 0
         assert nonzero == 10
 
     @pytest.mark.parametrize(
@@ -938,3 +933,132 @@ class TestHyperdetDispatch:
         base = hyperdet(a)
         moved = a.relabel({1: 4, 2: 2, 3: 3, 4: 1})
         assert hyperdet(moved) == base
+
+
+def route(s):
+    """The macaulay_resultant route a system takes: det(M) at degree 1 or n = 2,
+    the 15-row exact charpolys, a line root, or the CRT."""
+    matrix, reduced = macaulay_matrix(s)
+    if all(reduced):
+        return "det" if s.degree == 1 else "sylvester"
+    if matrix.rows <= resultant.GCP_EXACT_MAX_ROWS:
+        return "exact"
+    return "line-root" if line_root(s) else "crt"
+
+
+def seeded_system(rng, n, d):
+    """Dense forms with coefficients in +-1..3, each monomial kept with probability 0.8."""
+    terms = exponent_vectors(n, d)
+    return HomogeneousSystem(
+        n,
+        d,
+        tuple(
+            {e: rng.choice((-3, -2, -1, 1, 2, 3)) for e in terms if rng.random() < 0.8}
+            for _ in range(n)
+        ),
+    )
+
+
+def form_value(a, x):
+    """f_A(x) = x . (A x^(k - 1)), exactly."""
+    return sum(v * c for v, c in zip(x, a.contract(x)))
+
+
+def compose(a, lmap):
+    """A∘L, L applied on every mode: (A∘L)_i = sum_j A_j prod_t L[j_t, i_t],
+    so f_(A∘L)(x) = f_A(L x)."""
+    n, k = a.dim, a.order
+    t = np.empty((n,) * k, dtype=object)
+    for idx in itertools.product(range(n), repeat=k):
+        t[idx] = a.entry(tuple(i + 1 for i in idx))
+    lmap = np.array(lmap, dtype=object)
+    for _ in range(k):  # sums t's first mode against L's rows; L's column mode goes last
+        t = np.tensordot(t, lmap, axes=([0], [0]))
+    return SymmetricHypermatrix.from_function(k, n, lambda ms: int(t[tuple(i - 1 for i in ms)]))
+
+
+# (n, d) and the route each reaches: det(M) at degree 1, Sylvester at n = 2,
+# the 15-row exact charpolys at (3, 2), and the CRT at (3, 3) and (4, 2)
+IDENTITY_SHAPES = {
+    (3, 1): "det",
+    (2, 3): "sylvester",
+    (3, 2): "exact",
+    (3, 3): "crt",
+    (4, 2): "crt",
+}
+
+
+class TestResultantIdentities:
+    """Route-independent identities of the resultant (ROADMAP item 23;
+    Jouanolou, Adv. Math. 1991; Cox, Little & O'Shea, ch. 3)."""
+
+    @staticmethod
+    def systems(n, d, count=2):
+        rng = random.Random(9100 + 10 * n + d)
+        out = [seeded_system(rng, n, d) for _ in range(count)]
+        for s in out:
+            assert route(s) == IDENTITY_SHAPES[n, d]
+        return out
+
+    @pytest.mark.parametrize("n, d", list(IDENTITY_SHAPES), ids=lambda v: str(v))
+    def test_per_form_scaling(self, n, d):
+        # Res(..., c F_i, ...) = c^(d^(n - 1)) Res(F), on each form in turn
+        for s, c in zip(self.systems(n, d), (-2, 3)):
+            value = macaulay_resultant(s)
+            assert value != 0
+            for i in range(n):
+                polys = list(s.polys)
+                polys[i] = {e: c * v for e, v in polys[i].items()}
+                scaled = HomogeneousSystem(n, d, tuple(polys))
+                assert macaulay_resultant(scaled) == c ** (d ** (n - 1)) * value, (c, i)
+
+    @pytest.mark.parametrize("n, d", list(IDENTITY_SHAPES), ids=lambda v: str(v))
+    def test_swapping_two_forms(self, n, d):
+        # Res(..., F_j, ..., F_i, ...) = (-1)^(d^n) Res(F)
+        for s in self.systems(n, d):
+            value = macaulay_resultant(s)
+            assert value != 0
+            for i, j in itertools.combinations(range(n), 2):
+                polys = list(s.polys)
+                polys[i], polys[j] = polys[j], polys[i]
+                swapped = HomogeneousSystem(n, d, tuple(polys))
+                assert macaulay_resultant(swapped) == (-1) ** (d**n) * value, (i, j)
+
+    @pytest.mark.parametrize("n, d", list(IDENTITY_SHAPES), ids=lambda v: str(v))
+    def test_scaled_pure_powers(self, n, d):
+        # Res(x_1^d, ..., x_n^d) = 1 fixes the normalization, so scaling
+        # each form gives prod_i c_i^(d^(n - 1)) exactly; this one pins the
+        # sign of each route, which the relative identities cannot see
+        c = (2, -1, 3, -2)[:n]
+        s = HomogeneousSystem(
+            n, d, tuple({tuple(d * (j == i) for j in range(n)): c[i]} for i in range(n))
+        )
+        assert route(s) == IDENTITY_SHAPES[n, d]
+        assert macaulay_resultant(s) == math.prod(ci ** (d ** (n - 1)) for ci in c)
+
+    @pytest.mark.parametrize(
+        "lmap, det",
+        [
+            ([[1, 1, 0], [0, 1, 0], [0, 0, 1]], 1),
+            ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], -1),
+            ([[2, 0, 0], [0, 1, 0], [0, 0, 1]], 2),
+        ],
+        ids=["shear", "swap", "diag211"],
+    )
+    @pytest.mark.parametrize("tensor", ["P3-k4", "seeded-n3k4"])
+    def test_gl_covariance(self, tensor, lmap, det):
+        # hyperdet(A∘L) = det(L)^(k (k - 1)^(n - 1)) hyperdet(A): the forms of
+        # A∘L are L^T (F∘L), and Res(F∘L) = det(L)^(d^n) Res(F)
+        if tensor == "P3-k4":
+            a = build_steiner_hypermatrix(path_graph(3), 4)
+        else:
+            a = random_hypermatrix(random.Random(9134), 4, 3, lo=0, hi=3)
+        moved = compose(a, lmap)
+        x = [2, -1, 3]
+        lx = [sum(r * v for r, v in zip(row, x)) for row in lmap]
+        assert form_value(moved, x) == form_value(a, lx)
+        assert route(gradient_system(moved)) == route(gradient_system(a)) == "crt"
+        n, k = a.dim, a.order
+        value = hyperdet(a)
+        assert value != 0
+        assert hyperdet(moved) == det ** (k * (k - 1) ** (n - 1)) * value

@@ -18,6 +18,7 @@ from steiner_spectra.hypermatrix import (
     SymmetricHypermatrix,
     build_steiner_hypermatrix,
     exponent_vectors,
+    multisets,
 )
 from steiner_spectra.spectra import (
     EigenPair,
@@ -244,16 +245,15 @@ class TestNQZ:
         with pytest.raises(ValueError):
             nqz_spectral_radius(one, tol=1e-8)
 
-    def test_rejects_max_iter_below_one(self):
-        a = build_steiner_hypermatrix(complete_graph(2), 3)
-        for max_iter in (0, -1):
-            with pytest.raises(ValueError, match="max_iter"):
-                nqz_spectral_radius(a, tol=1e-8, max_iter=max_iter)
-
     def test_rejects_negative_entries(self):
         a = SymmetricHypermatrix.from_function(2, 2, lambda ms: -1)
         with pytest.raises(ValueError, match="negative"):
             nqz_spectral_radius(a, tol=1e-8)
+        # the first negative entry is named, before the zero slice 3
+        vals = dict.fromkeys(multisets(3, 3), 0)
+        vals[1, 1, 2], vals[1, 2, 2] = -2, -5
+        with pytest.raises(ValueError, match=r"^negative entry -2 at \(1, 1, 2\)$"):
+            nqz_spectral_radius(SymmetricHypermatrix(3, 3, vals), tol=1e-8)
 
     def test_rejects_zero_slice(self):
         # off-diagonal support missing for vertex 2: slice positivity fails
@@ -261,11 +261,18 @@ class TestNQZ:
         a = SymmetricHypermatrix(2, 2, vals)
         with pytest.raises(ValueError):
             nqz_spectral_radius(a, tol=1e-8)
+        # k = 3: (1, 1, 2) makes slices 1 and 2 positive off the diagonal;
+        # slice 3's one positive entry is its diagonal (3, 3, 3)
+        vals = dict.fromkeys(multisets(3, 3), 0)
+        vals[1, 1, 2], vals[3, 3, 3] = 1, 5
+        with pytest.raises(ValueError, match="^slice 3 has no positive off-diagonal entry$"):
+            nqz_spectral_radius(SymmetricHypermatrix(3, 3, vals), tol=1e-8)
 
-    def test_no_convergence_carries_enclosure(self):
+    def test_no_convergence_carries_enclosure(self, monkeypatch):
+        monkeypatch.setattr(spectra, "NQZ_MAX_ITER", 5)
         a = build_steiner_hypermatrix(path_graph(3), 2)
-        with pytest.raises(NoConvergence) as exc:
-            nqz_spectral_radius(a, tol=1e-30, max_iter=5)
+        with pytest.raises(NoConvergence, match="within 5 iterations") as exc:
+            nqz_spectral_radius(a, tol=1e-30)
         enc = exc.value.enclosure
         assert isinstance(enc, RadiusEnclosure)
         assert enc.iterations == 5
