@@ -1,5 +1,10 @@
 """Exact integer linear algebra: Bareiss determinants, circulants, characteristic polynomials.
 
+`_integer` is the package's one rule for reading an integer a caller
+passed, here and in every module above: `operator.index`, so numpy and
+other integral types become Python ints and a float, a Fraction or a
+string raises a ValueError that names it.
+
 `IntMatrix` holds each matrix as one read-only numpy array: int64 when
 every entry fits, else dtype object of Python ints.  Every exact
 determinant comes from one fraction-free Bareiss elimination along a
@@ -30,16 +35,25 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
+import operator
 from fractions import Fraction
 
 import numpy as np
 
 
+def _integer(x, what: str) -> int:
+    """x read with `operator.index`, or a ValueError naming it as `what`."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} {x!r} is not an integer") from None
+
+
 class IntMatrix:
     """Dense matrix of exact integers: one read-only numpy array, int64 when
-    every entry fits, else dtype object of Python ints.  Only the
-    constructor picks the dtype; entries leave as Python ints.
+    every entry fits, else dtype object of Python ints, each entry read by
+    `_integer`.  Only the constructor picks the dtype; entries leave as
+    Python ints.
     """
 
     __slots__ = ("rows", "cols", "_a", "_plan")
@@ -52,16 +66,14 @@ class IntMatrix:
             a = a.astype(np.int64, copy=False)
         else:
             # numpy's promotion can round (-1 beside 2**63 gives float64), so
-            # the entries are read again as given, uint64 among them; floats
-            # would silently break the exact eliminations downstream, other
-            # integral types become int
+            # the entries are read again as given, uint64 among them, by
+            # `_integer`: floats would silently break the exact eliminations
+            # downstream
             a = np.array(data, dtype=object)
             entries = a.reshape(-1)  # a view: writes land in a
             for i, v in enumerate(entries):
                 if type(v) is not int:
-                    if not isinstance(v, numbers.Integral):
-                        raise ValueError(f"non-integer entry: {v!r}")
-                    entries[i] = int(v)
+                    entries[i] = _integer(v, "entry")
             try:
                 a = a.astype(np.int64)
             except OverflowError:
@@ -592,10 +604,7 @@ def circulant_det_oracle(first_row) -> int:
     """Independent exact oracle for circulant determinants: the eigenvalue
     product prod_j c(w^j) over the m-th roots of unity, c(x) = sum_i row[i] x^i,
     is Res(x^m - 1, c), taken by `poly_resultant` with no determinant routine."""
-    row = list(first_row)
+    row = [_integer(v, "entry") for v in first_row]
     if not row:
         raise ValueError("empty row")
-    for v in row:
-        if not isinstance(v, numbers.Integral):
-            raise ValueError(f"non-integer entry: {v!r}")
-    return poly_resultant([-1] + [0] * (len(row) - 1) + [1], [int(v) for v in row])
+    return poly_resultant([-1] + [0] * (len(row) - 1) + [1], row)

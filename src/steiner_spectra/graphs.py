@@ -33,19 +33,19 @@ at once.  `canonical_keys` keys a list of graphs, its trees in one
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
 
-from .exact import IntMatrix
+from .exact import IntMatrix, _integer
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 1..n; numpy integer endpoints
-    are stored as Python ints."""
+    """Simple undirected graph on vertices 1..n; endpoints are read by
+    `exact._integer`, so numpy integers are stored as Python ints and a
+    non-integral one is refused."""
 
     n: int
     edges: frozenset = field(default_factory=frozenset)
@@ -55,7 +55,7 @@ class Graph:
             raise ValueError("graph needs at least one vertex")
         norm = set()
         for e in self.edges:
-            u, v = map(operator.index, e)
+            u, v = (_integer(x, "endpoint") for x in e)
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (1 <= u <= self.n and 1 <= v <= self.n):
@@ -113,7 +113,7 @@ def steiner_distance(g: Graph, s) -> int:
 
 
 def steiner_distances(g: Graph, sets) -> list:
-    """Steiner distance of each vertex set in sets, in order; terminals pass `operator.index`.
+    """Steiner distance of each vertex set in sets, in order; terminals are read by `exact._integer`.
 
     The sets share the neighbor lists, at most one BFS row per source
     vertex and one Dreyfus-Wagner table.  The row from r = min(s) answers
@@ -171,14 +171,6 @@ def steiner_distances(g: Graph, sets) -> list:
         return tree(sum(1 << v for v in s))[r]
 
     return [one(s) for s in sets]
-
-
-def _integer(x, what: str) -> int:
-    """x read with `operator.index`, or a ValueError naming it as `what`."""
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise ValueError(f"{what} {x!r} is not an integer") from None
 
 
 def _bfs_dist(adj: list, source: int, n: int) -> list:
@@ -251,7 +243,7 @@ def labeled_tree_blocks(n: int):
 
 def tree_from_prufer(seq) -> Graph:
     """Decode a Prüfer sequence into the labeled tree on len(seq)+2 vertices.
-    Entries are read with `operator.index`, as `Graph` reads its endpoints,
+    Entries are read by `exact._integer`, as `Graph` reads its endpoints,
     so a non-integral one is refused rather than truncated."""
     seq = [_integer(x, "Prüfer entry") for x in seq]
     n = len(seq) + 2

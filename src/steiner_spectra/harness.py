@@ -151,10 +151,6 @@ def _record_problem(rec) -> str | None:
     return None
 
 
-# rows per piece of a sweep report's JSON (`SweepReport.json_chunks`)
-JSON_CHUNK_ROWS = 4096
-
-
 @dataclass
 class SweepReport:
     """A sweep's class table and its rows.
@@ -180,9 +176,9 @@ class SweepReport:
 
     def json_chunks(self, witness: dict | None = None):
         """`to_json`'s text in pieces, so a writer holds one piece at a time:
-        the frame up to the records list, the rows `JSON_CHUNK_ROWS` at a
-        time, then the rest of the frame.  Each class is encoded once, with a
-        0 in place of the Prüfer list that each of its rows splices in."""
+        the frame up to the records list, one piece per row, then the rest of
+        the frame.  Each class is encoded once, with a 0 in place of the
+        Prüfer list that each of its rows splices in."""
         cut = {}
         for key, values in self.classes.items():
             fragment = report_json({"canonical": key, "prufer": 0, **values})
@@ -194,12 +190,10 @@ class SweepReport:
             frame["witness"] = witness
         head, _, tail = report_json(frame).partition('"records": 0')
         yield head + '"records": ['
-        for start in range(0, len(self.records), JSON_CHUNK_ROWS):
-            rows = self.records[start : start + JSON_CHUNK_ROWS]
-            chunk = ",".join(
-                f"{cut[key][0]}{','.join(map(str, seq))}{cut[key][1]}" for seq, key in rows
-            )
-            yield "," + chunk if start else chunk
+        comma = ""
+        for seq, key in self.records:
+            yield f"{comma}{cut[key][0]}{','.join(map(str, seq))}{cut[key][1]}"
+            comma = ","
         yield "]" + tail
 
 

@@ -9,6 +9,10 @@ monomial and one integer coefficient per (form, monomial), the multinomial
 weight times the entry, rather than all n^{k-1} terms.  The exact and the
 numpy `contract` and `resultant.gradient_system` all read that table.
 
+The constructor reads every entry by `exact._integer` and keeps the
+entries, as Python ints, in a read-only mapping (`entries`), so the
+gradient table it caches cannot go stale.
+
 Monomials have one enumerator, `exponent_vectors`: the count vectors of
 the index multisets, in multiset order.  The gradient table and the
 Macaulay matrix (`resultant.macaulay_matrix`) both list monomials so.
@@ -18,10 +22,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import types
 from collections import Counter
 
 import numpy as np
 
+from .exact import _integer
 from .graphs import Graph, steiner_distances
 
 
@@ -46,7 +52,11 @@ def multinomial_weight(ms) -> int:
 
 
 class SymmetricHypermatrix:
-    """Order-k, dimension-n symmetric array with exact integer entries."""
+    """Order-k, dimension-n symmetric array with exact integer entries.
+
+    `entries` maps each sorted index tuple to its entry, read-only; the
+    entries are read by `exact._integer` as Python ints.
+    """
 
     __slots__ = ("order", "dim", "entries", "_forms")
 
@@ -60,14 +70,16 @@ class SymmetricHypermatrix:
             raise ValueError(
                 f"expected {expected} multiset entries, got {len(entries)}"
             )
-        for key in entries:
+        read = {}
+        for key, value in entries.items():
             if len(key) != order or tuple(sorted(key)) != key:
                 raise ValueError(f"key {key} is not a sorted order-{order} tuple")
             if key[0] < 1 or key[-1] > dim:
                 raise ValueError(f"key {key} out of range 1..{dim}")
+            read[key] = _integer(value, "entry")
         self.order = order
         self.dim = dim
-        self.entries = dict(entries)
+        self.entries = types.MappingProxyType(read)
         self._forms = None
 
     @classmethod

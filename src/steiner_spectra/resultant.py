@@ -45,7 +45,10 @@ that route.
 
 One cap, `check_hyperdet_cap` (k = 2, n <= 2, or n <= 4 with k - 1 <= 5),
 bounds `hyperdet` and `macaulay_resultant` alike.  At n = 1, M is the
-single coefficient of the one form.
+single coefficient of the one form.  `HomogeneousSystem` reads its
+exponents and coefficients by `exact._integer`, so a system given numpy
+integers is the system of the same Python ints, and a float is refused
+when the system is built.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ from .exact import (
     IntMatrix,
     _charpoly_plan,
     _crt_primes,
+    _integer,
     _lowest_term,
     _modular_primes,
     char_poly_exact,
@@ -79,7 +83,10 @@ MAX_DEGREE = 5
 class HomogeneousSystem:
     """n integer forms, all homogeneous of the same degree, in n variables.
 
-    Each form is a dict {exponent tuple: nonzero integer coefficient}.
+    Each form is a dict {exponent tuple: nonzero integer coefficient}.  The
+    constructor reads every exponent and coefficient by `exact._integer`
+    and keeps them, as Python ints, in dicts of its own, so a caller's
+    later edits to the dicts it passed do not reach the system.
     """
 
     nvars: int
@@ -93,14 +100,21 @@ class HomogeneousSystem:
             raise ValueError("degree must be at least 1")
         if len(self.polys) != self.nvars:
             raise ValueError("polynomial count must equal variable count")
+        polys = []
         for p in self.polys:
+            form = {}
             for expo, c in p.items():
-                if len(expo) != self.nvars or any(e < 0 for e in expo):
+                e = tuple(_integer(x, "exponent") for x in expo)
+                if len(e) != self.nvars or any(x < 0 for x in e):
                     raise ValueError(f"bad exponent vector {expo}")
-                if sum(expo) != self.degree:
+                if sum(e) != self.degree:
                     raise ValueError(f"monomial {expo} is not of degree {self.degree}")
-                if not isinstance(c, int) or c == 0:
+                c = _integer(c, "coefficient")
+                if c == 0:
                     raise ValueError("coefficients must be nonzero integers")
+                form[e] = c
+            polys.append(form)
+        object.__setattr__(self, "polys", tuple(polys))
 
 
 def gradient_system(a: SymmetricHypermatrix) -> HomogeneousSystem:

@@ -270,10 +270,8 @@ class TestSweep:
 
     def test_json_is_written_in_chunks_with_the_reports_bytes(self, capsys, monkeypatch):
         import steiner_spectra.cli as cli
-        import steiner_spectra.harness as harness
         from steiner_spectra.harness import falsifying_witness
 
-        monkeypatch.setattr(harness, "JSON_CHUNK_ROWS", 7)  # 125 rows: 18 chunks
         code, out, _ = run(capsys, ["sweep", "--n", "5", "--k", "2", "--det", "--json"])
         assert code == 0 and out == cli.sweep_trees(5, 2, det=True).to_json() + "\n"
         self.fake_falsified_sweep(monkeypatch)

@@ -58,6 +58,25 @@ class TestConstruction:
         assert all(v == 1 for v in a.entries.values())
         assert len(a.entries) == math.comb(5, 3)
 
+    def test_entries_are_read_only(self):
+        # the gradient table is cached, so an edit to entries would leave
+        # every later contract and hyperdet on the old values
+        a = build_steiner_hypermatrix(path_graph(3), 4)
+        a.gradient_forms()
+        with pytest.raises(TypeError):
+            a.entries[(1, 1, 1, 2)] = 7
+        assert a.entry((1, 1, 1, 2)) == 1
+        swapped = a.relabel([3, 2, 1])
+        assert swapped == a  # P3's end swap is an automorphism
+        assert a.relabel([2, 1, 3]) != a
+        assert swapped.entries == dict(a.entries)
+
+    def test_numpy_entries_are_read_as_python_ints(self):
+        a = build_steiner_hypermatrix(path_graph(3), 3)
+        b = SymmetricHypermatrix(3, 3, {ms: np.int64(v) for ms, v in a.entries.items()})
+        assert b == a
+        assert {type(v) for v in b.entries.values()} == {int}
+
 
 class TestSteinerEntries:
     def test_k2_is_distance_matrix(self):

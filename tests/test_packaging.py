@@ -1,7 +1,8 @@
 """Every third-party module the package imports is a declared dependency,
-no module imports multiprocessing, importing the package loads neither
-mpmath nor multiprocessing, and the package exports exactly the names its
-`__init__` imports."""
+no module imports multiprocessing or numbers, importing the package loads
+neither mpmath nor multiprocessing, the package exports exactly the names
+its `__init__` imports, and only `exact._integer` reads integers with
+`operator.index`."""
 
 import ast
 import re
@@ -68,3 +69,31 @@ def test_all_lists_exactly_the_imported_names():
     }
     assert len(steiner_spectra.__all__) == len(set(steiner_spectra.__all__))
     assert set(steiner_spectra.__all__) == imported
+
+
+def test_no_module_imports_numbers():
+    # caller integers are read by exact._integer, not by type tests
+    assert "numbers" not in imported_top_level_modules()
+
+
+def test_only_exact_integer_calls_operator_index():
+    # every (module, top-level definition) that names operator.index, or
+    # imports index or an alias from operator
+    seen = set()
+    for path in PACKAGE.glob("*.py"):
+        for stmt in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            owner = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Import):
+                    if any(a.name == "operator" and a.asname for a in node.names):
+                        seen.add((path.stem, "import operator as"))
+                elif isinstance(node, ast.ImportFrom) and node.module == "operator":
+                    seen.add((path.stem, "from operator import"))
+                elif (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "index"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "operator"
+                ):
+                    seen.add((path.stem, owner))
+    assert seen == {("exact", "_integer")}

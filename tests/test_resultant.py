@@ -888,6 +888,37 @@ class TestPinnedValues:
         assert hyperdet(a.relabel({1: 2, 2: 1, 3: 3})) == value
 
 
+class TestIntegerInput:
+    """Exponents, coefficients and entries are read as Python ints when a
+    system or hypermatrix is built, so numpy integers give the same values."""
+
+    def test_hyperdet_of_numpy_entries(self):
+        a = build_steiner_hypermatrix(path_graph(3), 4)
+        b = SymmetricHypermatrix(4, 3, {ms: np.int64(v) for ms, v in a.entries.items()})
+        assert hyperdet(b) == 8023601152
+
+    def test_macaulay_resultant_of_numpy_coefficients(self):
+        s = HomogeneousSystem(3, 2, ({(2, 0, 0): 1}, {(0, 2, 0): 2}, {(0, 0, 2): 3, (1, 1, 0): 1}))
+        t = HomogeneousSystem(
+            3,
+            2,
+            tuple(
+                {tuple(np.int64(e) for e in m): np.int64(c) for m, c in form.items()}
+                for form in s.polys
+            ),
+        )
+        assert t == s
+        assert macaulay_resultant(t) == macaulay_resultant(s) == 6**4
+
+    def test_the_system_owns_its_forms(self):
+        form = {(1, 0): 2, (0, 1): 1}
+        s = HomogeneousSystem(2, 1, (form, {(0, 1): 1}))
+        form[(1, 0)] = 5
+        form[(0, 1)] = 0.5
+        assert s.polys[0] == {(1, 0): 2, (0, 1): 1}
+        assert macaulay_resultant(s) == 2
+
+
 class TestHyperdetDispatch:
     def test_routes(self):
         assert hyperdet_route(build_steiner_hypermatrix(path_graph(3), 2)) == "matrix-det"
@@ -988,6 +1019,22 @@ IDENTITY_SHAPES = {
 }
 
 
+# CRT systems on the whole-charpoly sub-route: M has a diagonal block of more
+# than one row that is singular at the first prime
+WHOLE_CHARPOLY_SYSTEMS = {
+    (3, 3): (({(0, 3, 0): 1}, {(0, 0, 3): -2}, {(3, 0, 0): 1, (0, 0, 3): -2, (1, 1, 1): -2}), -512),
+    (4, 2): (
+        (
+            {(1, 0, 0, 1): -1, (0, 1, 1, 0): -2},
+            {(2, 0, 0, 0): -1, (0, 1, 1, 0): -1, (0, 0, 2, 0): -2},
+            {(1, 0, 1, 0): 2, (0, 0, 0, 2): 1, (0, 0, 2, 0): 2},
+            {(0, 2, 0, 0): -1},
+        ),
+        2304,
+    ),
+}
+
+
 class TestResultantIdentities:
     """Route-independent identities of the resultant (ROADMAP item 23;
     Jouanolou, Adv. Math. 1991; Cox, Little & O'Shea, ch. 3)."""
@@ -1023,6 +1070,39 @@ class TestResultantIdentities:
                 polys[i], polys[j] = polys[j], polys[i]
                 swapped = HomogeneousSystem(n, d, tuple(polys))
                 assert macaulay_resultant(swapped) == (-1) ** (d**n) * value, (i, j)
+
+    @pytest.mark.parametrize("n, d", list(WHOLE_CHARPOLY_SYSTEMS), ids=lambda v: str(v))
+    def test_identities_on_whole_charpolys(self, monkeypatch, n, d):
+        polys, value = WHOLE_CHARPOLY_SYSTEMS[n, d]
+        s = HomogeneousSystem(n, d, polys)
+        matrix, _ = macaulay_matrix(s)
+        first = next(exact._modular_primes(matrix.rows))
+        blocks = exact._charpoly_plan(matrix)[1]
+        assert not all(exact._det_mod((b % first).astype(np.float64), first) for b in blocks)
+        seen = []
+
+        def spy(name, fn):
+            def call(m, p):
+                seen.append(name)
+                return fn(m, p)
+
+            return call
+
+        monkeypatch.setattr(resultant, "char_poly_mod", spy("charpoly", char_poly_mod))
+        monkeypatch.setattr(
+            resultant, "lowest_charpoly_term_mod", spy("lowest", exact.lowest_charpoly_term_mod)
+        )
+        assert route(s) == "crt"
+        assert macaulay_resultant(s) == value
+        assert len(seen) >= 4 and set(seen) == {"charpoly"}  # M and M' at two primes or more
+        for i in range(n):
+            scaled = list(s.polys)
+            scaled[i] = {e: 3 * c for e, c in scaled[i].items()}
+            assert macaulay_resultant(HomogeneousSystem(n, d, tuple(scaled))) == (
+                3 ** (d ** (n - 1)) * value
+            ), i
+        swapped = (s.polys[1], s.polys[0]) + s.polys[2:]
+        assert macaulay_resultant(HomogeneousSystem(n, d, swapped)) == (-1) ** (d**n) * value
 
     @pytest.mark.parametrize("n, d", list(IDENTITY_SHAPES), ids=lambda v: str(v))
     def test_scaled_pure_powers(self, n, d):
