@@ -3,7 +3,8 @@
 `_integer` is the package's one rule for reading an integer a caller
 passed, here and in every module above: `operator.index`, so numpy and
 other integral types become Python ints and a float, a Fraction or a
-string raises a ValueError that names it.
+string raises a ValueError that names it.  Size parameters (n, k, m,
+order, dimension) take `_size`: `_integer` and one lower bound.
 
 `IntMatrix` holds each matrix as one read-only numpy array: int64 when
 every entry fits, else dtype object of Python ints.  Every exact
@@ -47,6 +48,14 @@ def _integer(x, what: str) -> int:
         return operator.index(x)
     except TypeError:
         raise ValueError(f"{what} {x!r} is not an integer") from None
+
+
+def _size(x, low: int, what: str) -> int:
+    """x read by `_integer` as `what`, or a ValueError if it is below low."""
+    x = _integer(x, what)
+    if x < low:
+        raise ValueError(f"{what} must be at least {low}")
+    return x
 
 
 class IntMatrix:
@@ -210,11 +219,6 @@ def _is_prime_trial(p: int) -> bool:
     return True
 
 
-# row ceiling of char_poly_mod, a cost ceiling only: its float64 and int64
-# products are exact at any row count once p * p * (rows + 64) < 2**53
-_MOD_MAX_ROWS = 2000
-
-
 def _strong_components(pattern) -> list:
     """Strongly connected components of the nonzero pattern of a square array.
 
@@ -224,11 +228,9 @@ def _strong_components(pattern) -> list:
     of the 0/1 pattern with a unit diagonal, squared until it stops
     growing: at most ceil(log2 n) + 1 float32 products, each clipped back
     to 0/1, so its sums stay at most n < 2**24 and are exact.  Each
-    component is a sorted list of indices, filed under the least index it
-    holds.  A component reaches strictly more vertices than any component
-    it has an edge to, so sorting by reach count, fewest first (ties by
-    least index), puts them in reverse topological order: listing them
-    last to first permutes the matrix to block upper triangular form.
+    component is a sorted list of indices, in the order of their least
+    indices; the caller's products over them commute, so no topological
+    order is needed.
     """
     reach = (pattern != 0).astype(np.float32)
     np.fill_diagonal(reach, 1)
@@ -240,11 +242,10 @@ def _strong_components(pattern) -> list:
         if grown == count:
             break
         count = grown
-    reaches = np.count_nonzero(reach, axis=1).tolist()
     components = {}
     for v, least in enumerate(np.logical_and(reach, reach.T).argmax(axis=1).tolist()):
         components.setdefault(least, []).append(v)
-    return sorted(components.values(), key=lambda c: reaches[c[0]])
+    return list(components.values())
 
 
 # columns per panel of the blocked Hessenberg reduction
@@ -286,7 +287,8 @@ def _modular_primes(rows: int):
     """Descending odd primes below `_float_exact_bound(rows)`, down to half of it.
 
     char_poly_mod takes exactly these primes for a matrix of `rows` rows,
-    or fewer: about 2**21.9 at 560 rows and 2**21 at the 2000-row ceiling.
+    or fewer: about 2**21.9 at 560 rows and 2**21.4 at 1140 rows, the
+    largest matrix within `resultant.check_hyperdet_cap`.
     """
     top = _float_exact_bound(rows)
     p = top - 1 if top % 2 == 0 else top - 2
@@ -310,14 +312,10 @@ def _crt_primes(rows: int, bound: int) -> list:
 
 def _check_mod_args(m: IntMatrix, p: int) -> None:
     """Refuse what char_poly_mod and lowest_charpoly_term_mod cannot take:
-    a matrix that is not square or has more than `_MOD_MAX_ROWS` rows, or
-    a modulus that is not a prime below `_float_exact_bound(m.rows)`."""
+    a matrix that is not square, or a modulus that is not a prime below
+    `_float_exact_bound(m.rows)`."""
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial requires a square matrix")
-    if m.rows > _MOD_MAX_ROWS:
-        raise ValueError(
-            f"matrix size {m.rows} exceeds the modular charpoly cap of {_MOD_MAX_ROWS}"
-        )
     bound = _float_exact_bound(m.rows)
     if not 2 <= p < bound or not _is_prime_trial(p):
         raise ValueError(f"modulus must be a prime below {bound} for {m.rows} rows")

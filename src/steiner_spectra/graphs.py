@@ -38,21 +38,20 @@ from functools import cache
 
 import numpy as np
 
-from .exact import IntMatrix, _integer
+from .exact import IntMatrix, _integer, _size
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 1..n; endpoints are read by
-    `exact._integer`, so numpy integers are stored as Python ints and a
-    non-integral one is refused."""
+    """Simple undirected graph on vertices 1..n; n is read by `exact._size`
+    and endpoints by `exact._integer`, so numpy integers are stored as
+    Python ints and a non-integral one is refused."""
 
     n: int
     edges: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("graph needs at least one vertex")
+        object.__setattr__(self, "n", _size(self.n, 1, "n"))
         norm = set()
         for e in self.edges:
             u, v = (_integer(x, "endpoint") for x in e)
@@ -232,8 +231,7 @@ def labeled_tree_blocks(n: int):
     """All n^(n-2) labeled trees on n vertices in Prüfer lexicographic
     order, as blocks of at most `TREE_BLOCK`: a (count, n-2) array of
     Prüfer sequences and the (count, n-1, 2) array of their trees' edges."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+    n = _size(n, 2, "n")
     place = n ** np.arange(n - 3, -1, -1)
     total = n ** (n - 2)
     for start in range(0, total, TREE_BLOCK):

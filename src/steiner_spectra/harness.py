@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact import det_stack
+from .exact import _size, det_stack
 from .graphs import (
     Graph,
     all_connected_graphs,
@@ -284,6 +284,7 @@ def sweep_trees(
     one vertex permutation each, all drawn with `seed`, and demands
     identical values.  n is capped at `TREE_WALK_CAP`.
     """
+    n, k = _size(n, 2, "n"), _size(k, 2, "order k")
     if mode not in ("labeled", "unlabeled"):
         raise ValueError(f"unknown mode {mode!r}")
     if det:
@@ -399,8 +400,7 @@ def graham_pollak_check(n_max: int) -> dict:
     determinant; a row passes when no tree fails.  n_max is capped at
     `TREE_WALK_CAP`.
     """
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
+    n_max = _size(n_max, 2, "n_max")
     if n_max > TREE_WALK_CAP:
         raise ValueError(f"gp-check capped at n_max <= {TREE_WALK_CAP}")
     per_n = []
@@ -436,12 +436,13 @@ def extremal_radius(n: int, k: int, scope: str = "trees", tol: float = NQZ_TOL) 
     Evidence report: degree sequences alongside the radii, and question 2
     as a sweep decides it (`_radius_verdicts`); never asserts the open question.
     """
+    n, k = _size(n, 2, "n"), _size(k, 2, "order k")
     if scope == "trees":
-        if not 2 <= n <= TREE_WALK_CAP:
+        if n > TREE_WALK_CAP:
             raise ValueError(f"tree scope capped at 2 <= n <= {TREE_WALK_CAP}")
         items = _labeled_trees(n)
     elif scope == "connected-graphs":
-        if not 2 <= n <= EXTREMAL_GRAPH_CAP:
+        if n > EXTREMAL_GRAPH_CAP:
             raise ValueError(f"graph scope capped at 2 <= n <= {EXTREMAL_GRAPH_CAP}")
         graphs = list(all_connected_graphs(n))
         items = ((None, g.edges, key) for g, key in zip(graphs, canonical_keys(graphs)))

@@ -9,9 +9,10 @@ monomial and one integer coefficient per (form, monomial), the multinomial
 weight times the entry, rather than all n^{k-1} terms.  The exact and the
 numpy `contract` and `resultant.gradient_system` all read that table.
 
-The constructor reads every entry by `exact._integer` and keeps the
-entries, as Python ints, in a read-only mapping (`entries`), so the
-gradient table it caches cannot go stale.
+The constructor reads order and dimension by `exact._size` and one entry
+per index multiset by `exact._integer`, and keeps the entries, as Python
+ints, in a read-only mapping (`entries`), so the gradient table it
+caches cannot go stale.
 
 Monomials have one enumerator, `exponent_vectors`: the count vectors of
 the index multisets, in multiset order.  The gradient table and the
@@ -27,7 +28,7 @@ from collections import Counter
 
 import numpy as np
 
-from .exact import _integer
+from .exact import _integer, _size
 from .graphs import Graph, steiner_distances
 
 
@@ -55,28 +56,23 @@ class SymmetricHypermatrix:
     """Order-k, dimension-n symmetric array with exact integer entries.
 
     `entries` maps each sorted index tuple to its entry, read-only; the
-    entries are read by `exact._integer` as Python ints.
+    entries are read by `exact._integer` as Python ints, one per multiset
+    of `multisets(dim, order)`, so any other key set is refused.
     """
 
     __slots__ = ("order", "dim", "entries", "_forms")
 
     def __init__(self, order: int, dim: int, entries: dict):
-        if order < 2:
-            raise ValueError("order must be at least 2")
-        if dim < 1:
-            raise ValueError("dimension must be at least 1")
+        order, dim = _size(order, 2, "order"), _size(dim, 1, "dimension")
         expected = math.comb(dim + order - 1, order)
         if len(entries) != expected:
             raise ValueError(
                 f"expected {expected} multiset entries, got {len(entries)}"
             )
-        read = {}
-        for key, value in entries.items():
-            if len(key) != order or tuple(sorted(key)) != key:
-                raise ValueError(f"key {key} is not a sorted order-{order} tuple")
-            if key[0] < 1 or key[-1] > dim:
-                raise ValueError(f"key {key} out of range 1..{dim}")
-            read[key] = _integer(value, "entry")
+        try:
+            read = {ms: _integer(entries[ms], "entry") for ms in multisets(dim, order)}
+        except KeyError as missing:
+            raise ValueError(f"no entry at the multiset {missing.args[0]}") from None
         self.order = order
         self.dim = dim
         self.entries = types.MappingProxyType(read)
@@ -164,8 +160,7 @@ def build_steiner_hypermatrix(g: Graph, k: int) -> SymmetricHypermatrix:
 
     One `steiner_distances` pass over g serves every distinct support.
     """
-    if k < 2:
-        raise ValueError("order must be at least 2")
+    k = _size(k, 2, "order k")
     if not g.is_connected():
         raise ValueError("disconnected graph")
     supports = list(dict.fromkeys(frozenset(ms) for ms in multisets(g.n, k)))

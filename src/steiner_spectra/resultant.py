@@ -67,6 +67,7 @@ from .exact import (
     _integer,
     _lowest_term,
     _modular_primes,
+    _size,
     char_poly_exact,
     char_poly_mod,
     det_exact,
@@ -84,9 +85,10 @@ class HomogeneousSystem:
     """n integer forms, all homogeneous of the same degree, in n variables.
 
     Each form is a dict {exponent tuple: nonzero integer coefficient}.  The
-    constructor reads every exponent and coefficient by `exact._integer`
-    and keeps them, as Python ints, in dicts of its own, so a caller's
-    later edits to the dicts it passed do not reach the system.
+    constructor reads nvars and degree by `exact._size`, every exponent
+    and coefficient by `exact._integer`, and keeps them, as Python ints,
+    in dicts of its own, so a caller's later edits to the dicts it passed
+    do not reach the system.
     """
 
     nvars: int
@@ -94,10 +96,8 @@ class HomogeneousSystem:
     polys: tuple
 
     def __post_init__(self):
-        if self.nvars < 1:
-            raise ValueError("need at least one variable")
-        if self.degree < 1:
-            raise ValueError("degree must be at least 1")
+        object.__setattr__(self, "nvars", _size(self.nvars, 1, "nvars"))
+        object.__setattr__(self, "degree", _size(self.degree, 1, "degree"))
         if len(self.polys) != self.nvars:
             raise ValueError("polynomial count must equal variable count")
         polys = []

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact import IntMatrix
+from .exact import IntMatrix, _size
 from .graphs import complete_graph
 from .hypermatrix import (
     SymmetricHypermatrix,
@@ -62,10 +62,7 @@ def charpoly_allones(n: int, k: int) -> list[EigenPair]:
     multiplicity is an integer and the total is n m^{n-1}; equal values
     from different c stay separate entries.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if k < 2:
-        raise ValueError("order k must be at least 2")
+    n, k = _size(n, 2, "n"), _size(k, 2, "order k")
     m = k - 1
     powers = [cmath.exp(2j * math.pi * a / m) for a in range(m)]
     pairs = [EigenPair(0j, (n - 1) * m ** (n - 1))]
@@ -84,8 +81,7 @@ def charpoly_D_dim2(k: int) -> list[EigenPair]:
     m, and each 1 <= d < m/2 twice (d and m - d).  From m = 1024 on
     2^m - 1 is past the float64 limit, so such orders are refused.
     """
-    if k < 2:
-        raise ValueError("order k must be at least 2")
+    k = _size(k, 2, "order k")
     m = k - 1
     if m >= 1024:
         raise ValueError(f"order k = {k} puts 2^{m} - 1 past the float64 limit: need k <= 1024")
@@ -97,9 +93,7 @@ def charpoly_D_dim2(k: int) -> list[EigenPair]:
 
 def spectral_radius_K2(k: int) -> int:
     """Closed-form spectral radius of D_k(K_2)."""
-    if k < 2:
-        raise ValueError("order k must be at least 2")
-    return 2 ** (k - 1) - 1
+    return 2 ** (_size(k, 2, "order k") - 1) - 1
 
 
 def _from_power_sums(p) -> tuple:
@@ -120,12 +114,10 @@ def edge_charpoly(k: int) -> tuple:
     Q_m(t) = det(tI - W_m).  The mu_d = (1 + w^d)^m have the power sums
     p_j = m sum_{i = 0 mod m} C(mj, i), as sum_d w^(di) is m if m | i, else 0;
     Newton's identities give P(t) = prod_d (t - mu_d), and Q_m(t) = P(t + 1)."""
-    if k < 2:
-        raise ValueError("order k must be at least 2")
-    m = k - 1
+    m = _size(k, 2, "order k") - 1
     p = [m * sum(math.comb(m * j, i) for i in range(0, m * j + 1, m)) for j in range(1, m + 1)]
     coeffs = _from_power_sums(p)
-    return tuple(sum(c * math.comb(j, i) for j, c in enumerate(coeffs)) for i in range(k))
+    return tuple(sum(c * math.comb(j, i) for j, c in enumerate(coeffs)) for i in range(m + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +174,7 @@ def nqz_spectral_radius(a: SymmetricHypermatrix, tol: float) -> RadiusEnclosure:
     """
     if not tol > 0:  # also rejects NaN
         raise ValueError("tol must be positive")
-    if a.dim < 2:
-        raise ValueError("dimension must be at least 2")
+    _size(a.dim, 2, "dimension")
     km1 = a.order - 1
     # row i holds every entry whose index has i, off-diagonal iff x_i's exponent is below k - 1
     _, _, counts, weights = a.gradient_forms()
@@ -249,9 +240,7 @@ def block_matrix_check(k: int) -> bool:
     constant term is (-1)^{k-1} W_{k-1}, and W's Perron root, its row sum,
     is 2^{k-1} - 1.
     """
-    if k < 2:
-        raise ValueError("order k must be at least 2")
-    m = k - 1
+    m = _size(k, 2, "order k") - 1
     s = block_matrix_K2(k)._a.copy()
     s[:m] -= s[m:]
     s[:, m:] += s[:, :m]

@@ -11,12 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exact import circulant, circulant_det_oracle, det_exact
+from .exact import _size, circulant, circulant_det_oracle, det_exact
 
 
 def wendt_matrix(m: int):
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    m = _size(m, 1, "m")
     return circulant([math.comb(m, j) for j in range(m)])
 
 
@@ -28,16 +27,13 @@ def wendt(m: int) -> int:
 def wendt_oracle(m: int) -> int:
     """Independent W_m: the circulant eigenvalue product as the exact resultant
     Res(x^m - 1, sum_{j<m} C(m, j) x^j), by Euclid over Q (`circulant_det_oracle`)."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    m = _size(m, 1, "m")
     return circulant_det_oracle([math.comb(m, j) for j in range(m)])
 
 
 def lehmer_vanishes(m: int) -> bool:
     """Whether W_m = 0, decided arithmetically: true exactly when 6 | m."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    return m % 6 == 0
+    return _size(m, 1, "m") % 6 == 0
 
 
 # branch labels for the vanishing classification
@@ -67,10 +63,7 @@ def theorem1_vanishes(k: int, n: int) -> VanishingVerdict:
     depends only on (k, n).  Zero cases: n = 1; odd k with n >= 3; and
     n = 2 with k = 1 (mod 6), where the value is a signed Wendt determinant.
     """
-    if k < 2:
-        raise ValueError("order k must be at least 2")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    k, n = _size(k, 2, "order k"), _size(n, 1, "n")
     if n == 1:
         return VanishingVerdict(k, n, True, BRANCH_SINGLETON)
     if k % 2 == 1 and n >= 3:

@@ -44,7 +44,7 @@ class TestConstruction:
         bad = {ms: 0 for ms in multisets(2, 3)}
         del bad[(1, 1, 2)]
         bad[(2, 1, 1)] = 0
-        with pytest.raises(ValueError, match="sorted"):
+        with pytest.raises(ValueError, match=r"no entry at the multiset \(1, 1, 2\)"):
             SymmetricHypermatrix(3, 2, bad)
         with pytest.raises(ValueError):
             SymmetricHypermatrix(1, 2, {(1,): 0, (2,): 0})

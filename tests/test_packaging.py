@@ -1,8 +1,8 @@
 """Every third-party module the package imports is a declared dependency,
 no module imports multiprocessing or numbers, importing the package loads
 neither mpmath nor multiprocessing, the package exports exactly the names
-its `__init__` imports, and only `exact._integer` reads integers with
-`operator.index`."""
+its `__init__` imports, only `exact._integer` reads integers with
+`operator.index`, and only `exact._size` refuses a size below its bound."""
 
 import ast
 import re
@@ -97,3 +97,23 @@ def test_only_exact_integer_calls_operator_index():
                 ):
                     seen.add((path.stem, owner))
     assert seen == {("exact", "_integer")}
+
+
+def test_only_exact_size_refuses_a_size_below_its_bound():
+    # every (module, top-level definition) that raises a ValueError whose
+    # text says "must be at least": a size check that bypasses exact._size
+    seen = set()
+    for path in PACKAGE.glob("*.py"):
+        for stmt in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            for node in ast.walk(stmt):
+                if (
+                    isinstance(node, ast.Raise)
+                    and isinstance(node.exc, ast.Call)
+                    and getattr(node.exc.func, "id", None) == "ValueError"
+                    and any(
+                        isinstance(c, ast.Constant) and "must be at least" in str(c.value)
+                        for c in ast.walk(node.exc)
+                    )
+                ):
+                    seen.add((path.stem, getattr(stmt, "name", None)))
+    assert seen == {("exact", "_size")}
